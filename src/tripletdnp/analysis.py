@@ -1,11 +1,12 @@
 """Fitting measured curves to the kinetics model and calibrating polarization.
 
-Exponential models are fitted with a damped Gauss-Newton iteration using
-analytic Jacobians; starting values come from log-linearized estimates.
-Non-convergence is a reported state on the result, never an exception. A
-buildup curve alone only determines the asymptote and the total rate, so
-separating the buildup time from the relaxation time requires an
-independently measured relaxation constant (disentangle_buildup).
+Both exponential models are linear in all parameters but one rate, so they
+are fitted by variable projection with a bracketed search over that rate;
+no starting values are needed. Non-convergence is a reported state on the
+result, with a note naming the reason, never an exception. A buildup curve
+alone only determines the asymptote and the total rate, so separating the
+buildup time from the relaxation time requires an independently measured
+relaxation constant (disentangle_buildup).
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ __all__ = [
 ]
 
 MAX_ITERATIONS = 200
-STEP_TOL = 1e-10
-_STEP_FLOOR = 1e-13  # keep polishing past STEP_TOL so the optimum is hit to float noise
+_SCAN_POINTS = 31
 _MIN_SAMPLES = 4
 
 
@@ -42,7 +42,8 @@ class FitResult:
 
     residual_norm is the root-mean-square residual. gradient_norm is the
     max-norm of J^T r at the returned point; a converged fit has driven it
-    to numerical noise.
+    to numerical noise. iterations counts the rate-search steps after the
+    bracketing scan plus the closing Gauss-Newton steps (at most two).
     """
 
     parameters: dict[str, float]
@@ -97,68 +98,76 @@ class NmrCalibration:
             raise ValidationError("spin_count_ratio and gain_ratio must be positive")
 
 
-def _log_linear_slope(t: np.ndarray, logv: np.ndarray) -> float:
-    """Least-squares slope of logv against t."""
-    tm = t - t.mean()
-    denom = float(tm @ tm)
-    if denom == 0.0:
-        return 0.0
-    return float(tm @ (logv - logv.mean())) / denom
+def _rate_scan(t: np.ndarray) -> np.ndarray:
+    """Log-spaced trial rates from well below 1/span to well above 1/(shortest step)."""
+    return np.geomspace(0.01 / (t[-1] - t[0]), 10.0 / float(np.min(np.diff(t))), _SCAN_POINTS)
 
 
-def _gauss_newton(residual, jacobian, x0):
-    """Damped Gauss-Newton with step halving on the squared residual norm.
+def _varpro(rates, scan_ssr, solve, residual, jacobian):
+    """Fit the one nonlinear rate by variable projection.
 
-    Convergence is declared once the relative parameter step falls below
-    STEP_TOL; the iteration then keeps polishing until the step reaches the
-    floating-point floor, which is what makes fits exactly scale-consistent.
-    Running out of iterations or stalling before STEP_TOL leaves converged
-    False. Returns the values needed to assemble a FitResult.
+    scan_ssr(rates) is the SSR, up to a constant, with the linear parameters
+    solved at each trial rate; solve(k) returns (k, parameters, residual, g)
+    with g of the sign of dSSR/dk. The smallest scanned SSR and its downhill
+    neighbour bracket a root of g, which Illinois regula falsi pins down; up
+    to two Gauss-Newton steps on all parameters then polish it, keeping the
+    lowest-SSR point. Returns the values needed to assemble a FitResult.
     """
-    x = np.array(x0, dtype=float)
-    r = residual(x)
-    ssr = float(r @ r)
-    converged = False
-    notes: list[str] = []
-    iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = jacobian(x)
-        delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        if not np.all(np.isfinite(delta)):
-            if not converged:
-                notes.append("singular model Jacobian")
-            break
-        alpha = 1.0
-        full_rel = float(np.max(np.abs(delta) / (np.abs(x + delta) + 1e-300)))
-        if full_rel < 1e-6:
-            # locally convergent region: take the plain step; the squared
-            # residual is at its float-noise floor and cannot guide a search
-            x_try = x + delta
-            r_try = residual(x_try)
-            ssr_try = float(r_try @ r_try)
+    i = int(np.argmin(scan_ssr(rates)))
+    k, x, r, g = solve(rates[i])
+    if i in (0, rates.size - 1):
+        return _unconverged(
+            x, r, jacobian, f"smallest SSR at the edge of the scanned rates ({rates[0]:.3g} to "
+            f"{rates[-1]:.3g} per min): the curve is not a single exponential over its time span",
+        )
+    k_lo, g_lo = k_hi, g_hi = k, g
+    if g < 0.0:
+        k_hi, _, _, g_hi = solve(rates[i + 1])
+    elif g > 0.0:
+        k_lo, _, _, g_lo = solve(rates[i - 1])
+    iterations = moved = 0  # the end the last step moved; moving it twice halves the stale end's g
+    while g != 0.0:
+        if not g_lo < 0.0 < g_hi:
+            return _unconverged(
+                x, r, jacobian, "dSSR/drate does not change sign next to the smallest scanned SSR: "
+                "the SSR is too flat there to locate the rate",
+            )
+        k_next = (k_lo * g_hi - k_hi * g_lo) / (g_hi - g_lo)
+        if not k_lo < k_next < k_hi:
+            break  # the bracket has closed to adjacent floats
+        if iterations == MAX_ITERATIONS:
+            note = f"rate search did not converge in {iterations} steps"
+            return _unconverged(x, r, jacobian, note, iterations)
+        iterations += 1
+        k, x, r, g = solve(k_next)
+        if g < 0.0:
+            k_lo, g_lo = k, g
+            if moved < 0:
+                g_hi *= 0.5
+            moved = -1
         else:
-            improved = False
-            for _ in range(40):
-                x_try = x + alpha * delta
-                r_try = residual(x_try)
-                ssr_try = float(r_try @ r_try)
-                if np.isfinite(ssr_try) and ssr_try <= ssr:
-                    improved = True
-                    break
-                alpha *= 0.5
-            if not improved:
-                if not converged:
-                    notes.append("line search stalled")
-                break
-        rel_step = float(np.max(np.abs(alpha * delta) / (np.abs(x_try) + 1e-300)))
-        x, r, ssr = x_try, r_try, ssr_try
-        if rel_step < STEP_TOL:
-            converged = True
-        if rel_step < _STEP_FLOOR:
+            k_hi, g_hi = k, g
+            if moved > 0:
+                g_lo *= 0.5
+            moved = 1
+
+    ssr = float(r @ r)
+    for _ in range(2):
+        delta, *_ = np.linalg.lstsq(jacobian(x), -r, rcond=None)
+        x_try = x + delta
+        if not x_try[1] > 0.0:  # the rate (t_const for a decay) must stay positive
             break
-    jac = jacobian(x)
-    grad_norm = float(np.max(np.abs(jac.T @ r))) if r.size else 0.0
-    return x, r, jac, ssr, converged, iterations, notes
+        r_try = residual(x_try)
+        ssr_try = float(r_try @ r_try)
+        if not ssr_try < ssr:
+            break
+        x, r, ssr = x_try, r_try, ssr_try
+        iterations += 1
+    return x, r, jacobian(x), ssr, True, iterations, []
+
+
+def _unconverged(x, r, jacobian, note, iterations=0):
+    return x, r, jacobian(x), float(r @ r), False, iterations, [note]
 
 
 def _uncertainties(jac: np.ndarray, ssr: float, n_params: int) -> tuple[np.ndarray, bool]:
@@ -222,17 +231,26 @@ def fit_decay(curve: BuildupCurve) -> FitResult:
             notes=("degenerate curve: constant values leave t_const unidentifiable",),
         )
 
-    p0_init = float(y[0])
-    offset_init = float(y[-1])
-    span = p0_init - offset_init
-    tau_init = (t[-1] - t[0]) / 3.0
-    if span != 0.0:
-        d = (y - offset_init) / span
-        mask = d > 0.05
-        if int(mask.sum()) >= 2:
-            slope = _log_linear_slope(t[mask], np.log(d[mask]))
-            if slope < 0.0:
-                tau_init = -1.0 / slope
+    ybar = float(y.mean())
+    ym = y - ybar
+
+    def scan_ssr(rates):
+        e = np.multiply.outer(-rates, t)
+        np.exp(e, out=e)
+        s1 = e.sum(axis=1)
+        see = np.einsum("ij,ij->i", e, e) - s1 * s1 / t.size
+        sy = e @ ym
+        return -np.divide(sy * sy, see, out=np.zeros_like(sy), where=see > 0.0)
+
+    def solve(k):
+        # offset + a exp(-k t) is a centred one-column regression for fixed k
+        e = np.exp(-k * t)
+        em = e - e.mean()
+        den = float(em @ em)  # 0 once exp(-k t) underflows at every sample
+        a = float(em @ ym) / den if den > 0.0 else 0.0
+        offset = ybar - a * float(e.mean())
+        r = offset + a * e - y
+        return k, np.array([a + offset, 1.0 / k, offset]), r, -a * float((t * e) @ r)
 
     def residual(p):
         return p[2] + (p[0] - p[2]) * np.exp(-t / p[1]) - y
@@ -241,8 +259,7 @@ def fit_decay(curve: BuildupCurve) -> FitResult:
         e = np.exp(-t / p[1])
         return np.column_stack([e, (p[0] - p[2]) * t / p[1] ** 2 * e, 1.0 - e])
 
-    fit = _gauss_newton(residual, jacobian, [p0_init, tau_init, offset_init])
-    return _result(names, *fit)
+    return _result(names, *_varpro(_rate_scan(t), scan_ssr, solve, residual, jacobian))
 
 
 def fit_buildup(curve: BuildupCurve) -> FitResult:
@@ -281,14 +298,18 @@ def fit_buildup(curve: BuildupCurve) -> FitResult:
             notes=("degenerate curve: constant nonzero values", identifiability),
         )
 
-    amp_init = float(y[-1]) if y[-1] != 0.0 else float(np.max(np.abs(y)))
-    rate_init = 1.0 / max(t[-1] / 3.0, 1e-12)
-    frac = 1.0 - y / amp_init
-    mask = (frac > 0.05) & (t > 0.0)
-    if int(mask.sum()) >= 2:
-        slope = _log_linear_slope(t[mask], np.log(frac[mask]))
-        if slope < 0.0:
-            rate_init = -slope
+    def scan_ssr(rates):
+        b = np.multiply.outer(-rates, t)
+        np.expm1(b, out=b)  # minus the basis 1 - exp(-k t); the sign drops out
+        by = b @ y
+        return -by * by / np.einsum("ij,ij->i", b, b)
+
+    def solve(k):
+        e = np.exp(-k * t)
+        b = 1.0 - e
+        amplitude = float(b @ y) / float(b @ b)
+        r = amplitude * b - y
+        return k, np.array([amplitude, k]), r, amplitude * float((t * e) @ r)
 
     def residual(p):
         return p[0] * (1.0 - np.exp(-p[1] * t)) - y
@@ -297,8 +318,9 @@ def fit_buildup(curve: BuildupCurve) -> FitResult:
         e = np.exp(-p[1] * t)
         return np.column_stack([1.0 - e, p[0] * t * e])
 
-    fit = _gauss_newton(residual, jacobian, [amp_init, rate_init])
-    x, r, jac, ssr, converged, iterations, notes = fit
+    x, r, jac, ssr, converged, iterations, notes = _varpro(
+        _rate_scan(t), scan_ssr, solve, residual, jacobian
+    )
     return _result(names, x, r, jac, ssr, converged, iterations, notes + [identifiability])
 
 

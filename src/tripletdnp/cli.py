@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -63,16 +64,22 @@ def _load_config(args) -> ToolkitConfig:
     return default_config(verbose=args.verbose)
 
 
-def _report(out_path: Path, lines: list[str], rows: list[tuple[str, str]]) -> None:
+def _out_path(args, cfg: ToolkitConfig | None, default_name: str) -> Path:
+    return Path(args.out) if args.out else (cfg.output_dir if cfg else Path(".")) / default_name
+
+
+def _report(args, out_path: Path, rows: list[tuple[str, str]], lines=None, notes=()) -> None:
+    """Write rows (plus the seed) to a CSV twin and, unless lines are given, as `key: value`
+    text; note lines follow the text, which is also echoed."""
+    if args.seed is not None:
+        rows = rows + [("seed", str(args.seed))]
+    if lines is None:
+        lines = [f"{k}: {v}" for k, v in rows]
+    lines = lines + [f"note: {note}" for note in notes]
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text("\n".join(lines) + "\n")
-    csv_path = out_path.with_suffix(".csv")
-    csv_path.write_text("\n".join(f"{k},{v}" for k, v in rows) + "\n")
+    out_path.with_suffix(".csv").write_text("\n".join(f"{k},{v}" for k, v in rows) + "\n")
     print("\n".join(lines))
-
-
-def _seed_rows(args) -> list[tuple[str, str]]:
-    return [("seed", str(args.seed))] if args.seed is not None else []
 
 
 def _simulate_grid(duration_min: float, points: int) -> np.ndarray:
@@ -114,7 +121,7 @@ def cmd_simulate(args) -> int:
     else:
         curve = _simulate_shots(params, grid, cfg.sequence.repetition_rate_hz, args.include_pth)
 
-    out = Path(args.out) if args.out else cfg.output_dir / f"buildup_{args.mode}.csv"
+    out = _out_path(args, cfg, f"buildup_{args.mode}.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_curve(out, curve)
 
@@ -130,11 +137,10 @@ def cmd_simulate(args) -> int:
         ("final_time_min", repr(float(curve.times_min[-1]))),
         ("final_polarization", repr(float(curve.values[-1]))),
         ("curve_file", str(out)),
-    ] + _seed_rows(args)
+    ]
     if args.mode == "shots":
         rows.insert(3, ("repetition_rate_hz", repr(cfg.sequence.repetition_rate_hz)))
-    lines = [f"{k}: {v}" for k, v in rows]
-    _report(out.with_suffix(".summary.txt"), lines, rows)
+    _report(args, out.with_suffix(".summary.txt"), rows)
     return EXIT_OK
 
 
@@ -157,14 +163,7 @@ def cmd_fit(args) -> int:
         rows.append(("tr_minutes_input", repr(args.tr_minutes)))
         rows.append(("td_minutes", repr(derived.td_minutes)))
         rows.append(("pe", repr(derived.pe)))
-    rows += _seed_rows(args)
-
-    lines = [f"{k}: {v}" for k, v in rows]
-    for note in fit.notes:
-        lines.append(f"note: {note}")
-    out_dir = cfg.output_dir if cfg else Path(".")
-    out = Path(args.out) if args.out else out_dir / "fit_report.txt"
-    _report(out, lines, rows)
+    _report(args, _out_path(args, cfg, "fit_report.txt"), rows, notes=fit.notes)
     return EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
 
 
@@ -196,10 +195,8 @@ def cmd_decompose(args) -> int:
             f"tolerance_pct: {args.tolerance_pct!r} ({_TOLERANCE_RATIONALE})",
             f"within_tolerance: {str(within).lower()}",
         ]
-    rows += _seed_rows(args)
-    out_dir = cfg.output_dir if cfg else Path(".")
-    out = Path(args.out) if args.out else out_dir / "decompose_report.txt"
-    _report(out, lines, rows)
+    # the text report omits the seed; the CSV twin carries it
+    _report(args, _out_path(args, cfg, "decompose_report.txt"), rows, lines)
     return EXIT_OK
 
 
@@ -229,10 +226,7 @@ def cmd_calibrate(args) -> int:
         baseline = thermal_polarization(cfg.field.magnitude_tesla, cfg.temperature_kelvin)
         rows.append(("thermal_polarization_baseline", repr(baseline)))
         rows.append(("enhancement_factor", repr(polarization / baseline)))
-    rows += _seed_rows(args)
-    lines = [f"{k}: {v}" for k, v in rows]
-    out = Path(args.out) if args.out else cfg.output_dir / "calibrate_report.txt"
-    _report(out, lines, rows)
+    _report(args, _out_path(args, cfg, "calibrate_report.txt"), rows)
     return EXIT_OK
 
 
@@ -268,9 +262,9 @@ def _sweep_final_polarization(cfg: ToolkitConfig, parameter: str, value: float) 
     }[parameter]
     swept = dataclasses.replace(seq, **{field_name: value})
     eps = min(1.0, calibration * sweep_transfer_probability(swept))
-    drive_rate = eps / (swept.shot_period_s / 60.0)  # per minute
-    relax_rate = 1.0 / base.tr_minutes
-    return (base.pe * drive_rate + base.pth * relax_rate) / (drive_rate + relax_rate)
+    # without transfer there is no buildup: td is infinite and the floor pth remains
+    td_minutes = swept.shot_period_s / 60.0 / eps if eps > 0.0 else math.inf
+    return steady_state_with_pth(dataclasses.replace(base, td_minutes=td_minutes))
 
 
 def cmd_sweep(args) -> int:
@@ -280,7 +274,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep needs at least one value")
     results = [(v, _sweep_final_polarization(cfg, args.parameter, v)) for v in values]
 
-    out = Path(args.out) if args.out else cfg.output_dir / f"sweep_{args.parameter}.csv"
+    out = _out_path(args, cfg, f"sweep_{args.parameter}.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{args.parameter},final_polarization"]
     lines += [f"{v!r},{p!r}" for v, p in results]

@@ -110,87 +110,67 @@ def parse_config(path, verbose: bool = False, echo=print) -> ToolkitConfig:
     return _assemble(raw, verbose=verbose, echo=echo)
 
 
-def _get_float(raw, section: str, key: str, verbose: bool, echo) -> float:
-    if (section, key) in raw:
-        text = raw[(section, key)]
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected a number, got {text!r}") from None
-    default, provenance = CONFIG_REFERENCE[(section, key)]
-    if verbose:
-        echo(f"# default [{section}] {key} = {default} ({provenance})")
-    return float(default)
-
-
 def _assemble(raw, verbose: bool, echo) -> ToolkitConfig:
+    def get(section: str, key: str, computed=None, convert=float):
+        """The file's value, else the default (computed for derived keys), echoed when verbose."""
+        if (section, key) in raw:
+            text = raw[(section, key)]
+            try:
+                return convert(text)
+            except ValueError:
+                raise ConfigError(f"[{section}] {key}: expected a number, got {text!r}") from None
+        default, provenance = CONFIG_REFERENCE[(section, key)]
+        value = default if computed is None else computed
+        if verbose:
+            echo(f"# default [{section}] {key} = {value} ({provenance})")
+        return convert(value)
+
     try:
         triplet = TripletParameters(
-            d_mhz=_get_float(raw, "triplet", "d_mhz", verbose, echo),
-            e_mhz=_get_float(raw, "triplet", "e_mhz", verbose, echo),
+            d_mhz=get("triplet", "d_mhz"),
+            e_mhz=get("triplet", "e_mhz"),
             zf_populations=(
-                _get_float(raw, "triplet", "population_x", verbose, echo),
-                _get_float(raw, "triplet", "population_y", verbose, echo),
-                _get_float(raw, "triplet", "population_z", verbose, echo),
+                get("triplet", "population_x"),
+                get("triplet", "population_y"),
+                get("triplet", "population_z"),
             ),
         )
         field = MagneticFieldSetting(
-            magnitude_tesla=_get_float(raw, "field", "field_tesla", verbose, echo),
-            theta_rad=_get_float(raw, "field", "theta_rad", verbose, echo),
-            phi_rad=_get_float(raw, "field", "phi_rad", verbose, echo),
+            magnitude_tesla=get("field", "field_tesla"),
+            theta_rad=get("field", "theta_rad"),
+            phi_rad=get("field", "phi_rad"),
         )
-
-        if ("sequence", "static_field_tesla") in raw:
-            static_field = _get_float(raw, "sequence", "static_field_tesla", verbose, echo)
-        else:
-            static_field = field.magnitude_tesla
-            if verbose:
-                echo(
-                    f"# default [sequence] static_field_tesla = {static_field} "
-                    f"({CONFIG_REFERENCE[('sequence', 'static_field_tesla')][1]})"
-                )
-        if ("sequence", "b1_amplitude_mt") in raw:
-            b1 = _get_float(raw, "sequence", "b1_amplitude_mt", verbose, echo)
-        else:
-            b1 = hartmann_hahn_b1(static_field) if static_field > 0 else 1.0
-            if verbose:
-                echo(
-                    f"# default [sequence] b1_amplitude_mt = {b1} "
-                    f"({CONFIG_REFERENCE[('sequence', 'b1_amplitude_mt')][1]})"
-                )
+        static_field = get("sequence", "static_field_tesla", computed=field.magnitude_tesla)
+        b1 = get(
+            "sequence",
+            "b1_amplitude_mt",
+            computed=hartmann_hahn_b1(static_field) if static_field > 0 else 1.0,
+        )
         sequence = IseSequenceParams(
-            microwave_frequency_ghz=_get_float(raw, "sequence", "microwave_frequency_ghz", verbose, echo),
-            microwave_width_us=_get_float(raw, "sequence", "microwave_width_us", verbose, echo),
-            laser_width_us=_get_float(raw, "sequence", "laser_width_us", verbose, echo),
-            microwave_delay_us=_get_float(raw, "sequence", "microwave_delay_us", verbose, echo),
-            repetition_rate_hz=_get_float(raw, "sequence", "repetition_rate_hz", verbose, echo),
-            sweep_span_mt=_get_float(raw, "sequence", "sweep_span_mt", verbose, echo),
+            microwave_frequency_ghz=get("sequence", "microwave_frequency_ghz"),
+            microwave_width_us=get("sequence", "microwave_width_us"),
+            laser_width_us=get("sequence", "laser_width_us"),
+            microwave_delay_us=get("sequence", "microwave_delay_us"),
+            repetition_rate_hz=get("sequence", "repetition_rate_hz"),
+            sweep_span_mt=get("sequence", "sweep_span_mt"),
             b1_amplitude_mt=b1,
             static_field_tesla=static_field,
         )
         kinetics = KineticsParams(
-            pe=_get_float(raw, "kinetics", "pe", verbose, echo),
-            td_minutes=_get_float(raw, "kinetics", "td_minutes", verbose, echo),
-            tr_minutes=_get_float(raw, "kinetics", "tr_minutes", verbose, echo),
-            pth=_get_float(raw, "kinetics", "pth", verbose, echo),
+            pe=get("kinetics", "pe"),
+            td_minutes=get("kinetics", "td_minutes"),
+            tr_minutes=get("kinetics", "tr_minutes"),
+            pth=get("kinetics", "pth"),
         )
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if ("general", "output_dir") in raw:
-        output_dir = Path(raw[("general", "output_dir")])
-    else:
-        output_dir = Path(str(CONFIG_REFERENCE[("general", "output_dir")][0]))
-        if verbose:
-            echo(
-                f"# default [general] output_dir = {output_dir} "
-                f"({CONFIG_REFERENCE[('general', 'output_dir')][1]})"
-            )
     return ToolkitConfig(
         triplet=triplet,
         field=field,
         sequence=sequence,
         kinetics=kinetics,
-        temperature_kelvin=_get_float(raw, "general", "temperature_kelvin", verbose, echo),
-        output_dir=output_dir,
+        # keyword order is echo order: output_dir is echoed before temperature_kelvin
+        output_dir=get("general", "output_dir", convert=Path),
+        temperature_kelvin=get("general", "temperature_kelvin"),
     )

@@ -17,7 +17,7 @@ from tripletdnp import (
     fit_decay,
     relaxation_decay,
 )
-from tripletdnp.analysis import FitResult
+from tripletdnp.analysis import MAX_ITERATIONS, FitResult
 
 REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
 
@@ -63,6 +63,29 @@ class TestFitDecay:
             if fit.converged and abs(fit.parameters["t_const"] - 57.1) / 57.1 < 0.05:
                 hits += 1
         assert hits >= 950
+
+    def test_near_zero_offset_converges(self):
+        # noise with its projection onto the Jacobian columns at the truth
+        # removed, so the least-squares optimum is the truth with offset 0
+        t = np.linspace(0.0, 300.0, 40)
+        p0, tau = 0.61, 57.1
+        e = np.exp(-t / tau)
+        q, _ = np.linalg.qr(np.column_stack([e, p0 * t / tau**2 * e, 1.0 - e]))
+        for seed in range(200):
+            noise = np.random.default_rng(seed).normal(0.0, 0.005, t.size)
+            fit = fit_decay(BuildupCurve(t, p0 * e + noise - q @ (q.T @ noise)))
+            assert fit.converged, (seed, fit.notes)
+            assert fit.iterations < MAX_ITERATIONS
+            assert fit.parameters["p0"] == pytest.approx(p0, rel=1e-10)
+            assert fit.parameters["t_const"] == pytest.approx(tau, rel=1e-10)
+            assert fit.parameters["offset"] == pytest.approx(0.0, abs=1e-10)
+
+    def test_straight_line_names_why_it_did_not_converge(self):
+        # a rising line is best matched by an ever slower decay: no interior optimum
+        t = np.linspace(0.0, 100.0, 20)
+        fit = fit_decay(BuildupCurve(t, 0.1 + 0.002 * t))
+        assert not fit.converged
+        assert any("edge of the scanned rates" in n for n in fit.notes)
 
     def test_constant_curve_does_not_converge(self):
         t = np.linspace(0.0, 100.0, 8)

@@ -133,6 +133,15 @@ class TestFit:
         assert code == 4
         assert "converged: false" in cap.out
 
+    def test_unconverged_fit_notes_reason(self, tmp_path, capsys):
+        rows = ["time_min,value"] + [f"{float(i)!r},{0.1 + 0.002 * i!r}" for i in range(20)]
+        curve = tmp_path / "line.csv"
+        curve.write_text("\n".join(rows) + "\n")
+        code, cap = run(["fit", curve, "--model", "decay", "--out", tmp_path / "r.txt"], capsys)
+        assert code == 4
+        assert "converged: false" in cap.out
+        assert "note: smallest SSR at the edge of the scanned rates" in cap.out
+
     def test_empty_file_parse_error(self, tmp_path, capsys):
         curve = tmp_path / "empty.csv"
         curve.write_text("")
@@ -238,6 +247,14 @@ class TestSweep:
         # the configured b1 reproduces the configured kinetics
         assert finals[0] < finals[1] < finals[2]
         assert finals[2] == pytest.approx(0.610150064683053, rel=1e-6)
+
+    def test_b1_without_transfer_stays_at_thermal_floor(self, tmp_path, capsys):
+        cfg = tmp_path / "pth.cfg"
+        cfg.write_text(REFERENCE_CFG + "pth = 0.05\n")
+        out = tmp_path / "b1.csv"
+        code, _ = run(["sweep", "b1", "--config", cfg, "--values", "1e-12", "--out", out], capsys)
+        assert code == 0
+        assert float(out.read_text().splitlines()[1].split(",")[1]) == pytest.approx(0.05, rel=1e-12)
 
     def test_unknown_parameter_usage_error(self, cfg, capsys):
         with pytest.raises(SystemExit) as exc:
