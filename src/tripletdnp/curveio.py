@@ -9,6 +9,7 @@ write/read cycle reproduces a curve exactly.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ def read_curve(path) -> BuildupCurve:
     """Parse a curve file into a BuildupCurve, normalizing times to minutes.
 
     Raises CurveParseError naming the offending 1-based row for a missing
-    or unknown header, non-numeric cells, or non-increasing times.
+    or unknown header, non-numeric or non-finite cells, or non-increasing
+    times.
     """
     lines = Path(path).read_text().splitlines()
     kind = ValueKind.POLARIZATION
@@ -65,6 +67,8 @@ def read_curve(path) -> BuildupCurve:
             v = float(cells[1])
         except ValueError:
             raise CurveParseError(f"non-numeric cell in {line!r}", row=row) from None
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise CurveParseError(f"non-finite cell in {line!r}", row=row)
         if times and t <= times[-1]:
             raise CurveParseError(
                 f"time {cells[0]} does not increase over the previous sample", row=row

@@ -10,7 +10,8 @@ field-dressed eigenstates (sudden approximation), which sets the electron
 spin polarization available for transfer.
 
 All functions are pure and all value types are immutable after
-construction, so they are safe to share between threads.
+construction, so they are safe to share between threads. Every value type
+rejects non-finite numbers (NaN or infinity) with ValidationError.
 """
 
 from __future__ import annotations
@@ -42,24 +43,27 @@ _TRACE_TOL = 1e-9
 _UNITARY_TOL = 1e-10
 _EIGSUM_TOL = 1e-9
 
-
-def _spin_ops() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S = 1 operators in the zero-field basis {Tx, Ty, Tz}: (S_a)_bc = -i eps_abc."""
-    sx = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex)
-    sy = np.array([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]], dtype=complex)
-    sz = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
-    return sx, sy, sz
-
-
-SX, SY, SZ = _spin_ops()
-for _op in (SX, SY, SZ):
-    _op.setflags(write=False)
+_EYE3 = np.eye(3, dtype=complex)
+_EYE3.setflags(write=False)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
     out.setflags(write=False)
     return out
+
+
+def _all_finite(*values: float) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
+def _spin_form(x: float, y: float, z: float, diagonal=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """diag(diagonal) + x Sx + y Sy + z Sz, with (S_a)_bc = -i eps_abc."""
+    return np.array([
+        [diagonal[0], -1j * z, 1j * y],
+        [1j * z, diagonal[1], -1j * x],
+        [-1j * y, 1j * x, diagonal[2]],
+    ])
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,11 @@ class TripletParameters:
         p = self.zf_populations
         if len(p) != 3:
             raise ValidationError("zf_populations must have exactly three entries")
+        if not _all_finite(self.d_mhz, self.e_mhz, *p):
+            raise ValidationError(
+                f"D, E and zf_populations must be finite, got D={self.d_mhz}, "
+                f"E={self.e_mhz}, populations {p}"
+            )
         if any(v < 0.0 for v in p):
             raise ValidationError(f"zf_populations must be nonnegative, got {p}")
         if abs(sum(p) - 1.0) > _POPULATION_SUM_TOL:
@@ -101,19 +110,22 @@ class MagneticFieldSetting:
     phi_rad: float = 0.0
 
     def __post_init__(self):
-        if self.magnitude_tesla < 0.0:
-            raise ValidationError(f"field magnitude must be >= 0, got {self.magnitude_tesla}")
+        if not 0.0 <= self.magnitude_tesla < math.inf:
+            raise ValidationError(
+                f"field magnitude must be finite and >= 0, got {self.magnitude_tesla}"
+            )
         if not 0.0 <= self.theta_rad <= math.pi:
             raise ValidationError(f"theta must lie in [0, pi], got {self.theta_rad}")
         if not 0.0 <= self.phi_rad < 2.0 * math.pi:
             raise ValidationError(f"phi must lie in [0, 2*pi), got {self.phi_rad}")
 
+    def _axis(self) -> tuple[float, float, float]:
+        st = math.sin(self.theta_rad)
+        return st * math.cos(self.phi_rad), st * math.sin(self.phi_rad), math.cos(self.theta_rad)
+
     def direction(self) -> np.ndarray:
         """Unit vector of the field axis in the (x, y, z) principal frame."""
-        st = math.sin(self.theta_rad)
-        return np.array(
-            [st * math.cos(self.phi_rad), st * math.sin(self.phi_rad), math.cos(self.theta_rad)]
-        )
+        return np.array(self._axis())
 
 
 @dataclass(frozen=True)
@@ -126,10 +138,12 @@ class SpinHamiltonian:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (3, 3):
             raise ValidationError(f"Hamiltonian must be 3x3, got shape {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL * scale:
+        scale = abs(m).max()
+        if not math.isfinite(scale):
+            raise ValidationError("Hamiltonian entries must be finite")
+        if not abs(m - m.conj().T).max() <= _HERMITIAN_TOL * max(1.0, scale):
             raise ValidationError("Hamiltonian must be Hermitian within 1e-12")
-        if abs(np.trace(m)) > _TRACE_TOL:
+        if not abs(m[0, 0] + m[1, 1] + m[2, 2]) <= _TRACE_TOL:
             raise ValidationError("Hamiltonian must be traceless within 1e-9 MHz")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -146,11 +160,14 @@ class EigenSystem:
         vecs = np.asarray(self.eigenvectors, dtype=complex)
         if vals.shape != (3,) or vecs.shape != (3, 3):
             raise ValidationError("eigensystem must hold 3 eigenvalues and a 3x3 eigenvector matrix")
-        if np.any(np.diff(vals) < 0.0):
+        low, mid, high = vals.tolist()
+        if not _all_finite(low, mid, high):
+            raise ValidationError(f"eigenvalues must be finite, got {vals}")
+        if not low <= mid <= high:
             raise ValidationError("eigenvalues must be ascending")
-        if np.max(np.abs(vecs.conj().T @ vecs - np.eye(3))) > _UNITARY_TOL:
+        if not abs(vecs.conj().T @ vecs - _EYE3).max() <= _UNITARY_TOL:
             raise ValidationError("eigenvector set must be unitary within 1e-10")
-        if abs(float(np.sum(vals))) > _EIGSUM_TOL:
+        if abs(low + mid + high) > _EIGSUM_TOL:
             raise ValidationError("eigenvalue sum must vanish within 1e-9 MHz (traceless Hamiltonian)")
         object.__setattr__(self, "eigenvalues", _readonly(vals))
         object.__setattr__(self, "eigenvectors", _readonly(vecs))
@@ -164,6 +181,8 @@ class FieldPopulations:
 
     def __post_init__(self):
         p = self.populations
+        if not _all_finite(*p):
+            raise ValidationError(f"populations must be finite, got {p}")
         if any(v < -1e-15 for v in p):
             raise ValidationError(f"populations must be nonnegative, got {p}")
         if abs(sum(p) - 1.0) > 1e-10:
@@ -178,22 +197,19 @@ def build_hamiltonian(params: TripletParameters, field: MagneticFieldSetting) ->
     with matrix elements -i gamma_e B eps_abc.
     """
     d, e = params.d_mhz, params.e_mhz
-    zfs = d * (SZ @ SZ - (2.0 / 3.0) * np.eye(3)) + e * (SX @ SX - SY @ SY)
-    bvec = field.magnitude_tesla * field.direction()
-    zeeman = GAMMA_E_MHZ_PER_T * (bvec[0] * SX + bvec[1] * SY + bvec[2] * SZ)
-    return SpinHamiltonian(zfs + zeeman)
+    gamma_b = GAMMA_E_MHZ_PER_T * field.magnitude_tesla
+    x, y, z = field._axis()
+    zfs = (d / 3.0 - e, d / 3.0 + e, -2.0 * d / 3.0)
+    return SpinHamiltonian(_spin_form(gamma_b * x, gamma_b * y, gamma_b * z, zfs))
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Rotate each eigenvector so its first nonzero component is real positive."""
-    out = vecs.copy()
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            lead = col[nz[0]]
-            out[:, i] = col * (lead.conjugate() / abs(lead))
-    return out
+    phases = []
+    for col in vecs.T.tolist():
+        lead = next((c for c in col if abs(c) > 1e-12), 1.0)
+        phases.append(lead.conjugate() / abs(lead))
+    return vecs * phases
 
 
 def eigensystem(h: SpinHamiltonian) -> EigenSystem:
@@ -204,7 +220,7 @@ def eigensystem(h: SpinHamiltonian) -> EigenSystem:
     output deterministic for golden tests.
     """
     m = h.matrix
-    if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m)))):
+    if not abs(m - m.conj().T).max() <= _HERMITIAN_TOL * max(1.0, abs(m).max()):
         raise ValidationError("eigensystem requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(m)
     return EigenSystem(vals, _fix_phases(vecs))
@@ -216,10 +232,10 @@ def project_populations(eig: EigenSystem, params: TripletParameters) -> FieldPop
     Sudden approximation: the laser pulse populates (Tx, Ty, Tz) faster than
     any spin evolution, so p_i = sum_k |<psi_i|T_k>|^2 p_k.
     """
-    weights = np.abs(eig.eigenvectors) ** 2  # weights[k, i] = |<T_k|psi_i>|^2
-    p = weights.T @ np.asarray(params.zf_populations, dtype=float)
-    p = p / p.sum()  # unit sum up to rounding; renormalize the last ulps
-    return FieldPopulations((float(p[0]), float(p[1]), float(p[2])))
+    weights = abs(eig.eigenvectors) ** 2  # weights[k, i] = |<T_k|psi_i>|^2
+    p = np.dot(params.zf_populations, weights).tolist()
+    total = sum(p)  # unit up to rounding; renormalize the last ulps
+    return FieldPopulations((p[0] / total, p[1] / total, p[2] / total))
 
 
 def electron_polarization(
@@ -228,18 +244,17 @@ def electron_polarization(
     """Net spin projection along the field axis, sum_i p_i <psi_i|S_B|psi_i>.
 
     Bounded by [-1, 1] because the S = 1 projection eigenvalues are
-    (-1, 0, +1). Equal populations give exactly zero (trace of S_B).
+    (-1, 0, +1); the clamp trims rounding only and passes NaN through.
+    Equal populations give exactly zero (trace of S_B).
     """
-    n = field.direction()
-    s_b = n[0] * SX + n[1] * SY + n[2] * SZ
+    s_b = _spin_form(*field._axis())
     v = eig.eigenvectors
-    expect = np.real(np.einsum("ki,kl,li->i", v.conj(), s_b, v))
-    pe = float(np.dot(np.asarray(pops.populations), expect))
-    return min(1.0, max(-1.0, pe))
+    expect = (v.conj() * (s_b @ v)).sum(axis=0).real
+    pe = float(np.dot(pops.populations, expect))
+    return max(min(pe, 1.0), -1.0)
 
 
 def transition_frequencies(eig: EigenSystem) -> tuple[float, float, float]:
     """Pairwise level splittings |lambda_i - lambda_j|, ascending, MHz."""
-    v = eig.eigenvalues
-    gaps = sorted((abs(v[1] - v[0]), abs(v[2] - v[0]), abs(v[2] - v[1])))
-    return (float(gaps[0]), float(gaps[1]), float(gaps[2]))
+    low, mid, high = eig.eigenvalues.tolist()
+    return tuple(sorted((abs(mid - low), abs(high - low), abs(high - mid))))

@@ -78,6 +78,18 @@ class TestSimulate:
         assert code == 3
         assert "error" in cap.err
 
+    @pytest.mark.parametrize(
+        "section", ["[field]\nfield_tesla = nan\n", "[triplet]\nd_mhz = nan\n"]
+    )
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys, section):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(section)
+        out = tmp_path / "nan.csv"
+        code, cap = run(["simulate", "--config", cfg, "--duration-min", 30, "--out", out], capsys)
+        assert code == 3
+        assert "finite" in cap.err
+        assert not out.exists()
+
     def test_include_pth_starts_at_thermal_floor(self, tmp_path, capsys):
         cfg = tmp_path / "pth.cfg"
         cfg.write_text(REFERENCE_CFG + "pth = 0.1\n")  # appended to [kinetics]
@@ -148,6 +160,13 @@ class TestFit:
         code, cap = run(["fit", curve, "--model", "decay"], capsys)
         assert code == 3
         assert "error" in cap.err
+
+    def test_non_finite_cell_parse_error(self, tmp_path, capsys):
+        curve = tmp_path / "nan.csv"
+        curve.write_text("time_min,value\n0.0,0.5\nnan,0.1\n2.0,0.3\n3.0,0.2\n")
+        code, cap = run(["fit", curve, "--model", "decay", "--out", tmp_path / "r.txt"], capsys)
+        assert code == 3
+        assert "row 3" in cap.err
 
     def test_missing_file_io_error(self, tmp_path, capsys):
         code, cap = run(["fit", tmp_path / "nope.csv", "--model", "decay"], capsys)

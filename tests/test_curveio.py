@@ -49,6 +49,16 @@ def test_non_numeric_cell_names_row(tmp_path):
         read_curve(p)
 
 
+@pytest.mark.parametrize(
+    "row", ["nan,0.1", "1.0,nan", "inf,0.1", "1.0,-inf", "1.0,NaN"]
+)
+def test_non_finite_cell_names_row(tmp_path, row):
+    p = tmp_path / "c.csv"
+    p.write_text(f"time_min,value\n0.0,0.1\n{row}\n2.0,0.3\n")
+    with pytest.raises(CurveParseError, match="row 3: non-finite"):
+        read_curve(p)
+
+
 def test_duplicate_timestamp_names_row(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("time_min,value\n0.0,0.1\n1.0,0.2\n1.0,0.3\n")

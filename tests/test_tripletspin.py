@@ -1,10 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from tripletdnp import (
+    EigenSystem,
+    FieldPopulations,
     MagneticFieldSetting,
+    SpinHamiltonian,
     TripletParameters,
     ValidationError,
     build_hamiltonian,
@@ -148,6 +152,13 @@ class TestEigensystem:
                 lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
                 assert abs(lead.imag) < 1e-12 and lead.real > 0.0
 
+    def test_arrays_are_read_only(self):
+        eig = eigensystem(build_hamiltonian(PENTACENE, MagneticFieldSetting(0.64, 1.0, 2.0)))
+        for a in (eig.eigenvalues, eig.eigenvectors):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
 
 class TestProjectPopulations:
     def test_zero_field_identity(self):
@@ -171,6 +182,17 @@ class TestProjectPopulations:
         pops = project_populations(eig, PENTACENE)
         oracle = oracles.overlap_population_table(np.asarray(eig.eigenvectors), (0.76, 0.16, 0.08))
         np.testing.assert_allclose(pops.populations, oracle, atol=1e-12)
+
+    def test_matches_bruteforce_overlap_table_off_axis(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            params, field = random_inputs(rng)
+            eig = eigensystem(build_hamiltonian(params, field))
+            pops = project_populations(eig, params)
+            oracle = oracles.overlap_population_table(
+                np.asarray(eig.eigenvectors), params.zf_populations
+            )
+            np.testing.assert_allclose(pops.populations, oracle, atol=1e-12)
 
     def test_population_conservation(self):
         rng = np.random.default_rng(13)
@@ -208,6 +230,22 @@ class TestElectronPolarization:
         )
         assert pe == pytest.approx(oracle, abs=1e-12)
         assert abs(pe) <= 1.0
+
+    def test_matches_bruteforce_expectation_off_axis(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            params, field = random_inputs(rng)
+            eig = eigensystem(build_hamiltonian(params, field))
+            pops = project_populations(eig, params)
+            oracle = oracles.expectation_polarization(
+                np.asarray(eig.eigenvectors), pops.populations, field.theta_rad, field.phi_rad
+            )
+            assert electron_polarization(eig, pops, field) == pytest.approx(oracle, abs=1e-12)
+
+    def test_clamp_passes_nan_through(self):
+        eig = eigensystem(build_hamiltonian(PENTACENE, FIELD_064))
+        pops = SimpleNamespace(populations=(math.nan, 0.5, 0.5))
+        assert math.isnan(electron_polarization(eig, pops, FIELD_064))
 
     def test_bounded_for_random_inputs(self):
         rng = np.random.default_rng(15)
@@ -251,3 +289,58 @@ class TestTransitionFrequencies:
         params = TripletParameters(0.0, 0.0, (1 / 3, 1 / 3, 1 / 3))
         eig = eigensystem(build_hamiltonian(params, ZERO_FIELD))
         assert transition_frequencies(eig) == (0.0, 0.0, 0.0)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_field_magnitude(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            MagneticFieldSetting(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_field_angles(self, bad):
+        with pytest.raises(ValidationError):
+            MagneticFieldSetting(0.64, theta_rad=bad)
+        with pytest.raises(ValidationError):
+            MagneticFieldSetting(0.64, phi_rad=bad)
+
+    @pytest.mark.parametrize(
+        "d, e, pops",
+        [
+            (math.nan, -50.0, (0.76, 0.16, 0.08)),
+            (1395.0, math.nan, (0.76, 0.16, 0.08)),
+            (1395.0, -50.0, (math.nan, 0.5, 0.5)),
+            (1395.0, -50.0, (0.5, 0.5, math.inf)),
+            (math.inf, 100.0, (0.76, 0.16, 0.08)),
+        ],
+    )
+    def test_triplet_parameters(self, d, e, pops):
+        with pytest.raises(ValidationError, match="finite"):
+            TripletParameters(d, e, pops)
+
+    @pytest.mark.parametrize("pops", [(math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.inf)])
+    def test_field_populations(self, pops):
+        with pytest.raises(ValidationError, match="finite"):
+            FieldPopulations(pops)
+
+    @pytest.mark.parametrize(
+        "vals", [[math.nan, 0.0, 0.0], [0.0, math.nan, 0.0], [-math.inf, 0.0, math.inf]]
+    )
+    def test_eigenvalues(self, vals):
+        with pytest.raises(ValidationError, match="finite"):
+            EigenSystem(vals, np.eye(3))
+
+    def test_eigenvectors(self):
+        vecs = np.eye(3, dtype=complex)
+        vecs[1, 1] = math.nan
+        with pytest.raises(ValidationError, match="unitary"):
+            EigenSystem([-1.0, 0.0, 1.0], vecs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_hamiltonian(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            SpinHamiltonian(np.full((3, 3), bad))
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 1] = complex(0.0, bad)
+        with pytest.raises(ValidationError, match="finite"):
+            SpinHamiltonian(m)
