@@ -6,110 +6,19 @@ relaxation kinetics, and fits measured curves to extract the buildup and
 relaxation time constants and the attainable polarization.
 """
 
-from .analysis import (
-    FitResult,
-    NmrCalibration,
-    RelaxationDecomposition,
-    calibrate_polarization,
-    decompose_relaxation,
-    disentangle_buildup,
-    fit_buildup,
-    fit_decay,
-)
-from .config import CONFIG_REFERENCE, ToolkitConfig, default_config, parse_config
-from .curveio import read_curve, write_curve
-from .errors import (
-    ConfigError,
-    CurveParseError,
-    InconsistencyError,
-    TripletDnpError,
-    ValidationError,
-)
-from .ise import (
-    BuildupTime,
-    IseSequenceParams,
-    ShotModel,
-    effective_buildup_time,
-    epsilon_for_buildup_time,
-    hartmann_hahn_b1,
-    iterate_shots,
-    proton_larmor,
-    shot_map,
-    sweep_transfer_probability,
-)
-from .kinetics import (
-    BuildupCurve,
-    KineticsParams,
-    ValueKind,
-    buildup_closed_form,
-    buildup_ode,
-    final_polarization,
-    relaxation_decay,
-    steady_state_with_pth,
-    thermal_polarization,
-)
-from .tripletspin import (
-    EigenSystem,
-    FieldPopulations,
-    MagneticFieldSetting,
-    SpinHamiltonian,
-    TripletParameters,
-    build_hamiltonian,
-    eigensystem,
-    electron_polarization,
-    project_populations,
-    transition_frequencies,
-)
+from . import analysis, config, curveio, errors, ise, kinetics, tripletspin
+from .analysis import *
+from .config import *
+from .curveio import *
+from .errors import *
+from .ise import *
+from .kinetics import *
+from .tripletspin import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BuildupCurve",
-    "BuildupTime",
-    "CONFIG_REFERENCE",
-    "ConfigError",
-    "CurveParseError",
-    "EigenSystem",
-    "FieldPopulations",
-    "FitResult",
-    "InconsistencyError",
-    "IseSequenceParams",
-    "KineticsParams",
-    "MagneticFieldSetting",
-    "NmrCalibration",
-    "RelaxationDecomposition",
-    "ShotModel",
-    "SpinHamiltonian",
-    "ToolkitConfig",
-    "TripletDnpError",
-    "TripletParameters",
-    "ValidationError",
-    "ValueKind",
-    "build_hamiltonian",
-    "buildup_closed_form",
-    "buildup_ode",
-    "calibrate_polarization",
-    "decompose_relaxation",
-    "default_config",
-    "disentangle_buildup",
-    "effective_buildup_time",
-    "eigensystem",
-    "electron_polarization",
-    "epsilon_for_buildup_time",
-    "final_polarization",
-    "fit_buildup",
-    "fit_decay",
-    "hartmann_hahn_b1",
-    "iterate_shots",
-    "parse_config",
-    "project_populations",
-    "proton_larmor",
-    "read_curve",
-    "relaxation_decay",
-    "shot_map",
-    "steady_state_with_pth",
-    "sweep_transfer_probability",
-    "thermal_polarization",
-    "transition_frequencies",
-    "write_curve",
-]
+__all__ = sorted(
+    name
+    for module in (analysis, config, curveio, errors, ise, kinetics, tripletspin)
+    for name in module.__all__
+)

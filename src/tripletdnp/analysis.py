@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -69,11 +69,11 @@ class RelaxationDecomposition:
     te_minutes: float
 
     def __post_init__(self):
-        if min(self.t1_minutes, self.tr_minutes, self.te_minutes) <= 0.0:
+        if not (self.t1_minutes > 0.0 and self.tr_minutes > 0.0 and self.te_minutes > 0.0):
             raise ValidationError("all decomposition time constants must be positive")
         lhs = 1.0 / self.tr_minutes
         rhs = 1.0 / self.t1_minutes + 1.0 / self.te_minutes
-        if abs(lhs - rhs) > 1e-9 * lhs:
+        if not abs(lhs - rhs) <= 1e-9 * lhs:
             raise ValidationError("decomposition must satisfy 1/tr = 1/t1 + 1/te within 1e-9 relative")
 
 
@@ -92,6 +92,8 @@ class NmrCalibration:
     gain_ratio: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValidationError(f"calibration inputs must be finite, got {self}")
         if self.reference_signal == 0.0:
             raise ValidationError("reference_signal must be nonzero")
         if self.spin_count_ratio <= 0.0 or self.gain_ratio <= 0.0:
@@ -350,9 +352,9 @@ def decompose_relaxation(t1_minutes: float, tr_minutes: float) -> RelaxationDeco
     te = 1 / (1/tr - 1/t1). Requires t1 > tr > 0: the triplet electrons add
     a relaxation channel, so the combined constant must be the shorter one.
     """
-    if tr_minutes <= 0.0:
-        raise ValidationError(f"tr_minutes must be positive, got {tr_minutes}")
-    if t1_minutes <= tr_minutes:
+    if not 0.0 < tr_minutes < math.inf:
+        raise ValidationError(f"tr_minutes must be finite and positive, got {tr_minutes}")
+    if not t1_minutes > tr_minutes:
         raise InconsistencyError(
             f"t1 = {t1_minutes} min must exceed tr = {tr_minutes} min; "
             "no positive paramagnetic time constant exists otherwise"

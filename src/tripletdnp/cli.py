@@ -26,7 +26,13 @@ from .analysis import (
 from .config import ToolkitConfig, default_config, parse_config
 from .curveio import read_curve, write_curve
 from .errors import ValidationError
-from .ise import ShotModel, epsilon_for_buildup_time, iterate_shots, sweep_transfer_probability
+from .ise import (
+    ShotModel,
+    effective_buildup_time,
+    epsilon_for_buildup_time,
+    iterate_shots,
+    sweep_transfer_probability,
+)
 from .kinetics import (
     BuildupCurve,
     KineticsParams,
@@ -64,18 +70,16 @@ def _load_config(args) -> ToolkitConfig:
     return default_config(verbose=args.verbose)
 
 
-def _out_path(args, cfg: ToolkitConfig | None, default_name: str) -> Path:
-    return Path(args.out) if args.out else (cfg.output_dir if cfg else Path(".")) / default_name
+def _out_path(args, cfg: ToolkitConfig, default_name: str) -> Path:
+    return Path(args.out) if args.out else cfg.output_dir / default_name
 
 
-def _report(args, out_path: Path, rows: list[tuple[str, str]], lines=None, notes=()) -> None:
-    """Write rows (plus the seed) to a CSV twin and, unless lines are given, as `key: value`
-    text; note lines follow the text, which is also echoed."""
+def _report(args, out_path: Path, rows: list[tuple[str, str]], notes=()) -> None:
+    """Write rows (plus the seed) as `key: value` text and as a CSV twin; note lines
+    follow the text, which is also echoed."""
     if args.seed is not None:
         rows = rows + [("seed", str(args.seed))]
-    if lines is None:
-        lines = [f"{k}: {v}" for k, v in rows]
-    lines = lines + [f"note: {note}" for note in notes]
+    lines = [f"{k}: {v}" for k, v in rows] + [f"note: {note}" for note in notes]
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text("\n".join(lines) + "\n")
     out_path.with_suffix(".csv").write_text("\n".join(f"{k},{v}" for k, v in rows) + "\n")
@@ -83,8 +87,8 @@ def _report(args, out_path: Path, rows: list[tuple[str, str]], lines=None, notes
 
 
 def _simulate_grid(duration_min: float, points: int) -> np.ndarray:
-    if duration_min < 0.0:
-        raise ValidationError(f"duration must be nonnegative, got {duration_min}")
+    if not 0.0 <= duration_min < math.inf:
+        raise ValidationError(f"duration must be finite and nonnegative, got {duration_min}")
     if duration_min == 0.0:
         return np.array([0.0])
     if points < 2:
@@ -98,9 +102,8 @@ def _simulate_shots(
     period = 1.0 / repetition_rate_hz
     eps = epsilon_for_buildup_time(params.td_minutes, period)
     shot = ShotModel(epsilon=eps, shot_period_s=period)
-    pth = params.pth if include_pth else 0.0
+    pth = p = params.pth if include_pth else 0.0
     counts = np.rint(grid * 60.0 * repetition_rate_hz).astype(np.int64)
-    p = pth if include_pth else 0.0
     values = [p]
     for i in range(grid.size - 1):
         p = iterate_shots(p, shot, params.pe, params.tr_minutes, pth, int(counts[i + 1] - counts[i]))
@@ -145,7 +148,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _load_config(args) if args.config else None
+    cfg = _load_config(args)
     curve = read_curve(args.curve)
     fit = fit_buildup(curve) if args.model == "buildup" else fit_decay(curve)
 
@@ -168,9 +171,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    cfg = _load_config(args) if args.config else None
-    if args.reference_te is not None and args.reference_te <= 0.0:
-        raise ValidationError(f"--reference-te must be positive, got {args.reference_te}")
+    cfg = _load_config(args)
+    if args.reference_te is not None and not 0.0 < args.reference_te < math.inf:
+        raise ValidationError(f"--reference-te must be finite and positive, got {args.reference_te}")
     result = decompose_relaxation(args.t1_minutes, args.tr_minutes)
     recomposed = 1.0 / (1.0 / result.t1_minutes + 1.0 / result.te_minutes)
     rows = [
@@ -179,7 +182,7 @@ def cmd_decompose(args) -> int:
         ("te_minutes", repr(result.te_minutes)),
         ("recomposed_tr_minutes", repr(recomposed)),
     ]
-    lines = [f"{k}: {v}" for k, v in rows]
+    notes = ()
     if args.reference_te is not None:
         rel = abs(result.te_minutes - args.reference_te) / args.reference_te
         within = rel <= args.tolerance_pct / 100.0
@@ -189,14 +192,8 @@ def cmd_decompose(args) -> int:
             ("tolerance_pct", repr(args.tolerance_pct)),
             ("within_tolerance", str(within).lower()),
         ]
-        lines += [
-            f"reference_te_minutes: {args.reference_te!r}",
-            f"relative_difference: {rel!r}",
-            f"tolerance_pct: {args.tolerance_pct!r} ({_TOLERANCE_RATIONALE})",
-            f"within_tolerance: {str(within).lower()}",
-        ]
-    # the text report omits the seed; the CSV twin carries it
-    _report(args, _out_path(args, cfg, "decompose_report.txt"), rows, lines)
+        notes = (_TOLERANCE_RATIONALE,)
+    _report(args, _out_path(args, cfg, "decompose_report.txt"), rows, notes=notes)
     return EXIT_OK
 
 
@@ -240,6 +237,8 @@ def _sweep_values(args) -> list[float]:
             ) from None
     if args.start is None or args.stop is None:
         raise ValidationError("provide either --values or --start/--stop (with optional --num)")
+    if args.num < 1:
+        raise ValidationError(f"--num must be at least 1, got {args.num}")
     return [float(v) for v in np.linspace(args.start, args.stop, args.num)]
 
 
@@ -262,8 +261,8 @@ def _sweep_final_polarization(cfg: ToolkitConfig, parameter: str, value: float) 
     }[parameter]
     swept = dataclasses.replace(seq, **{field_name: value})
     eps = min(1.0, calibration * sweep_transfer_probability(swept))
-    # without transfer there is no buildup: td is infinite and the floor pth remains
-    td_minutes = swept.shot_period_s / 60.0 / eps if eps > 0.0 else math.inf
+    # without transfer td is infinite and the floor pth remains
+    td_minutes = effective_buildup_time(ShotModel(eps, swept.shot_period_s)).minutes
     return steady_state_with_pth(dataclasses.replace(base, td_minutes=td_minutes))
 
 

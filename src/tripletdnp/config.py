@@ -10,6 +10,7 @@ setup-specific numbers are flagged as such and echoed in verbose mode.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +55,6 @@ CONFIG_REFERENCE: dict[tuple[str, str], tuple[object, str]] = {
     ("sequence", "repetition_rate_hz"): (1000.0, "reference setup default"),
     ("sequence", "sweep_span_mt"): (3.0, "model placeholder, not a measured value"),
     ("sequence", "b1_amplitude_mt"): (None, "computed Hartmann-Hahn match to the static field"),
-    ("sequence", "static_field_tesla"): (None, "defaults to field.field_tesla"),
     ("kinetics", "pe"): (0.826, "reference fit default"),
     ("kinetics", "td_minutes"): (20.2, "reference fit default"),
     ("kinetics", "tr_minutes"): (57.1, "reference fit default"),
@@ -76,8 +76,10 @@ class ToolkitConfig:
     output_dir: Path
 
     def __post_init__(self):
-        if self.temperature_kelvin <= 0.0:
-            raise ConfigError(f"temperature_kelvin must be positive, got {self.temperature_kelvin}")
+        if not 0.0 < self.temperature_kelvin < math.inf:
+            raise ConfigError(
+                f"temperature_kelvin must be finite and positive, got {self.temperature_kelvin}"
+            )
 
 
 def default_config(verbose: bool = False, echo=print) -> ToolkitConfig:
@@ -140,12 +142,7 @@ def _assemble(raw, verbose: bool, echo) -> ToolkitConfig:
             theta_rad=get("field", "theta_rad"),
             phi_rad=get("field", "phi_rad"),
         )
-        static_field = get("sequence", "static_field_tesla", computed=field.magnitude_tesla)
-        b1 = get(
-            "sequence",
-            "b1_amplitude_mt",
-            computed=hartmann_hahn_b1(static_field) if static_field > 0 else 1.0,
-        )
+        b1 = get("sequence", "b1_amplitude_mt", computed=hartmann_hahn_b1(field.magnitude_tesla))
         sequence = IseSequenceParams(
             microwave_frequency_ghz=get("sequence", "microwave_frequency_ghz"),
             microwave_width_us=get("sequence", "microwave_width_us"),
@@ -154,7 +151,7 @@ def _assemble(raw, verbose: bool, echo) -> ToolkitConfig:
             repetition_rate_hz=get("sequence", "repetition_rate_hz"),
             sweep_span_mt=get("sequence", "sweep_span_mt"),
             b1_amplitude_mt=b1,
-            static_field_tesla=static_field,
+            static_field_tesla=field.magnitude_tesla,
         )
         kinetics = KineticsParams(
             pe=get("kinetics", "pe"),

@@ -1,5 +1,13 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "TripletDnpError",
+    "ValidationError",
+    "ConfigError",
+    "CurveParseError",
+    "InconsistencyError",
+]
+
 
 class TripletDnpError(Exception):
     """Base class for all toolkit errors."""

@@ -64,11 +64,11 @@ class IseSequenceParams:
             "static_field_tesla",
             "microwave_delay_us",
         ):
-            if getattr(self, name) <= 0.0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and positive, got {getattr(self, name)}")
         # zero span means no sweep (adiabatic limit of the passage), so it is allowed
-        if self.sweep_span_mt < 0.0:
-            raise ValidationError(f"sweep_span_mt must be >= 0, got {self.sweep_span_mt}")
+        if not 0.0 <= self.sweep_span_mt < math.inf:
+            raise ValidationError(f"sweep_span_mt must be finite and >= 0, got {self.sweep_span_mt}")
         period_us = 1e6 / self.repetition_rate_hz
         if self.microwave_delay_us + self.microwave_width_us > period_us:
             raise ValidationError(
@@ -97,8 +97,8 @@ class ShotModel:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValidationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.shot_period_s <= 0.0:
-            raise ValidationError(f"shot_period_s must be positive, got {self.shot_period_s}")
+        if not 0.0 < self.shot_period_s < math.inf:
+            raise ValidationError(f"shot_period_s must be finite and positive, got {self.shot_period_s}")
 
 
 class BuildupTime(NamedTuple):
@@ -111,14 +111,14 @@ class BuildupTime(NamedTuple):
 def hartmann_hahn_b1(static_field_tesla: float) -> float:
     """Microwave field amplitude B1 (mT) matching the electron Rabi frequency
     to the 1H Larmor frequency at the given static field."""
-    if static_field_tesla <= 0.0:
+    if not static_field_tesla > 0.0:
         raise ValidationError(f"static field must be positive, got {static_field_tesla}")
     return static_field_tesla * GAMMA_H_MHZ_PER_T / GAMMA_E_MHZ_PER_T * 1e3
 
 
 def proton_larmor(static_field_tesla: float) -> float:
     """1H Larmor frequency in MHz."""
-    if static_field_tesla <= 0.0:
+    if not static_field_tesla > 0.0:
         raise ValidationError(f"static field must be positive, got {static_field_tesla}")
     return GAMMA_H_MHZ_PER_T * static_field_tesla
 
@@ -157,9 +157,9 @@ def effective_buildup_time(shot: ShotModel) -> BuildupTime:
 
 def epsilon_for_buildup_time(td_minutes: float, shot_period_s: float) -> float:
     """Per-shot transfer fraction that reproduces a measured buildup time."""
-    if td_minutes <= 0.0:
+    if not td_minutes > 0.0:
         raise ValidationError(f"td_minutes must be positive, got {td_minutes}")
-    if shot_period_s <= 0.0:
+    if not shot_period_s > 0.0:
         raise ValidationError(f"shot_period_s must be positive, got {shot_period_s}")
     eps = shot_period_s / (SECONDS_PER_MINUTE * td_minutes)
     if eps > 1.0:
@@ -176,11 +176,11 @@ def shot_map(p_now: float, shot: ShotModel, pe: float, tr_minutes: float, pth: f
     convex step toward a fixed point inside the interval and the clamp never
     engages.
     """
-    if abs(p_now) > 1.0:
+    if not abs(p_now) <= 1.0:
         raise ValidationError(f"|polarization| <= 1 required, got {p_now}")
-    if abs(pe) > 1.0 or abs(pth) > 1.0:
-        raise ValidationError("|pe| and |pth| must not exceed 1")
-    if tr_minutes <= 0.0:
+    if not (abs(pe) <= 1.0 and abs(pth) <= 1.0):
+        raise ValidationError(f"|pe| and |pth| must be finite and not exceed 1, got {pe}, {pth}")
+    if not tr_minutes > 0.0:
         raise ValidationError(f"tr_minutes must be positive, got {tr_minutes}")
     delta = shot.shot_period_s / (SECONDS_PER_MINUTE * tr_minutes)
     p = p_now + shot.epsilon * (pe - p_now) - delta * (p_now - pth)
@@ -200,10 +200,10 @@ def iterate_shots(
     """
     if n_shots < 0:
         raise ValidationError(f"n_shots must be >= 0, got {n_shots}")
-    if tr_minutes <= 0.0:
+    if not tr_minutes > 0.0:
         raise ValidationError(f"tr_minutes must be positive, got {tr_minutes}")
-    if abs(pe) > 1.0 or abs(pth) > 1.0:
-        raise ValidationError("|pe| and |pth| must not exceed 1")
+    if not (abs(pe) <= 1.0 and abs(pth) <= 1.0):
+        raise ValidationError(f"|pe| and |pth| must be finite and not exceed 1, got {pe}, {pth}")
     if n_shots == 0:
         return p0
     delta = shot.shot_period_s / (SECONDS_PER_MINUTE * tr_minutes)

@@ -49,14 +49,17 @@ class KineticsParams:
     pth: float = 0.0
 
     def __post_init__(self):
-        if self.td_minutes <= 0.0:
-            raise ValidationError(f"td_minutes must be positive, got {self.td_minutes}")
-        if self.tr_minutes <= 0.0:
-            raise ValidationError(f"tr_minutes must be positive, got {self.tr_minutes}")
-        if abs(self.pe) > 1.0:
-            raise ValidationError(f"|pe| <= 1 required, got {self.pe}")
-        if abs(self.pth) > 1.0:
-            raise ValidationError(f"|pth| <= 1 required, got {self.pth}")
+        # +inf is a legal time constant: no buildup (td) or no relaxation (tr)
+        if not self.td_minutes > 0.0:
+            raise ValidationError(f"td_minutes must be positive (finite or +inf), got {self.td_minutes}")
+        if not self.tr_minutes > 0.0:
+            raise ValidationError(f"tr_minutes must be positive (finite or +inf), got {self.tr_minutes}")
+        if self.td_minutes == self.tr_minutes == math.inf:
+            raise ValidationError("td_minutes and tr_minutes cannot both be infinite: no steady state")
+        if not abs(self.pe) <= 1.0:
+            raise ValidationError(f"pe must be finite with |pe| <= 1, got {self.pe}")
+        if not abs(self.pth) <= 1.0:
+            raise ValidationError(f"pth must be finite with |pth| <= 1, got {self.pth}")
 
 
 class ValueKind(enum.Enum):
@@ -81,6 +84,8 @@ class BuildupCurve:
             raise ValidationError("times and values must be 1-d arrays of equal length")
         if t.size == 0:
             raise ValidationError("curve must contain at least one sample")
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ValidationError("times and values must be finite")
         if t[0] < 0.0:
             raise ValidationError("times must be nonnegative")
         if np.any(np.diff(t) <= 0.0):

@@ -224,6 +224,12 @@ class TestDecomposeRelaxation:
         with pytest.raises(InconsistencyError):
             decompose_relaxation(40.0, 57.1)
 
+    def test_nan_inputs_rejected(self):
+        with pytest.raises(ValidationError):
+            decompose_relaxation(math.nan, 57.1)
+        with pytest.raises(ValidationError):
+            decompose_relaxation(132.0, math.nan)
+
     def test_roundtrip(self):
         rng = np.random.default_rng(61)
         for _ in range(200):
@@ -257,3 +263,10 @@ class TestCalibratePolarization:
             NmrCalibration(1.0, 0.0, reference_thermal_polarization=2.2e-6)
         with pytest.raises(ValidationError):
             NmrCalibration(1.0, 1.0, reference_thermal_polarization=2.2e-6, spin_count_ratio=0.0)
+
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 1.0, 2.2e-6), (1.0, math.inf, 2.2e-6), (1.0, 1.0, 2.2e-6, math.nan)]
+    )
+    def test_non_finite_inputs_rejected(self, args):
+        with pytest.raises(ValidationError, match="finite"):
+            NmrCalibration(*args)

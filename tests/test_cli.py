@@ -79,13 +79,46 @@ class TestSimulate:
         assert "error" in cap.err
 
     @pytest.mark.parametrize(
-        "section", ["[field]\nfield_tesla = nan\n", "[triplet]\nd_mhz = nan\n"]
+        "section",
+        [
+            "[field]\nfield_tesla = nan\n",
+            "[triplet]\nd_mhz = nan\n",
+            "[kinetics]\ntd_minutes = nan\n",
+            "[kinetics]\npe = nan\n",
+            "[general]\ntemperature_kelvin = nan\n",
+            "[general]\ntemperature_kelvin = inf\n",
+        ],
     )
     def test_non_finite_config_value_rejected(self, tmp_path, capsys, section):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(section)
         out = tmp_path / "nan.csv"
         code, cap = run(["simulate", "--config", cfg, "--duration-min", 30, "--out", out], capsys)
+        assert code == 3
+        assert "finite" in cap.err
+        assert not out.exists()
+
+    def test_static_field_is_not_a_separate_key(self, tmp_path, capsys):
+        cfg = tmp_path / "static.cfg"
+        cfg.write_text("[sequence]\nstatic_field_tesla = 0.5\n")
+        code, cap = run(["simulate", "--config", cfg, "--duration-min", 30,
+                         "--out", tmp_path / "s.csv"], capsys)
+        assert code == 3
+        assert "unknown config key [sequence] static_field_tesla" in cap.err
+
+    def test_zero_field_has_no_hartmann_hahn_match(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("[field]\nfield_tesla = 0\n")
+        code, cap = run(["simulate", "--config", cfg, "--duration-min", 30,
+                         "--out", tmp_path / "z.csv"], capsys)
+        assert code == 3
+        assert "static field must be positive" in cap.err
+
+    @pytest.mark.parametrize("mode", ["closed_form", "shots", "ode"])
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_rejected(self, tmp_path, capsys, mode, duration):
+        out = tmp_path / "d.csv"
+        code, cap = run(["simulate", "--duration-min", duration, "--mode", mode, "--out", out], capsys)
         assert code == 3
         assert "finite" in cap.err
         assert not out.exists()
@@ -184,6 +217,30 @@ class TestDecompose:
         assert "within_tolerance: true" in cap.out
         assert "three significant figures" in cap.out
 
+    def test_text_report_carries_seed_and_rationale_note(self, tmp_path, capsys):
+        out = tmp_path / "d.txt"
+        code, cap = run(
+            ["decompose", 132, 57.1, "--reference-te", 96.9, "--seed", 3, "--out", out], capsys
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[-3:-1] == ["within_tolerance: true", "seed: 3"]
+        assert lines[-1].startswith("note: time constants quoted to three significant figures")
+        assert "tolerance_pct: 5.0" in lines
+        assert cap.out.splitlines() == lines
+        assert "seed,3" in out.with_suffix(".csv").read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "argv", [["nan", 57.1], [132, "nan"], [132, 57.1, "--reference-te", "nan"],
+                 [132, 57.1, "--reference-te", "inf"]]
+    )
+    def test_non_finite_argument_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "d.txt"
+        code, cap = run(["decompose", *argv, "--out", out], capsys)
+        assert code == 3
+        assert "error" in cap.err
+        assert not out.exists()
+
     def test_t1_equal_tr_rejected(self, capsys):
         code, cap = run(["decompose", 100, 100], capsys)
         assert code == 3
@@ -197,6 +254,17 @@ class TestDecompose:
 
 
 class TestCalibrate:
+    @pytest.mark.parametrize(
+        "flag", ["--enhanced", "--reference", "--reference-thermal-polarization", "--gain-ratio"]
+    )
+    def test_nan_argument_rejected(self, tmp_path, capsys, flag):
+        argv = {"--enhanced": "1.0", "--reference": "1.0", flag: "nan"}
+        out = tmp_path / "cal.txt"
+        code, cap = run(["calibrate", *[x for kv in argv.items() for x in kv], "--out", out], capsys)
+        assert code == 3
+        assert "finite" in cap.err
+        assert not out.exists()
+
     def test_verbose_prints_enhancement(self, cfg, tmp_path, capsys):
         code, cap = run(
             [
@@ -280,6 +348,22 @@ class TestSweep:
             main(["sweep", "bogus", "--config", str(cfg), "--values", "1"])
         assert exc.value.code == 2
         assert "td" in capsys.readouterr().err  # whitelist is listed
+
+    @pytest.mark.parametrize("num", [-1, 0])
+    def test_nonpositive_num_rejected(self, cfg, tmp_path, capsys, num):
+        out = tmp_path / "n.csv"
+        code, cap = run(["sweep", "tr", "--config", cfg, "--start", 10, "--stop", 100,
+                         "--num", num, "--out", out], capsys)
+        assert code == 3
+        assert "--num" in cap.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parameter", ["td", "pe", "repetition_rate", "b1", "sweep_span"])
+    def test_nan_value_rejected(self, cfg, tmp_path, capsys, parameter):
+        out = tmp_path / "nan.csv"
+        code, _ = run(["sweep", parameter, "--config", cfg, "--values", "nan", "--out", out], capsys)
+        assert code == 3
+        assert not out.exists()
 
     def test_missing_values_rejected(self, cfg, capsys):
         code, cap = run(["sweep", "tr", "--config", cfg], capsys)

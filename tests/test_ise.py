@@ -55,6 +55,19 @@ class TestSequenceParams:
             sequence(span_mt=-1.0)
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"b1_mt": math.nan}, {"span_mt": math.nan}, {"span_mt": math.inf}, {"rep_hz": math.inf}],
+    )
+    def test_non_finite_fields_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            sequence(**kwargs)
+
+    def test_shot_model_rejects_non_finite_period(self):
+        with pytest.raises(ValidationError, match="finite"):
+            ShotModel(0.1, math.nan)
+
+
 class TestMatchingConditions:
     def test_hartmann_hahn_at_064t(self):
         # oracle: 0.64 * 42.577 / 28024.9 * 1000 mT
@@ -166,6 +179,15 @@ class TestShotMap:
             shot_map(0.5, shot, pe=1.5, tr_minutes=10.0)
         with pytest.raises(ValidationError):
             shot_map(0.5, shot, pe=0.5, tr_minutes=-1.0)
+
+    def test_nan_inputs_rejected_not_clamped(self):
+        shot = ShotModel(epsilon=1e-3, shot_period_s=1e-3)
+        with pytest.raises(ValidationError):
+            iterate_shots(0.0, shot, math.nan, 57.1, 0.0, 1000)
+        with pytest.raises(ValidationError):
+            iterate_shots(0.0, shot, 0.8, math.nan, 0.0, 1000)
+        with pytest.raises(ValidationError):
+            iterate_shots(math.nan, shot, 0.8, 57.1, 0.0, 1000)
 
     def test_iterate_matches_explicit_stepping(self):
         rng = np.random.default_rng(21)

@@ -31,6 +31,27 @@ class TestKineticsParams:
         with pytest.raises(ValidationError):
             KineticsParams(0.8, 20.2, 57.1, pth=-1.5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"td_minutes": math.nan},
+            {"tr_minutes": math.nan},
+            {"pe": math.nan},
+            {"pth": math.nan},
+            {"pe": math.inf},
+            {"td_minutes": math.inf, "tr_minutes": math.inf},
+        ],
+    )
+    def test_non_finite_rejected(self, kwargs):
+        fields = {"pe": 0.826, "td_minutes": 20.2, "tr_minutes": 57.1, "pth": 0.0, **kwargs}
+        with pytest.raises(ValidationError):
+            KineticsParams(**fields)
+
+    def test_one_infinite_time_constant_allowed(self):
+        # no transfer leaves the thermal floor; no relaxation leaves pe
+        assert steady_state_with_pth(KineticsParams(0.8, math.inf, 57.1, pth=0.05)) == 0.05
+        assert steady_state_with_pth(KineticsParams(0.8, 20.2, math.inf)) == pytest.approx(0.8, rel=1e-15)
+
 
 class TestBuildupCurve:
     def test_times_strictly_increasing(self):
@@ -38,6 +59,14 @@ class TestBuildupCurve:
             BuildupCurve(np.array([0.0, 1.0, 1.0]), np.zeros(3))
         with pytest.raises(ValidationError, match="nonnegative"):
             BuildupCurve(np.array([-1.0, 1.0]), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]), ([0.0, 1.0, 2.0], [0.0, math.inf, 0.5])],
+    )
+    def test_non_finite_samples_rejected(self, times, values):
+        with pytest.raises(ValidationError, match="finite"):
+            BuildupCurve(times, values)
 
     def test_value_kind_roundtrips(self):
         c = BuildupCurve(np.array([0.0, 1.0]), np.array([0.0, 0.5]), ValueKind.RAW_SIGNAL)
