@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
     grid = _simulate_grid(args.duration_min, args.points)
 
     if args.mode == "closed_form":
-        values = buildup_closed_form(params, grid)
+        values = buildup_closed_form(params, grid, include_pth=args.include_pth)
         curve = BuildupCurve(grid, np.atleast_1d(values), ValueKind.POLARIZATION)
     elif args.mode == "ode":
         curve = buildup_ode(params, grid, include_pth=args.include_pth)
@@ -174,6 +174,8 @@ def cmd_decompose(args) -> int:
     cfg = _load_config(args)
     if args.reference_te is not None and not 0.0 < args.reference_te < math.inf:
         raise ValidationError(f"--reference-te must be finite and positive, got {args.reference_te}")
+    if not 0.0 <= args.tolerance_pct < math.inf:
+        raise ValidationError(f"--tolerance-pct must be finite and >= 0, got {args.tolerance_pct}")
     result = decompose_relaxation(args.t1_minutes, args.tr_minutes)
     recomposed = 1.0 / (1.0 / result.t1_minutes + 1.0 / result.te_minutes)
     rows = [

@@ -11,6 +11,10 @@ solution is a single exponential approach to pe / (1 + td/tr):
 
     P(t) = pe / (1 + td/tr) * (1 - exp(-t (1/td + 1/tr)))
 
+With pth kept and P(0) = pth the approach is to the fixed point
+(pe/td + pth/tr) / (1/td + 1/tr) instead; buildup_closed_form and
+buildup_ode both take include_pth to choose between the two.
+
 Times are minutes throughout this module; the CLI boundary accepts seconds
 with an explicit unit suffix and converts before calling in.
 """
@@ -99,18 +103,23 @@ class BuildupCurve:
         return int(self.times_min.size)
 
 
-def buildup_closed_form(params: KineticsParams, t_minutes):
-    """Closed-form buildup with the thermal floor omitted.
+def buildup_closed_form(params: KineticsParams, t_minutes, include_pth: bool = False):
+    """Closed-form buildup P(t) = P_inf (1 - e) + P0 e with e = exp(-t (1/td + 1/tr)).
 
-    P(t) = pe / (1 + td/tr) * (1 - exp(-t (1/td + 1/tr))). Accepts a scalar
-    or an array of times; negative times are rejected.
+    With include_pth unset the thermal floor is omitted, as in buildup_ode:
+    P0 = 0 and P_inf = final_polarization. With it set the curve starts at
+    P0 = pth and approaches steady_state_with_pth. Accepts a scalar or an
+    array of times; times must be finite and nonnegative.
     """
     t = np.asarray(t_minutes, dtype=float)
-    if np.any(t < 0.0):
-        raise ValidationError("buildup time must be nonnegative")
-    amp = final_polarization(params)
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise ValidationError("buildup time must be finite and nonnegative")
     rate = 1.0 / params.td_minutes + 1.0 / params.tr_minutes
-    out = amp * (1.0 - np.exp(-t * rate))
+    e = np.exp(-t * rate)
+    if include_pth:
+        out = steady_state_with_pth(params) * (1.0 - e) + params.pth * e
+    else:
+        out = final_polarization(params) * (1.0 - e)
     return float(out) if np.ndim(t_minutes) == 0 else out
 
 
@@ -119,8 +128,15 @@ def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = False) -> Bu
 
     The grid must be strictly increasing and start at 0. The initial value
     is pth when include_pth is set, else 0 with the thermal term dropped.
-    The step never exceeds min(td, tr)/1000, which keeps the integrator
-    deterministic and far below the 1e-9 agreement required against the
+    Each grid interval is cut into n = ceil(span / h_max) equal steps with
+    h_max = min(td, tr)/1000, which keeps the integrator deterministic and
+    far below the 1e-9 agreement required against the closed form.
+
+    For the linear equation dP/dt = c - kP the four RK4 stages collapse:
+    with x = hk, k1 + 2k2 + 2k3 + k4 = k1 (6 - 3x + x^2 - x^3/4), so one
+    classical step is exactly P += g (c - kP) with g = h (1 - x/2 + x^2/6
+    - x^3/24). g is computed once per interval and the steps are still
+    taken one by one, so the result stays an independent check of the
     closed form.
     """
     grid = np.asarray(t_grid, dtype=float)
@@ -136,18 +152,15 @@ def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = False) -> Bu
     c = params.pe / params.td_minutes + pth / params.tr_minutes
     h_max = min(params.td_minutes, params.tr_minutes) / 1000.0
 
-    p = pth if include_pth else 0.0
+    p = pth
     values = [p]
-    for i in range(grid.size - 1):
-        span = grid[i + 1] - grid[i]
+    for span in np.diff(grid).tolist():
         n = max(1, math.ceil(span / h_max))
         h = span / n
+        x = h * k
+        g = h * (1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0)
         for _ in range(n):
-            k1 = c - k * p
-            k2 = c - k * (p + 0.5 * h * k1)
-            k3 = c - k * (p + 0.5 * h * k2)
-            k4 = c - k * (p + h * k3)
-            p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            p += g * (c - k * p)
         values.append(p)
     return BuildupCurve(grid, np.array(values), ValueKind.POLARIZATION)
 
@@ -169,12 +182,18 @@ def steady_state_with_pth(params: KineticsParams) -> float:
 
 
 def relaxation_decay(p0: float, t_const_minutes: float, t_minutes, pth: float = 0.0):
-    """Exponential relaxation P(t) = pth + (p0 - pth) exp(-t / t_const)."""
-    if t_const_minutes <= 0.0:
-        raise ValidationError(f"time constant must be positive, got {t_const_minutes}")
+    """Exponential relaxation P(t) = pth + (p0 - pth) exp(-t / t_const).
+
+    p0 and pth must be finite, times finite and nonnegative; t_const may be
+    +inf (no relaxation).
+    """
+    if not t_const_minutes > 0.0:
+        raise ValidationError(f"time constant must be positive (finite or +inf), got {t_const_minutes}")
+    if not (math.isfinite(p0) and math.isfinite(pth)):
+        raise ValidationError(f"p0 and pth must be finite, got p0={p0}, pth={pth}")
     t = np.asarray(t_minutes, dtype=float)
-    if np.any(t < 0.0):
-        raise ValidationError("decay time must be nonnegative")
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise ValidationError("decay time must be finite and nonnegative")
     out = pth + (p0 - pth) * np.exp(-t / t_const_minutes)
     return float(out) if np.ndim(t_minutes) == 0 else out
 
@@ -182,12 +201,12 @@ def relaxation_decay(p0: float, t_const_minutes: float, t_minutes, pth: float = 
 def thermal_polarization(field_tesla: float, temperature_kelvin: float) -> float:
     """Thermal-equilibrium 1H polarization tanh(h nu / 2 kB T) at nu = gamma_H B.
 
-    Takes the field magnitude only (nonnegative); the sign convention of the
-    polarization axis is handled by the caller.
+    Takes the field magnitude only (finite, nonnegative); the sign convention
+    of the polarization axis is handled by the caller.
     """
-    if field_tesla < 0.0:
-        raise ValidationError(f"field magnitude must be >= 0, got {field_tesla}")
-    if temperature_kelvin <= 0.0:
-        raise ValidationError(f"temperature must be positive, got {temperature_kelvin}")
+    if not 0.0 <= field_tesla < math.inf:
+        raise ValidationError(f"field magnitude must be finite and >= 0, got {field_tesla}")
+    if not 0.0 < temperature_kelvin < math.inf:
+        raise ValidationError(f"temperature must be finite and positive, got {temperature_kelvin}")
     nu_hz = GAMMA_H_MHZ_PER_T * 1e6 * field_tesla
     return math.tanh(PLANCK_J_S * nu_hz / (2.0 * BOLTZMANN_J_PER_K * temperature_kelvin))

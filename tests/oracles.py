@@ -120,3 +120,30 @@ def landau_zener_numeric(omega1_rad_s, sweep_rate_rad_s2, span_factor=60.0, tail
             count += 1
     out = transfer_sum / count
     return out if out.size > 1 else float(out[0])
+
+
+def rk4_rate_equation(pe, td_minutes, tr_minutes, pth, grid, include_pth):
+    """dP/dt = (pe - P)/td - (P - pth)/tr by the textbook four-stage RK4 loop.
+
+    Same step rule as the package (n = ceil(span / h_max) equal steps per grid
+    interval, h_max = min(td, tr)/1000) and the same start (pth with
+    include_pth, else 0 with the thermal term dropped), but every stage is
+    evaluated from the right-hand side as written.
+    """
+    floor = pth if include_pth else 0.0
+    rhs = lambda p: (pe - p) / td_minutes - (p - floor) / tr_minutes
+    h_max = min(td_minutes, tr_minutes) / 1000.0
+    p = floor
+    out = [p]
+    for a, b in zip(grid[:-1], grid[1:]):
+        span = float(b) - float(a)
+        n = max(1, int(np.ceil(span / h_max)))
+        h = span / n
+        for _ in range(n):
+            k1 = rhs(p)
+            k2 = rhs(p + 0.5 * h * k1)
+            k3 = rhs(p + 0.5 * h * k2)
+            k4 = rhs(p + h * k3)
+            p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(p)
+    return np.array(out)

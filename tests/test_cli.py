@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tripletdnp import read_curve
+from tripletdnp import KineticsParams, buildup_closed_form, buildup_ode, read_curve
 from tripletdnp.cli import main
 
 REFERENCE_CFG = """
@@ -144,6 +144,42 @@ class TestSimulate:
         shots = read_curve(out)
         np.testing.assert_allclose(shots.values, curve.values, atol=1e-3)
 
+    def test_every_mode_honours_include_pth(self, tmp_path, capsys):
+        cfg = tmp_path / "pth.cfg"
+        cfg.write_text(REFERENCE_CFG + "pth = 0.05\n")  # appended to [kinetics]
+        curves = {}
+        for mode in ("closed_form", "ode", "shots"):
+            out = tmp_path / f"{mode}.csv"
+            code, _ = run(
+                ["simulate", "--config", cfg, "--duration-min", 150, "--mode", mode,
+                 "--include-pth", "--out", out],
+                capsys,
+            )
+            assert code == 0
+            curves[mode] = read_curve(out).values
+            assert curves[mode][0] == 0.05
+        np.testing.assert_allclose(curves["closed_form"], curves["ode"], atol=1e-9)
+        np.testing.assert_allclose(curves["shots"], curves["ode"], atol=1e-3)
+        assert curves["closed_form"][-1] == pytest.approx(0.6232, abs=1e-4)
+
+    @pytest.mark.parametrize("include_pth", [False, True])
+    def test_long_ode_matches_library(self, tmp_path, capsys, include_pth):
+        cfg = tmp_path / "pth.cfg"
+        cfg.write_text(REFERENCE_CFG + "pth = 0.05\n")  # appended to [kinetics]
+        out = tmp_path / "long.csv"
+        argv = ["simulate", "--config", cfg, "--duration-min", 1440, "--points", 2001,
+                "--mode", "ode", "--out", out]
+        code, _ = run(argv + (["--include-pth"] if include_pth else []), capsys)
+        assert code == 0
+        curve = read_curve(out)
+        params = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1, pth=0.05)
+        grid = np.linspace(0.0, 1440.0, 2001)
+        np.testing.assert_array_equal(curve.times_min, grid)
+        np.testing.assert_array_equal(curve.values, buildup_ode(params, grid, include_pth).values)
+        np.testing.assert_allclose(
+            curve.values, buildup_closed_form(params, grid, include_pth=include_pth), atol=1e-9
+        )
+
 
 class TestFit:
     def test_buildup_fit_report(self, cfg, tmp_path, capsys):
@@ -240,6 +276,18 @@ class TestDecompose:
         assert code == 3
         assert "error" in cap.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-5"])
+    def test_bad_tolerance_rejected(self, tmp_path, capsys, tolerance):
+        out = tmp_path / "d.txt"
+        code, cap = run(
+            ["decompose", 132, 57.1, "--reference-te", 96.9, "--tolerance-pct", tolerance,
+             "--out", out],
+            capsys,
+        )
+        assert code == 3
+        assert cap.err.count("\n") == 1 and "--tolerance-pct" in cap.err
+        assert not out.exists() and not out.with_suffix(".csv").exists()
 
     def test_t1_equal_tr_rejected(self, capsys):
         code, cap = run(["decompose", 100, 100], capsys)

@@ -17,7 +17,10 @@ from tripletdnp import (
     thermal_polarization,
 )
 
+import oracles
+
 REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 class TestKineticsParams:
@@ -108,6 +111,35 @@ class TestClosedForm:
         assert p_lo <= p_hi + 1e-15
         assert 0.0 <= p_lo <= final_polarization(params) <= pe
 
+    def test_include_pth_starts_at_pth_and_settles_at_steady_state(self):
+        params = KineticsParams(0.826, 20.2, 57.1, pth=0.05)
+        assert buildup_closed_form(params, 0.0, include_pth=True) == 0.05
+        assert buildup_closed_form(params, 1e4, include_pth=True) == pytest.approx(
+            steady_state_with_pth(params), rel=1e-15
+        )
+
+    def test_include_pth_off_ignores_pth(self):
+        grid = np.linspace(0.0, 150.0, 201)
+        with_floor = KineticsParams(0.826, 20.2, 57.1, pth=0.05)
+        np.testing.assert_array_equal(
+            buildup_closed_form(with_floor, grid), buildup_closed_form(REFERENCE, grid)
+        )
+
+    def test_include_pth_matches_ode(self):
+        rng = np.random.default_rng(33)
+        for _ in range(50):
+            params = KineticsParams(
+                pe=rng.uniform(-1, 1),
+                td_minutes=10 ** rng.uniform(0.5, 2.5),
+                tr_minutes=10 ** rng.uniform(0.5, 2.5),
+                pth=rng.uniform(-1, 1),
+            )
+            grid = np.linspace(0.0, min(params.td_minutes, params.tr_minutes), 7)
+            curve = buildup_ode(params, grid, include_pth=True)
+            np.testing.assert_allclose(
+                curve.values, buildup_closed_form(params, grid, include_pth=True), atol=1e-9
+            )
+
 
 class TestOde:
     def test_matches_closed_form_on_reference_constants(self):
@@ -138,6 +170,25 @@ class TestOde:
         params = KineticsParams(pe=0.0, td_minutes=20.0, tr_minutes=50.0, pth=0.0)
         curve = buildup_ode(params, np.linspace(0.0, 100.0, 11), include_pth=False)
         np.testing.assert_allclose(curve.values, 0.0, atol=0.0)
+
+    @pytest.mark.parametrize("include_pth", [False, True])
+    def test_matches_textbook_rk4_on_long_reference_grid(self, include_pth):
+        params = KineticsParams(0.826, 20.2, 57.1, pth=0.05)
+        grid = np.linspace(0.0, 1440.0, 2001)
+        curve = buildup_ode(params, grid, include_pth=include_pth)
+        want = oracles.rk4_rate_equation(0.826, 20.2, 57.1, 0.05, grid, include_pth)
+        np.testing.assert_allclose(curve.values, want, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("include_pth", [False, True])
+    def test_matches_textbook_rk4_random_draws(self, include_pth):
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            pe, pth = rng.uniform(-1, 1, 2)
+            td, tr = 10 ** rng.uniform(0.5, 2.5, 2)
+            grid = np.linspace(0.0, 3.0 * min(td, tr), 7)
+            curve = buildup_ode(KineticsParams(pe, td, tr, pth), grid, include_pth=include_pth)
+            want = oracles.rk4_rate_equation(pe, td, tr, pth, grid, include_pth)
+            np.testing.assert_allclose(curve.values, want, rtol=0.0, atol=1e-13)
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
@@ -211,6 +262,9 @@ class TestRelaxationDecay:
         with pytest.raises(ValidationError):
             relaxation_decay(0.61, 0.0, 1.0)
 
+    def test_infinite_time_constant_keeps_p0(self):
+        assert relaxation_decay(0.61, math.inf, 100.0, pth=0.01) == 0.61
+
 
 class TestThermalPolarization:
     def test_zero_field(self):
@@ -235,3 +289,33 @@ class TestThermalPolarization:
             thermal_polarization(-0.1, 295.0)
         with pytest.raises(ValidationError):
             thermal_polarization(0.64, 0.0)
+
+
+class TestNonFiniteInputs:
+    """The pure functions reject NaN and infinities instead of returning NaN."""
+
+    @given(NON_FINITE, st.booleans())
+    def test_closed_form_time(self, bad, include_pth):
+        with pytest.raises(ValidationError, match="finite"):
+            buildup_closed_form(REFERENCE, bad, include_pth=include_pth)
+        with pytest.raises(ValidationError, match="finite"):
+            buildup_closed_form(REFERENCE, np.array([0.0, bad, 2.0]), include_pth=include_pth)
+
+    @given(NON_FINITE, st.sampled_from(["p0", "t", "pth"]), st.floats(0.0, 500.0))
+    def test_relaxation_decay_values(self, bad, slot, t):
+        args = {"p0": 0.61, "t": t, "pth": 0.01, slot: bad}
+        with pytest.raises(ValidationError, match="finite"):
+            relaxation_decay(args["p0"], 57.1, args["t"], pth=args["pth"])
+
+    @given(st.sampled_from([math.nan, -math.inf]), st.floats(0.0, 500.0))
+    def test_relaxation_decay_time_constant(self, bad, t):
+        with pytest.raises(ValidationError, match="positive"):
+            relaxation_decay(0.61, bad, t)
+
+    @given(NON_FINITE, st.booleans(), st.floats(0.0, 20.0), st.floats(1.0, 1000.0))
+    def test_thermal_polarization(self, bad, bad_field, field, temperature):
+        with pytest.raises(ValidationError, match="finite"):
+            if bad_field:
+                thermal_polarization(bad, temperature)
+            else:
+                thermal_polarization(field, bad)
