@@ -43,7 +43,7 @@ class FitResult:
     residual_norm is the root-mean-square residual. gradient_norm is the
     max-norm of J^T r at the returned point; a converged fit has driven it
     to numerical noise. iterations counts the rate-search steps after the
-    bracketing scan plus the closing Gauss-Newton steps (at most two).
+    bracketing scan.
     """
 
     parameters: dict[str, float]
@@ -105,43 +105,47 @@ def _rate_scan(t: np.ndarray) -> np.ndarray:
     return np.geomspace(0.01 / (t[-1] - t[0]), 10.0 / float(np.min(np.diff(t))), _SCAN_POINTS)
 
 
-def _varpro(rates, scan_ssr, solve, residual, jacobian):
+def _varpro(names, rates, scan_ssr, solve, jacobian, notes=()) -> FitResult:
     """Fit the one nonlinear rate by variable projection.
 
     scan_ssr(rates) is the SSR, up to a constant, with the linear parameters
-    solved at each trial rate; solve(k) returns (k, parameters, residual, g)
+    solved at each trial rate; solve(k) returns (parameters, residual, g)
     with g of the sign of dSSR/dk. The smallest scanned SSR and its downhill
-    neighbour bracket a root of g, which Illinois regula falsi pins down; up
-    to two Gauss-Newton steps on all parameters then polish it, keeping the
-    lowest-SSR point. Returns the values needed to assemble a FitResult.
+    neighbour bracket a root of g, which Illinois regula falsi pins down
+    until the bracket closes to adjacent floats; the linear parameters are
+    exact at every trial rate, so that point is the fit. Returns the
+    FitResult, with notes appended to its own.
     """
     i = int(np.argmin(scan_ssr(rates)))
-    k, x, r, g = solve(rates[i])
+    k = rates[i]
+    x, r, g = solve(k)
     if i in (0, rates.size - 1):
-        return _unconverged(
-            x, r, jacobian, f"smallest SSR at the edge of the scanned rates ({rates[0]:.3g} to "
-            f"{rates[-1]:.3g} per min): the curve is not a single exponential over its time span",
+        why = (
+            f"smallest SSR at the edge of the scanned rates ({rates[0]:.3g} to "
+            f"{rates[-1]:.3g} per min): the curve is not a single exponential over its time span"
         )
+        return _result(names, x, r, jacobian, False, 0, (why, *notes))
     k_lo, g_lo = k_hi, g_hi = k, g
     if g < 0.0:
-        k_hi, _, _, g_hi = solve(rates[i + 1])
+        k_hi, g_hi = rates[i + 1], solve(rates[i + 1])[2]
     elif g > 0.0:
-        k_lo, _, _, g_lo = solve(rates[i - 1])
+        k_lo, g_lo = rates[i - 1], solve(rates[i - 1])[2]
     iterations = moved = 0  # the end the last step moved; moving it twice halves the stale end's g
     while g != 0.0:
         if not g_lo < 0.0 < g_hi:
-            return _unconverged(
-                x, r, jacobian, "dSSR/drate does not change sign next to the smallest scanned SSR: "
-                "the SSR is too flat there to locate the rate",
+            why = (
+                "dSSR/drate does not change sign next to the smallest scanned SSR: "
+                "the SSR is too flat there to locate the rate"
             )
-        k_next = (k_lo * g_hi - k_hi * g_lo) / (g_hi - g_lo)
-        if not k_lo < k_next < k_hi:
+            return _result(names, x, r, jacobian, False, 0, (why, *notes))
+        k = (k_lo * g_hi - k_hi * g_lo) / (g_hi - g_lo)
+        if not k_lo < k < k_hi:
             break  # the bracket has closed to adjacent floats
         if iterations == MAX_ITERATIONS:
-            note = f"rate search did not converge in {iterations} steps"
-            return _unconverged(x, r, jacobian, note, iterations)
+            why = f"rate search did not converge in {iterations} steps"
+            return _result(names, x, r, jacobian, False, iterations, (why, *notes))
         iterations += 1
-        k, x, r, g = solve(k_next)
+        x, r, g = solve(k)
         if g < 0.0:
             k_lo, g_lo = k, g
             if moved < 0:
@@ -152,24 +156,7 @@ def _varpro(rates, scan_ssr, solve, residual, jacobian):
             if moved > 0:
                 g_lo *= 0.5
             moved = 1
-
-    ssr = float(r @ r)
-    for _ in range(2):
-        delta, *_ = np.linalg.lstsq(jacobian(x), -r, rcond=None)
-        x_try = x + delta
-        if not x_try[1] > 0.0:  # the rate (t_const for a decay) must stay positive
-            break
-        r_try = residual(x_try)
-        ssr_try = float(r_try @ r_try)
-        if not ssr_try < ssr:
-            break
-        x, r, ssr = x_try, r_try, ssr_try
-        iterations += 1
-    return x, r, jacobian(x), ssr, True, iterations, []
-
-
-def _unconverged(x, r, jacobian, note, iterations=0):
-    return x, r, jacobian(x), float(r @ r), False, iterations, [note]
+    return _result(names, x, r, jacobian, True, iterations, notes)
 
 
 def _uncertainties(jac: np.ndarray, ssr: float, n_params: int) -> tuple[np.ndarray, bool]:
@@ -195,10 +182,12 @@ def _uncertainties(jac: np.ndarray, ssr: float, n_params: int) -> tuple[np.ndarr
     return np.sqrt(var), deficient
 
 
-def _result(names, x, r, jac, ssr, converged, iterations, notes) -> FitResult:
+def _result(names, x, r, jacobian, converged, iterations, notes) -> FitResult:
+    jac = jacobian(x)
+    ssr = float(r @ r)
     sigmas, deficient = _uncertainties(jac, ssr, len(names))
     if deficient:
-        notes = list(notes) + ["some parameters are unidentifiable from this curve"]
+        notes = (*notes, "some parameters are unidentifiable from this curve")
     return FitResult(
         parameters={name: float(v) for name, v in zip(names, x)},
         uncertainties={name: float(s) for name, s in zip(names, sigmas)},
@@ -252,16 +241,13 @@ def fit_decay(curve: BuildupCurve) -> FitResult:
         a = float(em @ ym) / den if den > 0.0 else 0.0
         offset = ybar - a * float(e.mean())
         r = offset + a * e - y
-        return k, np.array([a + offset, 1.0 / k, offset]), r, -a * float((t * e) @ r)
-
-    def residual(p):
-        return p[2] + (p[0] - p[2]) * np.exp(-t / p[1]) - y
+        return np.array([a + offset, 1.0 / k, offset]), r, -a * float((t * e) @ r)
 
     def jacobian(p):
         e = np.exp(-t / p[1])
         return np.column_stack([e, (p[0] - p[2]) * t / p[1] ** 2 * e, 1.0 - e])
 
-    return _result(names, *_varpro(_rate_scan(t), scan_ssr, solve, residual, jacobian))
+    return _varpro(names, _rate_scan(t), scan_ssr, solve, jacobian)
 
 
 def fit_buildup(curve: BuildupCurve) -> FitResult:
@@ -311,19 +297,13 @@ def fit_buildup(curve: BuildupCurve) -> FitResult:
         b = 1.0 - e
         amplitude = float(b @ y) / float(b @ b)
         r = amplitude * b - y
-        return k, np.array([amplitude, k]), r, amplitude * float((t * e) @ r)
-
-    def residual(p):
-        return p[0] * (1.0 - np.exp(-p[1] * t)) - y
+        return np.array([amplitude, k]), r, amplitude * float((t * e) @ r)
 
     def jacobian(p):
         e = np.exp(-p[1] * t)
         return np.column_stack([1.0 - e, p[0] * t * e])
 
-    x, r, jac, ssr, converged, iterations, notes = _varpro(
-        _rate_scan(t), scan_ssr, solve, residual, jacobian
-    )
-    return _result(names, x, r, jac, ssr, converged, iterations, notes + [identifiability])
+    return _varpro(names, _rate_scan(t), scan_ssr, solve, jacobian, (identifiability,))
 
 
 def disentangle_buildup(fit: FitResult, tr_minutes: float) -> KineticsParams:

@@ -103,6 +103,13 @@ def _simulate_shots(
     eps = epsilon_for_buildup_time(params.td_minutes, period)
     shot = ShotModel(epsilon=eps, shot_period_s=period)
     pth = p = params.pth if include_pth else 0.0
+    # checked as a Python float, which overflows to inf without a warning, before the int64 cast
+    n_shots = float(grid[-1]) * 60.0 * repetition_rate_hz
+    if not n_shots < 2.0**63:
+        raise ValidationError(
+            f"{grid[-1]:g} min at {repetition_rate_hz:g} Hz is {n_shots:.3g} shots, "
+            "more than the 64-bit shot counter holds"
+        )
     counts = np.rint(grid * 60.0 * repetition_rate_hz).astype(np.int64)
     values = [p]
     for i in range(grid.size - 1):

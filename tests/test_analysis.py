@@ -140,11 +140,15 @@ class TestFitBuildup:
         )
         assert fit2.parameters["rate"] == pytest.approx(fit1.parameters["rate"], rel=1e-9)
 
-    def test_converged_implies_small_gradient(self):
+    @pytest.mark.parametrize("model", ["buildup", "decay"])
+    def test_converged_implies_small_gradient(self, model):
         rng = np.random.default_rng(56)
         t = np.linspace(0.0, 150.0, 20)
         for _ in range(20):
-            fit = fit_buildup(buildup_curve(REFERENCE, t, noise=0.005, rng=rng))
+            if model == "buildup":
+                fit = fit_buildup(buildup_curve(REFERENCE, t, noise=0.005, rng=rng))
+            else:
+                fit = fit_decay(decay_curve(t, noise=0.005, rng=rng))  # 0.61 exp(-t/57.1) + noise
             if fit.converged:
                 scale = max(1.0, fit.residual_norm * t.size)
                 assert fit.gradient_norm < 1e-6 * scale

@@ -123,6 +123,22 @@ class TestSimulate:
         assert "finite" in cap.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ("ode", "RK4 steps"),
+            ("shots", "1e+300 min at 1000 Hz"),  # names the duration and the repetition rate
+        ],
+    )
+    def test_huge_duration_rejected(self, cfg, tmp_path, capsys, mode, message):
+        out = tmp_path / "d.csv"
+        code, cap = run(["simulate", "--config", cfg, "--duration-min", "1e300", "--mode", mode,
+                         "--points", 3, "--out", out], capsys)
+        assert code == 3
+        assert message in cap.err
+        assert cap.err.count("\n") == 1
+        assert not out.exists()
+
     def test_include_pth_starts_at_thermal_floor(self, tmp_path, capsys):
         cfg = tmp_path / "pth.cfg"
         cfg.write_text(REFERENCE_CFG + "pth = 0.1\n")  # appended to [kinetics]

@@ -18,6 +18,7 @@ from tripletdnp import (
 )
 
 import oracles
+from tripletdnp.kinetics import MAX_RK4_STEPS
 
 REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -197,6 +198,16 @@ class TestOde:
             buildup_ode(REFERENCE, [1.0, 2.0])  # must start at 0
         with pytest.raises(ValidationError):
             buildup_ode(REFERENCE, [0.0, 2.0, 2.0])
+
+    def test_step_bound_counts_the_whole_grid(self):
+        # each interval alone is within the bound, the two together are not
+        h_max = REFERENCE.td_minutes / 1000.0
+        span = 0.6 * MAX_RK4_STEPS * h_max
+        with pytest.raises(ValidationError, match="RK4 steps"):
+            buildup_ode(REFERENCE, [0.0, span, 2.0 * span])
+        # a subnormal time constant overflows the step count to inf without a RuntimeWarning
+        with pytest.raises(ValidationError, match="inf RK4 steps"):
+            buildup_ode(KineticsParams(pe=0.826, td_minutes=1e-310, tr_minutes=57.1), [0.0, 150.0])
 
 
 class TestSteadyStates:
