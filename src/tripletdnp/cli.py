@@ -49,7 +49,14 @@ EXIT_VALIDATION = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_IO = 5
 
-SWEEP_PARAMETERS = ("td", "tr", "pe", "repetition_rate", "b1", "sweep_span")
+# sweep parameter -> the KineticsParams (first row) or IseSequenceParams field it replaces
+SWEEP_PARAMETERS = {
+    "td": "td_minutes", "tr": "tr_minutes", "pe": "pe",
+    "repetition_rate": "repetition_rate_hz", "b1": "b1_amplitude_mt", "sweep_span": "sweep_span_mt",
+}
+
+# largest simulate --points and sweep --num, checked before allocating; 10**5 take 0.6-1.6 s
+MAX_POINTS = 100_000
 
 _TOLERANCE_RATIONALE = (
     "time constants quoted to three significant figures shift the paramagnetic "
@@ -93,6 +100,8 @@ def _simulate_grid(duration_min: float, points: int) -> np.ndarray:
         return np.array([0.0])
     if points < 2:
         raise ValidationError(f"need at least 2 grid points, got {points}")
+    if points > MAX_POINTS:
+        raise ValidationError(f"at most {MAX_POINTS:,} grid points allowed, got {points}")
     return np.linspace(0.0, duration_min, points)
 
 
@@ -102,6 +111,11 @@ def _simulate_shots(
     period = 1.0 / repetition_rate_hz
     eps = epsilon_for_buildup_time(params.td_minutes, period)
     shot = ShotModel(epsilon=eps, shot_period_s=period)
+    if eps + period / (60.0 * params.tr_minutes) > 1.0:
+        raise ValidationError(
+            f"td {params.td_minutes:g} min and tr {params.tr_minutes:g} min at {repetition_rate_hz:g} Hz "
+            "make every shot overshoot its fixed point (per-shot gain plus relaxation above 1)"
+        )
     pth = p = params.pth if include_pth else 0.0
     # checked as a Python float, which overflows to inf without a warning, before the int64 cast
     n_shots = float(grid[-1]) * 60.0 * repetition_rate_hz
@@ -248,13 +262,15 @@ def _sweep_values(args) -> list[float]:
         raise ValidationError("provide either --values or --start/--stop (with optional --num)")
     if args.num < 1:
         raise ValidationError(f"--num must be at least 1, got {args.num}")
+    if args.num > MAX_POINTS:
+        raise ValidationError(f"--num must be at most {MAX_POINTS:,}, got {args.num}")
     return [float(v) for v in np.linspace(args.start, args.stop, args.num)]
 
 
 def _sweep_final_polarization(cfg: ToolkitConfig, parameter: str, value: float) -> float:
     base = cfg.kinetics
-    if parameter in ("td", "tr", "pe"):
-        name = {"td": "td_minutes", "tr": "tr_minutes", "pe": "pe"}[parameter]
+    name = SWEEP_PARAMETERS[parameter]
+    if hasattr(base, name):
         return steady_state_with_pth(dataclasses.replace(base, **{name: value}))
 
     # ISE-side sweeps: scale the per-shot gain with the transfer probability,
@@ -263,12 +279,7 @@ def _sweep_final_polarization(cfg: ToolkitConfig, parameter: str, value: float) 
     p_ref = sweep_transfer_probability(seq)
     eps_ref = epsilon_for_buildup_time(base.td_minutes, seq.shot_period_s)
     calibration = eps_ref / p_ref if p_ref > 0 else 0.0
-    field_name = {
-        "repetition_rate": "repetition_rate_hz",
-        "b1": "b1_amplitude_mt",
-        "sweep_span": "sweep_span_mt",
-    }[parameter]
-    swept = dataclasses.replace(seq, **{field_name: value})
+    swept = dataclasses.replace(seq, **{name: value})
     eps = min(1.0, calibration * sweep_transfer_probability(swept))
     # without transfer td is infinite and the floor pth remains
     td_minutes = effective_buildup_time(ShotModel(eps, swept.shot_period_s)).minutes

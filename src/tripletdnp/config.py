@@ -27,40 +27,36 @@ from .tripletspin import MagneticFieldSetting, TripletParameters
 
 __all__ = ["ToolkitConfig", "parse_config", "default_config", "CONFIG_REFERENCE"]
 
-# (section, key) -> (default, provenance note). A None default marks a key
-# computed from other keys. The provenance strings are printed verbatim in
-# verbose mode for every key the file does not set.
+_LITERATURE = "pentacene literature value, not setup-specific"
+
+# (section, key) -> (default, provenance note). This table is the only
+# declaration of a key: assembly walks it section by section in row order,
+# which is also the verbose echo order; the [triplet] and [field] rows follow
+# the positional fields of their types. A None default marks a key computed
+# from other keys; a string default is a path. The provenance strings are
+# printed verbatim in verbose mode for every key the file does not set.
 CONFIG_REFERENCE: dict[tuple[str, str], tuple[object, str]] = {
-    ("triplet", "d_mhz"): (PENTACENE_D_MHZ, "pentacene literature value, not setup-specific"),
-    ("triplet", "e_mhz"): (PENTACENE_E_MHZ, "pentacene literature value, not setup-specific"),
-    ("triplet", "population_x"): (
-        PENTACENE_ZF_POPULATIONS[0],
-        "pentacene literature value, not setup-specific",
-    ),
-    ("triplet", "population_y"): (
-        PENTACENE_ZF_POPULATIONS[1],
-        "pentacene literature value, not setup-specific",
-    ),
-    ("triplet", "population_z"): (
-        PENTACENE_ZF_POPULATIONS[2],
-        "pentacene literature value, not setup-specific",
-    ),
+    ("triplet", "d_mhz"): (PENTACENE_D_MHZ, _LITERATURE),
+    ("triplet", "e_mhz"): (PENTACENE_E_MHZ, _LITERATURE),
+    ("triplet", "population_x"): (PENTACENE_ZF_POPULATIONS[0], _LITERATURE),
+    ("triplet", "population_y"): (PENTACENE_ZF_POPULATIONS[1], _LITERATURE),
+    ("triplet", "population_z"): (PENTACENE_ZF_POPULATIONS[2], _LITERATURE),
     ("field", "field_tesla"): (0.64, "reference setup default"),
     ("field", "theta_rad"): (0.0, "free orientation parameter, default along the splitting z axis"),
     ("field", "phi_rad"): (0.0, "free orientation parameter"),
+    ("sequence", "b1_amplitude_mt"): (None, "computed Hartmann-Hahn match to the static field"),
     ("sequence", "microwave_frequency_ghz"): (17.2, "reference setup default"),
     ("sequence", "microwave_width_us"): (20.0, "reference setup default"),
     ("sequence", "laser_width_us"): (1.0, "reference setup default"),
     ("sequence", "microwave_delay_us"): (2.0, "model placeholder, not a measured value"),
     ("sequence", "repetition_rate_hz"): (1000.0, "reference setup default"),
     ("sequence", "sweep_span_mt"): (3.0, "model placeholder, not a measured value"),
-    ("sequence", "b1_amplitude_mt"): (None, "computed Hartmann-Hahn match to the static field"),
     ("kinetics", "pe"): (0.826, "reference fit default"),
     ("kinetics", "td_minutes"): (20.2, "reference fit default"),
     ("kinetics", "tr_minutes"): (57.1, "reference fit default"),
     ("kinetics", "pth"): (0.0, "thermal floor negligible at the reference conditions"),
-    ("general", "temperature_kelvin"): (DEFAULT_TEMPERATURE_K, "nominal room temperature"),
     ("general", "output_dir"): (".", "current directory"),
+    ("general", "temperature_kelvin"): (DEFAULT_TEMPERATURE_K, "nominal room temperature"),
 }
 
 
@@ -113,61 +109,35 @@ def parse_config(path, verbose: bool = False, echo=print) -> ToolkitConfig:
 
 
 def _assemble(raw, verbose: bool, echo) -> ToolkitConfig:
-    def get(section: str, key: str, computed=None, convert=float):
-        """The file's value, else the default (computed for derived keys), echoed when verbose."""
-        if (section, key) in raw:
-            text = raw[(section, key)]
+    def section(name: str, computed=None) -> dict:
+        """The section's keys in table order: the file's value, else the default
+        (computed for a None default), echoed when verbose."""
+        values = {}
+        for (sec, key), (default, provenance) in CONFIG_REFERENCE.items():
+            if sec != name:
+                continue
+            if (sec, key) in raw:
+                value = raw[(sec, key)]
+            else:
+                value = computed if default is None else default
+                if verbose:
+                    echo(f"# default [{sec}] {key} = {value} ({provenance})")
             try:
-                return convert(text)
+                values[key] = Path(value) if isinstance(default, str) else float(value)
             except ValueError:
-                raise ConfigError(f"[{section}] {key}: expected a number, got {text!r}") from None
-        default, provenance = CONFIG_REFERENCE[(section, key)]
-        value = default if computed is None else computed
-        if verbose:
-            echo(f"# default [{section}] {key} = {value} ({provenance})")
-        return convert(value)
+                raise ConfigError(f"[{sec}] {key}: expected a number, got {value!r}") from None
+        return values
 
     try:
-        triplet = TripletParameters(
-            d_mhz=get("triplet", "d_mhz"),
-            e_mhz=get("triplet", "e_mhz"),
-            zf_populations=(
-                get("triplet", "population_x"),
-                get("triplet", "population_y"),
-                get("triplet", "population_z"),
-            ),
-        )
-        field = MagneticFieldSetting(
-            magnitude_tesla=get("field", "field_tesla"),
-            theta_rad=get("field", "theta_rad"),
-            phi_rad=get("field", "phi_rad"),
-        )
-        b1 = get("sequence", "b1_amplitude_mt", computed=hartmann_hahn_b1(field.magnitude_tesla))
+        d_mhz, e_mhz, *populations = section("triplet").values()
+        triplet = TripletParameters(d_mhz, e_mhz, tuple(populations))
+        field = MagneticFieldSetting(*section("field").values())
+        # computed eagerly, so a zero field fails here even when b1 is set
+        b1 = hartmann_hahn_b1(field.magnitude_tesla)
         sequence = IseSequenceParams(
-            microwave_frequency_ghz=get("sequence", "microwave_frequency_ghz"),
-            microwave_width_us=get("sequence", "microwave_width_us"),
-            laser_width_us=get("sequence", "laser_width_us"),
-            microwave_delay_us=get("sequence", "microwave_delay_us"),
-            repetition_rate_hz=get("sequence", "repetition_rate_hz"),
-            sweep_span_mt=get("sequence", "sweep_span_mt"),
-            b1_amplitude_mt=b1,
-            static_field_tesla=field.magnitude_tesla,
+            **section("sequence", computed=b1), static_field_tesla=field.magnitude_tesla
         )
-        kinetics = KineticsParams(
-            pe=get("kinetics", "pe"),
-            td_minutes=get("kinetics", "td_minutes"),
-            tr_minutes=get("kinetics", "tr_minutes"),
-            pth=get("kinetics", "pth"),
-        )
+        kinetics = KineticsParams(**section("kinetics"))
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return ToolkitConfig(
-        triplet=triplet,
-        field=field,
-        sequence=sequence,
-        kinetics=kinetics,
-        # keyword order is echo order: output_dir is echoed before temperature_kelvin
-        output_dir=get("general", "output_dir", convert=Path),
-        temperature_kelvin=get("general", "temperature_kelvin"),
-    )
+    return ToolkitConfig(triplet, field, sequence, kinetics, **section("general"))

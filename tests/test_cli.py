@@ -139,6 +139,29 @@ class TestSimulate:
         assert cap.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("duration", [10, "1e6"])
+    def test_overshooting_shot_map_rejected(self, tmp_path, capsys, duration):
+        # dt/td = 0.833 and dt/tr = 1.667 at 1 kHz: every shot jumps past the fixed point
+        cfg = tmp_path / "overshoot.cfg"
+        cfg.write_text("[kinetics]\ntd_minutes = 2e-5\ntr_minutes = 1e-5\n")
+        out = tmp_path / "o.csv"
+        code, cap = run(["simulate", "--config", cfg, "--duration-min", duration, "--mode", "shots",
+                         "--out", out], capsys)
+        assert code == 3
+        assert "td 2e-05 min and tr 1e-05 min at 1000 Hz" in cap.err
+        assert cap.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["closed_form", "shots", "ode"])
+    def test_huge_point_count_rejected(self, tmp_path, capsys, mode):
+        out = tmp_path / "p.csv"
+        code, cap = run(["simulate", "--duration-min", 10, "--mode", mode, "--points", 10**12,
+                         "--out", out], capsys)
+        assert code == 3
+        assert "grid points" in cap.err
+        assert cap.err.count("\n") == 1
+        assert not out.exists()
+
     def test_include_pth_starts_at_thermal_floor(self, tmp_path, capsys):
         cfg = tmp_path / "pth.cfg"
         cfg.write_text(REFERENCE_CFG + "pth = 0.1\n")  # appended to [kinetics]
@@ -420,6 +443,15 @@ class TestSweep:
                          "--num", num, "--out", out], capsys)
         assert code == 3
         assert "--num" in cap.err
+        assert not out.exists()
+
+    def test_huge_num_rejected(self, cfg, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        code, cap = run(["sweep", "tr", "--config", cfg, "--start", 10, "--stop", 100,
+                         "--num", 10**12, "--out", out], capsys)
+        assert code == 3
+        assert "--num must be at most" in cap.err
+        assert cap.err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("parameter", ["td", "pe", "repetition_rate", "b1", "sweep_span"])

@@ -1,7 +1,9 @@
 import pytest
 
 from tripletdnp import ConfigError, parse_config
-from tripletdnp.config import default_config
+from tripletdnp.config import CONFIG_REFERENCE, default_config
+
+NUMERIC_KEYS = [k for k, (default, _) in CONFIG_REFERENCE.items() if not isinstance(default, str)]
 
 
 def write_cfg(tmp_path, text):
@@ -92,3 +94,28 @@ def test_inline_comments_allowed(tmp_path):
 
 def test_default_config_matches_empty_file(tmp_path):
     assert default_config() == parse_config(write_cfg(tmp_path, ""))
+
+
+def test_verbose_echo_follows_table_order():
+    notes = []
+    default_config(verbose=True, echo=notes.append)
+    echoed = [tuple(n.split("[", 1)[1].split(" = ")[0].split("] ")) for n in notes]
+    assert echoed == list(CONFIG_REFERENCE)
+
+
+@pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+def test_every_numeric_key_rejects_non_numbers(tmp_path, section, key):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: expected a number, got 'lots'"):
+        parse_config(write_cfg(tmp_path, f"[{section}]\n{key} = lots\n"))
+
+
+def test_every_key_set_to_its_default_matches_default_config(tmp_path):
+    cfg = default_config()
+    values = {**{k: default for k, (default, _) in CONFIG_REFERENCE.items()},
+              ("sequence", "b1_amplitude_mt"): cfg.sequence.b1_amplitude_mt}
+    sections = dict.fromkeys(section for section, _ in CONFIG_REFERENCE)
+    text = "".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for (sec, k), v in values.items() if sec == s)
+        for s in sections
+    )
+    assert parse_config(write_cfg(tmp_path, text)) == cfg

@@ -1,7 +1,10 @@
 import math
+import time
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tripletdnp import (
     IseSequenceParams,
@@ -19,8 +22,20 @@ from tripletdnp import (
 )
 
 import oracles
+from tripletdnp.ise import MAX_EXPLICIT_SHOTS
 
 GAMMA_E_ANG = 2.0 * math.pi * 28.0249e9  # rad/s/T
+
+TINY = [5e-324, 2.2250738585072014e-308, 1e-300]
+HUGE = [1e300, 1e308, 1.7976931348623157e308]
+
+
+def extremes(*values):
+    return st.sampled_from([v for x in values for v in (x, -x)])
+
+
+UNIT = st.floats(-1.0, 1.0) | extremes(0.0, 1.0, *TINY, *HUGE)
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False) | st.sampled_from(TINY + HUGE)
 
 
 def sequence(b1_mt=0.972, span_mt=3.0, width_us=20.0, rep_hz=1000.0):
@@ -243,3 +258,29 @@ class TestShotMap:
             for _ in range(200):
                 p = shot_map(p, shot, pe, tr, pth)
                 assert -1.0 <= p <= 1.0
+
+    def test_explicit_loop_bound_rejects_before_stepping(self):
+        shot = ShotModel(epsilon=0.8333333333333334, shot_period_s=1e-3)  # dt/tr = 1.667 below
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="1,000,000 allowed"):
+            iterate_shots(0.0, shot, 0.826, 1e-5, 0.0, MAX_EXPLICIT_SHOTS + 1)
+        assert time.perf_counter() - start < 0.1
+
+    @settings(max_examples=100, deadline=timedelta(seconds=5), derandomize=True)
+    @given(
+        p0=UNIT,
+        epsilon=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, *TINY]),
+        period=POSITIVE,
+        pe=UNIT,
+        pth=UNIT,
+        tr=st.floats(allow_nan=False, allow_infinity=False) | extremes(0.0, *TINY, *HUGE),
+        n_shots=st.integers(-1, 1000)
+        | st.sampled_from([MAX_EXPLICIT_SHOTS - 1, MAX_EXPLICIT_SHOTS, MAX_EXPLICIT_SHOTS + 1, 2**62]),
+    )
+    def test_iterate_returns_a_polarization_or_rejects(self, p0, epsilon, period, pe, pth, tr, n_shots):
+        shot = ShotModel(epsilon=epsilon, shot_period_s=period)
+        try:
+            p = iterate_shots(p0, shot, pe, tr, pth, n_shots)
+        except ValidationError:
+            return
+        assert -1.0 <= p <= 1.0
