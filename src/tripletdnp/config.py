@@ -95,9 +95,11 @@ def parse_config(path, verbose: bool = False, echo=print) -> ToolkitConfig:
         raise ConfigError(f"config file not found: {p}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        parser.read_string(p.read_text(), source=str(p))
+        parser.read_string(p.read_text(encoding="utf-8"), source=str(p))
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"malformed config: {p} is not UTF-8 text ({exc})") from None
 
     raw: dict[tuple[str, str], str] = {}
     for section in parser.sections():

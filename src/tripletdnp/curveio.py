@@ -10,11 +10,12 @@ write/read cycle reproduces a curve exactly.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CurveParseError
+from .errors import CurveParseError, ValidationError
 from .kinetics import BuildupCurve, ValueKind
 
 __all__ = ["read_curve", "write_curve"]
@@ -24,69 +25,82 @@ _HEADERS = {"time_min": 1.0, "time_s": 1.0 / 60.0}
 
 
 def read_curve(path) -> BuildupCurve:
-    """Parse a curve file into a BuildupCurve, normalizing times to minutes.
+    """Parse a UTF-8 curve file into a BuildupCurve, normalizing times to minutes.
 
-    Raises CurveParseError naming the offending 1-based row for a missing
-    or unknown header, non-numeric or non-finite cells, or non-increasing
-    times.
+    One pass over the lines takes the comments, value kind and header, one
+    float pass the data cells, and BuildupCurve checks the columns. Only if
+    that fails are the rows walked, so CurveParseError names the first bad
+    1-based row in file order, as for a bad header or a non-UTF-8 byte.
     """
-    lines = Path(path).read_text().splitlines()
-    kind = ValueKind.POLARIZATION
-    header_scale = None
-    times: list[float] = []
-    values: list[float] = []
-    for row, raw in enumerate(lines, start=1):
-        line = raw.strip()
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the row is the line the bytes before the bad one end on
+        row = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise CurveParseError(f"not UTF-8 text: byte {raw[exc.start]:#04x}", row=row) from None
+    lines = text.splitlines()
+    kind, header_scale = ValueKind.POLARIZATION, None
+    rows, data = [], []  # the data lines and their 1-based row numbers
+    for row, line in enumerate(map(str.strip, lines), start=1):
         if not line:
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             comment = line.lstrip("#").strip()
             if comment.startswith(_VALUE_KIND_PREFIX):
                 kind_name = comment[len(_VALUE_KIND_PREFIX):].strip()
                 try:
                     kind = ValueKind(kind_name)
-                except ValueError:
-                    raise CurveParseError(
-                        f"unknown value_kind {kind_name!r}; expected "
-                        f"{' or '.join(k.value for k in ValueKind)}",
-                        row=row,
-                    ) from None
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if header_scale is None:
+                except ValueError:  # data rows above it fail first
+                    kinds = " or ".join(k.value for k in ValueKind)
+                    error = CurveParseError(f"unknown value_kind {kind_name!r}; expected {kinds}", row)
+                    raise _first_bad_row(rows, data, header_scale) or error from None
+        elif header_scale is None:
+            cells = [c.strip() for c in line.split(",")]
             if len(cells) != 2 or cells[0] not in _HEADERS or cells[1] != "value":
                 raise CurveParseError(
                     f"expected header 'time_min,value' or 'time_s,value', got {line!r}", row=row
                 )
             header_scale = _HEADERS[cells[0]]
-            continue
+        else:
+            rows.append(row)
+            data.append(line)
+    if header_scale is None:
+        raise CurveParseError("file has no header row", row=len(lines) or 1)
+    if not data:
+        raise CurveParseError("file has no data rows", row=len(lines))
+    # (time, ",", value) per row: without exactly one comma the value cell is empty or holds one
+    cells = list(chain.from_iterable(map(str.partition, data, repeat(","))))
+    try:
+        times, values = np.fromiter(map(float, cells[0::3] + cells[2::3]), float).reshape(2, -1)
+        return BuildupCurve(times * header_scale, values, kind)
+    except (ValueError, ValidationError) as exc:
+        raise (_first_bad_row(rows, data, header_scale) or exc) from None
+
+
+def _first_bad_row(rows, data, header_scale) -> CurveParseError | None:
+    """The error of the first data row failing: two cells, numeric, finite, increasing, nonnegative."""
+    previous = -math.inf
+    for row, line in zip(rows, data):
+        cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
-            raise CurveParseError(f"expected two comma-separated cells, got {line!r}", row=row)
+            return CurveParseError(f"expected two comma-separated cells, got {line!r}", row=row)
         try:
             t = float(cells[0]) * header_scale
             v = float(cells[1])
         except ValueError:
-            raise CurveParseError(f"non-numeric cell in {line!r}", row=row) from None
+            return CurveParseError(f"non-numeric cell in {line!r}", row=row)
         if not (math.isfinite(t) and math.isfinite(v)):
-            raise CurveParseError(f"non-finite cell in {line!r}", row=row)
-        if times and t <= times[-1]:
-            raise CurveParseError(
-                f"time {cells[0]} does not increase over the previous sample", row=row
-            )
+            return CurveParseError(f"non-finite cell in {line!r}", row=row)
+        if t <= previous:
+            return CurveParseError(f"time {cells[0]} does not increase over the previous sample", row=row)
         if t < 0.0:
-            raise CurveParseError(f"negative time {cells[0]}", row=row)
-        times.append(t)
-        values.append(v)
-    if header_scale is None:
-        raise CurveParseError("file has no header row", row=len(lines) or 1)
-    if not times:
-        raise CurveParseError("file has no data rows", row=len(lines))
-    return BuildupCurve(np.array(times), np.array(values), kind)
+            return CurveParseError(f"negative time {cells[0]}", row=row)
+        previous = t
 
 
 def write_curve(path, curve: BuildupCurve) -> None:
-    """Write a curve in the canonical form: value-kind comment, minutes header."""
+    """Write a curve in the canonical form: value-kind comment, minutes header,
+    repr cells. Its checks were made in BuildupCurve, which built the curve."""
     out = [f"# value_kind: {curve.value_kind.value}", "time_min,value"]
-    for t, v in zip(curve.times_min, curve.values):
-        out.append(f"{float(t)!r},{float(v)!r}")
+    out += [f"{t!r},{v!r}" for t, v in zip(curve.times_min.tolist(), curve.values.tolist())]
     Path(path).write_text("\n".join(out) + "\n")

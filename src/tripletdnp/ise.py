@@ -187,6 +187,8 @@ def shot_map(p_now: float, shot: ShotModel, pe: float, tr_minutes: float, pth: f
     if not tr_minutes > 0.0:
         raise ValidationError(f"tr_minutes must be positive, got {tr_minutes}")
     delta = shot.shot_period_s / (SECONDS_PER_MINUTE * tr_minutes)
+    if not delta < math.inf:  # inf * (p - pth) would be NaN at p = pth, which the clamp hides
+        raise ValidationError(f"shot period / tr overflows: tr_minutes {tr_minutes} is too small")
     p = p_now + shot.epsilon * (pe - p_now) - delta * (p_now - pth)
     return min(1.0, max(-1.0, p))
 
@@ -196,12 +198,13 @@ def iterate_shots(
 ) -> float:
     """Apply shot_map n_shots times.
 
-    The map is affine, p -> a p + b with a = 1 - epsilon - dt/tr, so when a
-    stays in [0, 1) and the fixed point lies in [-1, 1] the n-fold
+    The map is affine, p -> a p + b with a = 1 - s, s = epsilon + dt/tr, so
+    when a stays in [0, 1) and the fixed point lies in [-1, 1] the n-fold
     composition has the exact closed form a^n p0 + (1 - a^n) b/(1 - a) and
-    no clamp can engage. Outside that regime the shots are stepped
-    explicitly, and more than MAX_EXPLICIT_SHOTS of them are rejected before
-    any step is taken.
+    no clamp can engage. When s > 0 is too small for a to differ from 1,
+    a^n and 1 - a^n come from n log1p(-s) instead. Outside that regime the
+    shots are stepped explicitly, and more than MAX_EXPLICIT_SHOTS of them
+    are rejected before any step is taken.
     """
     if n_shots < 0:
         raise ValidationError(f"n_shots must be >= 0, got {n_shots}")
@@ -218,11 +221,15 @@ def iterate_shots(
     a = 1.0 - s
     if s == 0.0:
         return p0
-    if 0.0 <= a < 1.0:
+    if 0.0 <= a <= 1.0:
         fixed_point = (shot.epsilon * pe + delta * pth) / s
         if abs(fixed_point) <= 1.0:
-            an = a**n_shots
-            return an * p0 + (1.0 - an) * fixed_point
+            if a < 1.0:
+                an = a**n_shots
+                return an * p0 + (1.0 - an) * fixed_point
+            # a rounded to 1.0, so a**n would too: a^n = exp(n log1p(-s)), clamped as shot_map is
+            x = n_shots * math.log1p(-s)
+            return min(1.0, max(-1.0, math.exp(x) * p0 - math.expm1(x) * fixed_point))
     if n_shots > MAX_EXPLICIT_SHOTS:
         raise ValidationError(
             f"{n_shots:,} shots outside the closed-form regime (a = 1 - epsilon - dt/tr = {a:.3g}) "

@@ -4,9 +4,13 @@ Everything here deliberately takes a different route than the package:
 spin matrices are built in the Zeeman basis and transformed, eigenvalues
 come from the characteristic polynomial, and the swept-passage transfer
 probability comes from direct numerical propagation of the two-level
-Schrodinger equation. Agreement between these and the package is the
-point of the tests, so nothing below may import from tripletdnp.
+Schrodinger equation, and curve files are read and checked one row at a
+time. Agreement between these and the package is the point of the tests,
+so nothing below may import from tripletdnp.
 """
+
+import math
+from pathlib import Path
 
 import numpy as np
 
@@ -147,3 +151,56 @@ def rk4_rate_equation(pe, td_minutes, tr_minutes, pth, grid, include_pth):
             p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(p)
     return np.array(out)
+
+
+def read_curve_by_rows(path):
+    """Curve file read and checked one row at a time, in file order.
+
+    Returns (times_min, values, value kind name) as float arrays, or the
+    "row N: ..." message of the first problem: an unknown value_kind
+    comment, a bad header, a row without two cells, a non-numeric or
+    non-finite cell, a time not above the previous one, a negative time, a
+    missing header or no data rows.
+    """
+    kinds = ("polarization", "raw_signal")
+    headers = {"time_min": 1.0, "time_s": 1.0 / 60.0}
+    lines = Path(path).read_text().splitlines()
+    kind, scale = "polarization", None
+    times, values = [], []
+    for row, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comment = line.lstrip("#").strip()
+            if comment.startswith("value_kind:"):
+                kind = comment[len("value_kind:"):].strip()
+                if kind not in kinds:
+                    return f"row {row}: unknown value_kind {kind!r}; expected polarization or raw_signal"
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if scale is None:
+            if len(cells) != 2 or cells[0] not in headers or cells[1] != "value":
+                return f"row {row}: expected header 'time_min,value' or 'time_s,value', got {line!r}"
+            scale = headers[cells[0]]
+            continue
+        if len(cells) != 2:
+            return f"row {row}: expected two comma-separated cells, got {line!r}"
+        try:
+            t = float(cells[0]) * scale
+            v = float(cells[1])
+        except ValueError:
+            return f"row {row}: non-numeric cell in {line!r}"
+        if not (math.isfinite(t) and math.isfinite(v)):
+            return f"row {row}: non-finite cell in {line!r}"
+        if times and t <= times[-1]:
+            return f"row {row}: time {cells[0]} does not increase over the previous sample"
+        if t < 0.0:
+            return f"row {row}: negative time {cells[0]}"
+        times.append(t)
+        values.append(v)
+    if scale is None:
+        return f"row {len(lines) or 1}: file has no header row"
+    if not times:
+        return f"row {len(lines)}: file has no data rows"
+    return np.array(times), np.array(values), kind

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,29 @@ class TestSimulate:
         assert cap.err.count("\n") == 1
         assert not out.exists()
 
+    def test_shots_with_a_rounding_to_one_use_closed_form(self, tmp_path, capsys):
+        # dt/td + dt/tr = 3.3e-17 per shot: 1.8e7 shots that used to be stepped one by one
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("[kinetics]\ntd_minutes = 1e12\ntr_minutes = 1e12\n")
+        out = tmp_path / "s.csv"
+        start = time.perf_counter()
+        code, cap = run(["simulate", "--config", cfg, "--mode", "shots", "--duration-min", 300,
+                         "--points", 21, "--out", out], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        expected = buildup_closed_form(KineticsParams(0.826, 1e12, 1e12), 300.0)
+        assert read_curve(out).values[-1] == pytest.approx(expected, rel=1e-9)
+
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"[kinetics]\n# r\xe9glage\npe = 0.8\n")
+        out = tmp_path / "u.csv"
+        code, cap = run(["simulate", "--config", cfg, "--duration-min", 10, "--out", out], capsys)
+        assert code == 3
+        assert "not UTF-8" in cap.err
+        assert cap.err.count("\n") == 1
+        assert not out.exists()
+
     def test_include_pth_starts_at_thermal_floor(self, tmp_path, capsys):
         cfg = tmp_path / "pth.cfg"
         cfg.write_text(REFERENCE_CFG + "pth = 0.1\n")  # appended to [kinetics]
@@ -275,6 +300,16 @@ class TestFit:
         code, cap = run(["fit", curve, "--model", "decay", "--out", tmp_path / "r.txt"], capsys)
         assert code == 3
         assert "row 3" in cap.err
+
+    def test_non_utf8_curve_parse_error(self, tmp_path, capsys):
+        curve = tmp_path / "binary.csv"
+        curve.write_bytes(b"\xfftime_min,value\n0.0,0.5\n")
+        out = tmp_path / "r.txt"
+        code, cap = run(["fit", curve, "--model", "decay", "--out", out], capsys)
+        assert code == 3
+        assert cap.err == "error: row 1: not UTF-8 text: byte 0xff\n"
+        assert cap.out == ""
+        assert list(tmp_path.iterdir()) == [curve]
 
     def test_missing_file_io_error(self, tmp_path, capsys):
         code, cap = run(["fit", tmp_path / "nope.csv", "--model", "decay"], capsys)

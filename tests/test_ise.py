@@ -266,6 +266,23 @@ class TestShotMap:
             iterate_shots(0.0, shot, 0.826, 1e-5, 0.0, MAX_EXPLICIT_SHOTS + 1)
         assert time.perf_counter() - start < 0.1
 
+    def test_closed_form_when_a_rounds_to_one(self):
+        # td = tr = 1e12 min at 1 kHz: s = epsilon + dt/tr = 3.3e-17, so a = 1 - s is 1.0
+        period = 1e-3
+        shot = ShotModel(epsilon=epsilon_for_buildup_time(1e12, period), shot_period_s=period)
+        assert 1.0 - (shot.epsilon + period / (60.0 * 1e12)) == 1.0
+        params = KineticsParams(0.826, 1e12, 1e12, pth=0.05)
+        for minutes in (300.0, 1e10, 1e13):
+            n = int(minutes * 60.0 / period)
+            assert n > MAX_EXPLICIT_SHOTS
+            p = iterate_shots(0.05, shot, 0.826, 1e12, 0.05, n)
+            assert p == pytest.approx(buildup_closed_form(params, minutes, include_pth=True), rel=1e-12)
+
+    def test_overflowing_relaxation_step_rejected(self):
+        # dt/tr = inf, and at p = pth the update inf * 0 would be NaN, clamped to -1
+        with pytest.raises(ValidationError, match="tr_minutes 5e-324"):
+            shot_map(0.0, ShotModel(0.5, 1e-3), 0.5, 5e-324, 0.0)
+
     @settings(max_examples=100, deadline=timedelta(seconds=5), derandomize=True)
     @given(
         p0=UNIT,
