@@ -33,7 +33,12 @@ __all__ = [
 
 MAX_ITERATIONS = 200
 _SCAN_POINTS = 31
+_SCAN_STEPS = np.arange(_SCAN_POINTS, dtype=float)
 _MIN_SAMPLES = 4
+_OVERFLOW_NOTE = (
+    "the model overflows at this curve's scale (non-finite Jacobian or residual), "
+    "so the fit and its uncertainties are meaningless; rescale the times or values"
+)
 
 
 @dataclass(frozen=True)
@@ -101,8 +106,17 @@ class NmrCalibration:
 
 
 def _rate_scan(t: np.ndarray) -> np.ndarray:
-    """Log-spaced trial rates from well below 1/span to well above 1/(shortest step)."""
-    return np.geomspace(0.01 / (t[-1] - t[0]), 10.0 / float(np.min(np.diff(t))), _SCAN_POINTS)
+    """Log-spaced trial rates from well below 1/span to well above 1/(shortest step).
+
+    Bitwise np.geomspace(lo, hi, _SCAN_POINTS), without its Python overhead:
+    exponents evenly spaced from log10(lo) to log10(hi), then both ends pinned.
+    """
+    lo = 0.01 / (t[-1] - t[0])
+    hi = 10.0 / float(np.minimum.reduce(t[1:] - t[:-1]))
+    log_lo, log_hi = np.log10([lo, hi])
+    rates = np.power(10.0, _SCAN_STEPS * ((log_hi - log_lo) / (_SCAN_POINTS - 1)) + log_lo)
+    rates[0], rates[-1] = lo, hi
+    return rates
 
 
 def _varpro(names, rates, scan_ssr, solve, jacobian, notes=()) -> FitResult:
@@ -116,7 +130,7 @@ def _varpro(names, rates, scan_ssr, solve, jacobian, notes=()) -> FitResult:
     exact at every trial rate, so that point is the fit. Returns the
     FitResult, with notes appended to its own.
     """
-    i = int(np.argmin(scan_ssr(rates)))
+    i = int(scan_ssr(rates).argmin())
     k = rates[i]
     x, r, g = solve(k)
     if i in (0, rates.size - 1):
@@ -124,7 +138,7 @@ def _varpro(names, rates, scan_ssr, solve, jacobian, notes=()) -> FitResult:
             f"smallest SSR at the edge of the scanned rates ({rates[0]:.3g} to "
             f"{rates[-1]:.3g} per min): the curve is not a single exponential over its time span"
         )
-        return _result(names, x, r, jacobian, False, 0, (why, *notes))
+        return _result(names, x, r, jacobian, 0, notes, why)
     k_lo, g_lo = k_hi, g_hi = k, g
     if g < 0.0:
         k_hi, g_hi = rates[i + 1], solve(rates[i + 1])[2]
@@ -137,13 +151,13 @@ def _varpro(names, rates, scan_ssr, solve, jacobian, notes=()) -> FitResult:
                 "dSSR/drate does not change sign next to the smallest scanned SSR: "
                 "the SSR is too flat there to locate the rate"
             )
-            return _result(names, x, r, jacobian, False, 0, (why, *notes))
+            return _result(names, x, r, jacobian, 0, notes, why)
         k = (k_lo * g_hi - k_hi * g_lo) / (g_hi - g_lo)
         if not k_lo < k < k_hi:
             break  # the bracket has closed to adjacent floats
         if iterations == MAX_ITERATIONS:
             why = f"rate search did not converge in {iterations} steps"
-            return _result(names, x, r, jacobian, False, iterations, (why, *notes))
+            return _result(names, x, r, jacobian, iterations, notes, why)
         iterations += 1
         x, r, g = solve(k)
         if g < 0.0:
@@ -156,54 +170,56 @@ def _varpro(names, rates, scan_ssr, solve, jacobian, notes=()) -> FitResult:
             if moved > 0:
                 g_lo *= 0.5
             moved = 1
-    return _result(names, x, r, jacobian, True, iterations, notes)
+    return _result(names, x, r, jacobian, iterations, notes)
 
 
 def _uncertainties(jac: np.ndarray, ssr: float, n_params: int) -> tuple[np.ndarray, bool]:
     """One-sigma parameter errors from the linearized residual covariance.
 
-    Directions in which the Jacobian is rank-deficient get infinite
-    uncertainty; the second return value flags that case.
+    Directions in which the Jacobian is rank-deficient (singular value at
+    most 1e-12 of the largest) get infinite uncertainty, and so does every
+    parameter with weight in them; the second return value flags that case.
+    The singular values come sorted, so the determined directions are the
+    leading rows of vt.
     """
-    n = jac.shape[0]
-    dof = max(n - n_params, 1)
-    sigma2 = ssr / dof
+    sigma2 = ssr / max(jac.shape[0] - n_params, 1)
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    rank_tol = s[0] * 1e-12 if s.size and s[0] > 0 else 0.0
-    deficient = bool(np.any(s <= rank_tol))
-    var = np.full(n_params, math.inf)
-    good = s > rank_tol
-    if np.any(good):
-        contrib = (vt[good].T ** 2) / s[good] ** 2  # (params, good dirs)
-        var_finite = sigma2 * contrib.sum(axis=1)
-        null_weight = (vt[~good].T ** 2).sum(axis=1) if deficient else np.zeros(n_params)
-        for i in range(n_params):
-            var[i] = math.inf if null_weight[i] > 1e-12 else var_finite[i]
-    return np.sqrt(var), deficient
+    rank = int(np.count_nonzero(s > s[0] * 1e-12))
+    var = sigma2 * np.add.reduce(vt[:rank].T ** 2 / s[:rank] ** 2, axis=1)
+    if rank < n_params:
+        var[np.add.reduce(vt[rank:].T ** 2, axis=1) > 1e-12] = math.inf
+    return np.sqrt(var), rank < n_params
 
 
-def _result(names, x, r, jacobian, converged, iterations, notes) -> FitResult:
+def _result(names, x, r, jacobian, iterations, notes, why=None) -> FitResult:
+    """The FitResult at parameters x; a reason why the search stopped short leads the notes."""
+    x = np.array(x)
     jac = jacobian(x)
     ssr = float(r @ r)
-    sigmas, deficient = _uncertainties(jac, ssr, len(names))
-    if deficient:
-        notes = (*notes, "some parameters are unidentifiable from this curve")
+    if np.isfinite(jac).all() and np.isfinite(r).all():
+        sigmas, deficient = _uncertainties(jac, ssr, len(names))
+        if deficient:
+            notes = (*notes, "some parameters are unidentifiable from this curve")
+    else:  # the SVD cannot take it, and the search ran on overflowed numbers
+        sigmas, why = np.full(len(names), math.inf), _OVERFLOW_NOTE
     return FitResult(
-        parameters={name: float(v) for name, v in zip(names, x)},
-        uncertainties={name: float(s) for name, s in zip(names, sigmas)},
+        parameters=dict(zip(names, x.tolist())),
+        uncertainties=dict(zip(names, sigmas.tolist())),
         residual_norm=math.sqrt(ssr / r.size),
-        converged=converged,
+        converged=why is None,
         iterations=iterations,
         gradient_norm=float(np.max(np.abs(jac.T @ r))),
-        notes=tuple(notes),
+        notes=tuple(notes) if why is None else (why, *notes),
     )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_decay(curve: BuildupCurve) -> FitResult:
     """Fit P(t) = offset + (p0 - offset) exp(-t / t_const).
 
     Needs at least four samples. A constant curve cannot determine t_const
-    and comes back with converged False rather than raising.
+    and comes back with converged False rather than raising, and so does a
+    curve at whose scale the model overflows.
     """
     if len(curve) < _MIN_SAMPLES:
         raise ValidationError(f"decay fit needs at least {_MIN_SAMPLES} samples, got {len(curve)}")
@@ -211,7 +227,7 @@ def fit_decay(curve: BuildupCurve) -> FitResult:
     y = curve.values
     names = ("p0", "t_const", "offset")
 
-    if float(np.ptp(y)) == 0.0:
+    if y.max() == y.min():
         c = float(y[0])
         return FitResult(
             parameters={"p0": c, "t_const": math.nan, "offset": c},
@@ -222,26 +238,27 @@ def fit_decay(curve: BuildupCurve) -> FitResult:
             notes=("degenerate curve: constant values leave t_const unidentifiable",),
         )
 
-    ybar = float(y.mean())
+    ybar = float(np.add.reduce(y)) / t.size  # bitwise y.mean(), as is e_mean below
     ym = y - ybar
 
     def scan_ssr(rates):
         e = np.multiply.outer(-rates, t)
         np.exp(e, out=e)
-        s1 = e.sum(axis=1)
+        s1 = np.add.reduce(e, axis=1)
         see = np.einsum("ij,ij->i", e, e) - s1 * s1 / t.size
         sy = e @ ym
-        return -np.divide(sy * sy, see, out=np.zeros_like(sy), where=see > 0.0)
+        return -np.divide(sy * sy, see, out=np.zeros(rates.size), where=see > 0.0)
 
     def solve(k):
         # offset + a exp(-k t) is a centred one-column regression for fixed k
         e = np.exp(-k * t)
-        em = e - e.mean()
+        e_mean = float(np.add.reduce(e)) / t.size
+        em = e - e_mean
         den = float(em @ em)  # 0 once exp(-k t) underflows at every sample
         a = float(em @ ym) / den if den > 0.0 else 0.0
-        offset = ybar - a * float(e.mean())
+        offset = ybar - a * e_mean
         r = offset + a * e - y
-        return np.array([a + offset, 1.0 / k, offset]), r, -a * float((t * e) @ r)
+        return (a + offset, 1.0 / k, offset), r, -a * float((t * e) @ r)
 
     def jacobian(p):
         e = np.exp(-t / p[1])
@@ -250,12 +267,14 @@ def fit_decay(curve: BuildupCurve) -> FitResult:
     return _varpro(names, _rate_scan(t), scan_ssr, solve, jacobian)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_buildup(curve: BuildupCurve) -> FitResult:
     """Fit P(t) = amplitude * (1 - exp(-rate t)).
 
     Only the asymptote and the total rate are identifiable from a buildup
     curve alone; the result carries a note saying so. Identically zero data
-    converge to zero amplitude with the rate flagged unidentifiable.
+    converge to zero amplitude with the rate flagged unidentifiable. A curve
+    at whose scale the model overflows comes back with converged False.
     """
     if len(curve) < _MIN_SAMPLES:
         raise ValidationError(f"buildup fit needs at least {_MIN_SAMPLES} samples, got {len(curve)}")
@@ -267,7 +286,7 @@ def fit_buildup(curve: BuildupCurve) -> FitResult:
         "splitting the buildup and relaxation times needs an independent relaxation measurement"
     )
 
-    if float(np.max(np.abs(y))) == 0.0:
+    if not y.any():
         return FitResult(
             parameters={"amplitude": 0.0, "rate": 0.0},
             uncertainties={"amplitude": 0.0, "rate": math.inf},
@@ -276,7 +295,7 @@ def fit_buildup(curve: BuildupCurve) -> FitResult:
             iterations=0,
             notes=("rate unidentifiable: curve amplitude is zero", identifiability),
         )
-    if float(np.ptp(y)) == 0.0:
+    if y.max() == y.min():
         return FitResult(
             parameters={"amplitude": float(y[0]), "rate": math.nan},
             uncertainties={"amplitude": 0.0, "rate": math.inf},
@@ -297,7 +316,7 @@ def fit_buildup(curve: BuildupCurve) -> FitResult:
         b = 1.0 - e
         amplitude = float(b @ y) / float(b @ b)
         r = amplitude * b - y
-        return np.array([amplitude, k]), r, amplitude * float((t * e) @ r)
+        return (amplitude, k), r, amplitude * float((t * e) @ r)
 
     def jacobian(p):
         e = np.exp(-p[1] * t)
@@ -312,7 +331,7 @@ def disentangle_buildup(fit: FitResult, tr_minutes: float) -> KineticsParams:
     1/td = rate - 1/tr and pe = amplitude (1 + td/tr). The fitted rate must
     exceed the relaxation rate, otherwise no positive buildup time exists.
     """
-    if tr_minutes <= 0.0:
+    if not tr_minutes > 0.0:
         raise ValidationError(f"tr_minutes must be positive, got {tr_minutes}")
     amplitude = fit.parameters["amplitude"]
     rate = fit.parameters["rate"]

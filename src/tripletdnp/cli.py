@@ -170,6 +170,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
+    if args.tr_minutes is not None:
+        if args.model != "buildup":
+            raise ValidationError("--tr-minutes applies to --model buildup only")
+        if not args.tr_minutes > 0.0:
+            raise ValidationError(f"--tr-minutes must be positive, got {args.tr_minutes}")
     curve = read_curve(args.curve)
     fit = fit_buildup(curve) if args.model == "buildup" else fit_decay(curve)
 
@@ -182,7 +187,7 @@ def cmd_fit(args) -> int:
     for name, value in fit.parameters.items():
         rows.append((name, repr(value)))
         rows.append((f"{name}_sigma", repr(fit.uncertainties[name])))
-    if args.model == "buildup" and args.tr_minutes is not None and fit.converged:
+    if args.tr_minutes is not None and fit.converged:
         derived = disentangle_buildup(fit, args.tr_minutes)
         rows.append(("tr_minutes_input", repr(args.tr_minutes)))
         rows.append(("td_minutes", repr(derived.td_minutes)))
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tr-minutes",
         type=float,
         default=None,
-        help="independently measured relaxation constant; with --model buildup also reports td and pe",
+        help="independently measured relaxation constant (--model buildup only); also reports td and pe",
     )
     _add_common(fit)
     fit.set_defaults(func=cmd_fit)

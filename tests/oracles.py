@@ -2,11 +2,12 @@
 
 Everything here deliberately takes a different route than the package:
 spin matrices are built in the Zeeman basis and transformed, eigenvalues
-come from the characteristic polynomial, and the swept-passage transfer
+come from the characteristic polynomial, the swept-passage transfer
 probability comes from direct numerical propagation of the two-level
-Schrodinger equation, and curve files are read and checked one row at a
-time. Agreement between these and the package is the point of the tests,
-so nothing below may import from tripletdnp.
+Schrodinger equation, curve files are read and checked one row at a time,
+and the exponential fits keep the plain numpy calls they were first
+written with. Agreement between these and the package is the point of the
+tests, so nothing below may import from tripletdnp.
 """
 
 import math
@@ -204,3 +205,176 @@ def read_curve_by_rows(path):
     if not times:
         return f"row {len(lines)}: file has no data rows"
     return np.array(times), np.array(values), kind
+
+
+_ORACLE_MAX_ITERATIONS = 200
+_BUILDUP_NOTE = (
+    "amplitude and rate are the only combinations identifiable from a buildup curve; "
+    "splitting the buildup and relaxation times needs an independent relaxation measurement"
+)
+
+
+def _oracle_uncertainties(jac, ssr, n_params):
+    n = jac.shape[0]
+    dof = max(n - n_params, 1)
+    sigma2 = ssr / dof
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    rank_tol = s[0] * 1e-12 if s.size and s[0] > 0 else 0.0
+    deficient = bool(np.any(s <= rank_tol))
+    var = np.full(n_params, math.inf)
+    good = s > rank_tol
+    if np.any(good):
+        contrib = (vt[good].T ** 2) / s[good] ** 2
+        var_finite = sigma2 * contrib.sum(axis=1)
+        null_weight = (vt[~good].T ** 2).sum(axis=1) if deficient else np.zeros(n_params)
+        for i in range(n_params):
+            var[i] = math.inf if null_weight[i] > 1e-12 else var_finite[i]
+    return np.sqrt(var), deficient
+
+
+def _oracle_result(names, x, r, jacobian, converged, iterations, notes):
+    jac = jacobian(x)
+    ssr = float(r @ r)
+    sigmas, deficient = _oracle_uncertainties(jac, ssr, len(names))
+    if deficient:
+        notes = (*notes, "some parameters are unidentifiable from this curve")
+    return {
+        "parameters": {name: float(v) for name, v in zip(names, x)},
+        "uncertainties": {name: float(s) for name, s in zip(names, sigmas)},
+        "residual_norm": math.sqrt(ssr / r.size),
+        "converged": converged,
+        "iterations": iterations,
+        "gradient_norm": float(np.max(np.abs(jac.T @ r))),
+        "notes": tuple(notes),
+    }
+
+
+def _oracle_varpro(names, rates, scan_ssr, solve, jacobian, notes=()):
+    i = int(np.argmin(scan_ssr(rates)))
+    k = rates[i]
+    x, r, g = solve(k)
+    if i in (0, rates.size - 1):
+        why = (
+            f"smallest SSR at the edge of the scanned rates ({rates[0]:.3g} to "
+            f"{rates[-1]:.3g} per min): the curve is not a single exponential over its time span"
+        )
+        return _oracle_result(names, x, r, jacobian, False, 0, (why, *notes))
+    k_lo, g_lo = k_hi, g_hi = k, g
+    if g < 0.0:
+        k_hi, g_hi = rates[i + 1], solve(rates[i + 1])[2]
+    elif g > 0.0:
+        k_lo, g_lo = rates[i - 1], solve(rates[i - 1])[2]
+    iterations = moved = 0
+    while g != 0.0:
+        if not g_lo < 0.0 < g_hi:
+            why = (
+                "dSSR/drate does not change sign next to the smallest scanned SSR: "
+                "the SSR is too flat there to locate the rate"
+            )
+            return _oracle_result(names, x, r, jacobian, False, 0, (why, *notes))
+        k = (k_lo * g_hi - k_hi * g_lo) / (g_hi - g_lo)
+        if not k_lo < k < k_hi:
+            break
+        if iterations == _ORACLE_MAX_ITERATIONS:
+            why = f"rate search did not converge in {iterations} steps"
+            return _oracle_result(names, x, r, jacobian, False, iterations, (why, *notes))
+        iterations += 1
+        x, r, g = solve(k)
+        if g < 0.0:
+            k_lo, g_lo = k, g
+            if moved < 0:
+                g_hi *= 0.5
+            moved = -1
+        else:
+            k_hi, g_hi = k, g
+            if moved > 0:
+                g_lo *= 0.5
+            moved = 1
+    return _oracle_result(names, x, r, jacobian, True, iterations, notes)
+
+
+def varpro_fit(t, y, model):
+    """Variable-projection fit of a buildup or decay curve, as plain numpy.
+
+    The reference for bit identity: the rate scan comes from np.geomspace,
+    means from ndarray.mean, the constant-curve test from np.ptp, and the
+    uncertainties from a boolean mask over the singular directions. Returns
+    the FitResult fields as a dict; model is "buildup" or "decay".
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rates = np.geomspace(0.01 / (t[-1] - t[0]), 10.0 / float(np.min(np.diff(t))), 31)
+    flat = {"residual_norm": 0.0, "iterations": 0, "gradient_norm": 0.0}
+    if model == "decay":
+        names = ("p0", "t_const", "offset")
+        if float(np.ptp(y)) == 0.0:
+            c = float(y[0])
+            return {
+                "parameters": {"p0": c, "t_const": math.nan, "offset": c},
+                "uncertainties": {"p0": 0.0, "t_const": math.inf, "offset": 0.0},
+                "converged": False,
+                "notes": ("degenerate curve: constant values leave t_const unidentifiable",),
+                **flat,
+            }
+        ybar = float(y.mean())
+        ym = y - ybar
+
+        def scan_ssr(rates):
+            e = np.multiply.outer(-rates, t)
+            np.exp(e, out=e)
+            s1 = e.sum(axis=1)
+            see = np.einsum("ij,ij->i", e, e) - s1 * s1 / t.size
+            sy = e @ ym
+            return -np.divide(sy * sy, see, out=np.zeros_like(sy), where=see > 0.0)
+
+        def solve(k):
+            e = np.exp(-k * t)
+            em = e - e.mean()
+            den = float(em @ em)
+            a = float(em @ ym) / den if den > 0.0 else 0.0
+            offset = ybar - a * float(e.mean())
+            r = offset + a * e - y
+            return np.array([a + offset, 1.0 / k, offset]), r, -a * float((t * e) @ r)
+
+        def jacobian(p):
+            e = np.exp(-t / p[1])
+            return np.column_stack([e, (p[0] - p[2]) * t / p[1] ** 2 * e, 1.0 - e])
+
+        return _oracle_varpro(names, rates, scan_ssr, solve, jacobian)
+
+    names = ("amplitude", "rate")
+    if float(np.max(np.abs(y))) == 0.0:
+        return {
+            "parameters": {"amplitude": 0.0, "rate": 0.0},
+            "uncertainties": {"amplitude": 0.0, "rate": math.inf},
+            "converged": True,
+            "notes": ("rate unidentifiable: curve amplitude is zero", _BUILDUP_NOTE),
+            **flat,
+        }
+    if float(np.ptp(y)) == 0.0:
+        return {
+            "parameters": {"amplitude": float(y[0]), "rate": math.nan},
+            "uncertainties": {"amplitude": 0.0, "rate": math.inf},
+            "converged": False,
+            "notes": ("degenerate curve: constant nonzero values", _BUILDUP_NOTE),
+            **flat,
+        }
+
+    def scan_ssr(rates):
+        b = np.multiply.outer(-rates, t)
+        np.expm1(b, out=b)
+        by = b @ y
+        return -by * by / np.einsum("ij,ij->i", b, b)
+
+    def solve(k):
+        e = np.exp(-k * t)
+        b = 1.0 - e
+        amplitude = float(b @ y) / float(b @ b)
+        r = amplitude * b - y
+        return np.array([amplitude, k]), r, amplitude * float((t * e) @ r)
+
+    def jacobian(p):
+        e = np.exp(-p[1] * t)
+        return np.column_stack([1.0 - e, p[0] * t * e])
+
+    return _oracle_varpro(names, rates, scan_ssr, solve, jacobian, (_BUILDUP_NOTE,))

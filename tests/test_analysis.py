@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tripletdnp import (
     BuildupCurve,
@@ -17,7 +19,9 @@ from tripletdnp import (
     fit_decay,
     relaxation_decay,
 )
-from tripletdnp.analysis import MAX_ITERATIONS, FitResult
+from tripletdnp.analysis import MAX_ITERATIONS, FitResult, _rate_scan
+
+import oracles
 
 REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
 
@@ -196,6 +200,16 @@ class TestDisentangleBuildup:
         with pytest.raises(InconsistencyError, match="rate"):
             disentangle_buildup(self._fit(0.3, 1.0 / 57.1), 57.1)
 
+    @pytest.mark.parametrize("tr", [math.nan, 0.0, -57.1, -math.inf])
+    def test_nonpositive_or_nan_tr_rejected(self, tr):
+        with pytest.raises(ValidationError, match="tr_minutes must be positive"):
+            disentangle_buildup(self._fit(0.610, 0.06701), tr)
+
+    def test_infinite_tr_means_no_relaxation(self):
+        params = disentangle_buildup(self._fit(0.610, 0.06701), math.inf)
+        assert params.td_minutes == 1.0 / 0.06701
+        assert params.pe == 0.610
+
     def test_fit_roundtrip_recovers_inputs(self):
         rng = np.random.default_rng(60)
         t = np.linspace(0.0, 120.0, 25)
@@ -274,3 +288,95 @@ class TestCalibratePolarization:
     def test_non_finite_inputs_rejected(self, args):
         with pytest.raises(ValidationError, match="finite"):
             NmrCalibration(*args)
+
+
+def _same(got, want):
+    """Equal bit for bit (the sign of zero included), with NaN equal to NaN."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_same(got[k], want[k]) for k in want)
+    if isinstance(want, float):
+        if math.isnan(want):
+            return math.isnan(got)
+        return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    return type(got) is type(want) and got == want
+
+
+def _assert_matches_oracle(t, y, model):
+    fit = (fit_buildup if model == "buildup" else fit_decay)(BuildupCurve(t, y))
+    got = dataclasses.asdict(fit)
+    for field, value in oracles.varpro_fit(t, y, model).items():
+        assert _same(got[field], value), (field, got[field], value)
+    return fit
+
+
+def _noisy_curve(model, log_rows, log_span, uniform, relative_rate, amplitude, offset, log_noise, seed):
+    rng = np.random.default_rng(seed)
+    n, span = int(round(10.0**log_rows)), 10.0**log_span
+    t = np.linspace(0.0, span, n) if uniform else np.unique(rng.uniform(0.0, span, n))
+    rate = relative_rate / span
+    if model == "buildup":
+        clean = amplitude * -np.expm1(-rate * t)
+    else:
+        clean = offset + (amplitude - offset) * np.exp(-rate * (t - t[0]))
+    return t, clean + abs(amplitude) * 10.0**log_noise * rng.normal(size=t.size)
+
+
+class TestFitsMatchOracle:
+    """fit_buildup and fit_decay return oracles.varpro_fit's result bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        model=st.sampled_from(["buildup", "decay"]),
+        log_rows=st.floats(math.log10(4.0), math.log10(5000.0)),
+        log_span=st.floats(-3.0, 4.0),
+        uniform=st.booleans(),
+        relative_rate=st.floats(0.3, 30.0),
+        amplitude=st.sampled_from([0.61, -0.3, 2.0]),
+        offset=st.sampled_from([0.0, 0.1, -0.1]),
+        log_noise=st.floats(-4.0, math.log10(0.2)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noisy_curves(self, model, **curve):
+        """Both models, 4-5,000 rows on uniform or random grids over spans of
+        1e-3 to 1e4 min, decay offsets 0 and +-0.1, noise 1e-4 to 0.2 of the
+        amplitude."""
+        _assert_matches_oracle(*_noisy_curve(model, **curve), model)
+
+    @pytest.mark.parametrize("model", ["buildup", "decay"])
+    @pytest.mark.parametrize(
+        "values",
+        [np.full(12, 0.3), np.zeros(12), np.r_[1.0, np.zeros(11)], -np.linspace(0.1, 0.2, 12)],
+        ids=["constant", "zero", "step", "line"],
+    )
+    def test_constant_zero_step_and_line_curves(self, model, values):
+        _assert_matches_oracle(np.linspace(0.0, 11.0, 12), values, model)
+
+    @pytest.mark.parametrize("model", ["buildup", "decay"])
+    @pytest.mark.parametrize("span", [1e-15, 1e14])
+    def test_rank_deficient_jacobian(self, model, span):
+        t = np.linspace(0.0, span, 40)
+        noise = 0.001 * np.random.default_rng(1).normal(size=t.size)
+        shape = np.exp(-3.0 * t / span) if model == "decay" else -np.expm1(-3.0 * t / span)
+        fit = _assert_matches_oracle(t, 0.5 * shape + noise, model)
+        assert "some parameters are unidentifiable from this curve" in fit.notes
+        assert math.inf in fit.uncertainties.values()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        exponent=st.floats(-320.0, 307.0),
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        uniform=st.booleans(),
+    )
+    def test_rate_scan_is_geomspace(self, exponent, n, seed, uniform):
+        span = 10.0**exponent
+        if uniform:
+            t = np.linspace(0.0, span, n)
+        else:
+            t = np.unique(np.random.default_rng(seed).uniform(0.0, span, n))
+        if t.size < 2 or not np.all(np.diff(t) > 0.0):
+            return
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want = np.geomspace(0.01 / (t[-1] - t[0]), 10.0 / float(np.min(np.diff(t))), 31)
+            got = _rate_scan(t)
+        assert np.array_equal(got, want, equal_nan=True)

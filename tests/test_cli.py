@@ -1,7 +1,14 @@
+import contextlib
+import io
+import math
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tripletdnp import KineticsParams, buildup_closed_form, buildup_ode, read_curve
 from tripletdnp.cli import main
@@ -314,6 +321,81 @@ class TestFit:
     def test_missing_file_io_error(self, tmp_path, capsys):
         code, cap = run(["fit", tmp_path / "nope.csv", "--model", "decay"], capsys)
         assert code == 5
+
+    @pytest.mark.parametrize(
+        "model, rows",
+        [
+            ("buildup", "0,1e308\n1,-1e308\n2,1e308\n3,-1e308\n4,1e308\n"),
+            ("decay", "0,0.5\n5e-301,0.4\n1e-300,0.3\n1.5e-300,0.25\n2e-300,0.2\n3e-300,0.1\n"),
+        ],
+        ids=["buildup_values_1e308", "decay_span_3e-300_min"],
+    )
+    def test_overflow_at_curve_scale_exits_4_with_note(self, tmp_path, capsys, model, rows):
+        curve = tmp_path / "extreme.csv"
+        curve.write_text("time_min,value\n" + rows)
+        code, cap = run(["fit", curve, "--model", model, "--out", tmp_path / "r.txt"], capsys)
+        assert code == 4
+        assert cap.err == ""
+        assert "converged: false" in cap.out
+        assert cap.out.count("note: the model overflows at this curve's scale") == 1
+        sigmas = [line for line in cap.out.splitlines() if "_sigma: " in line]
+        assert sigmas and all(line.endswith(": inf") for line in sigmas)
+
+    def test_tr_minutes_with_decay_model_rejected(self, tmp_path, capsys):
+        curve = tmp_path / "decay.csv"
+        curve.write_text("time_min,value\n" + "".join(f"{i},{0.5 * 0.8**i!r}\n" for i in range(8)))
+        out = tmp_path / "r.txt"
+        code, cap = run(["fit", curve, "--model", "decay", "--tr-minutes", 57.1, "--out", out], capsys)
+        assert code == 3
+        assert cap.err == "error: --tr-minutes applies to --model buildup only\n"
+        assert cap.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("tr", ["nan", "0", "-57.1"])
+    def test_nonpositive_or_nan_tr_minutes_rejected_before_fitting(self, cfg, tmp_path, capsys, tr):
+        curve = tmp_path / "curve.csv"
+        run(["simulate", "--config", cfg, "--duration-min", 150, "--out", curve], capsys)
+        code, cap = run(["fit", curve, "--model", "buildup", "--tr-minutes", tr], capsys)
+        assert code == 3
+        assert cap.err == f"error: --tr-minutes must be positive, got {float(tr)}\n"
+        assert cap.out == ""
+
+
+EXTREME_TIMES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 7.0, 1e300,
+                 1.7976931348623157e308]
+EXTREME_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 0.5, -1.0, 1e300, 1e308, -1e308,
+                  1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    model=st.sampled_from(["buildup", "decay"]),
+    grid=st.one_of(
+        st.lists(st.sampled_from(EXTREME_TIMES), min_size=4, max_size=8, unique=True).map(sorted),
+        st.tuples(st.sampled_from(EXTREME_TIMES), st.sampled_from(EXTREME_TIMES[1:]),
+                  st.integers(4, 8)).map(lambda a: sorted({a[0] + a[1] * i for i in range(a[2])})),
+    ),
+    values=st.one_of(
+        st.lists(st.sampled_from(EXTREME_VALUES), min_size=8, max_size=8),
+        st.sampled_from(EXTREME_VALUES).map(lambda v: [v * 0.5**i for i in range(8)]),
+    ),
+    tr=st.none() | st.sampled_from(EXTREME_TIMES[1:] + [math.inf]),
+)
+def test_fit_of_finite_extremes_ends_in_a_documented_exit_code(model, grid, values, tr):
+    """Curve files drawn from +-1e+-308, subnormals, 0 and tiny or huge time
+    spans: every fit ends in exit 0, 3 or 4 with no traceback and no warning."""
+    flags = [] if tr is None else ["--tr-minutes", repr(tr)]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = Path(tmp) / "curve.csv"
+        curve.write_text("time_min,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(grid, values)))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["fit", str(curve), "--model", model, "--out", str(Path(tmp) / "r.txt"), *flags])
+    assert code in (0, 3, 4)
+    if code == 3:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 class TestDecompose:
