@@ -196,7 +196,7 @@ def _result(names, x, r, jacobian, iterations, notes, why=None) -> FitResult:
     x = np.array(x)
     jac = jacobian(x)
     ssr = float(r @ r)
-    if np.isfinite(jac).all() and np.isfinite(r).all():
+    if math.isfinite(ssr) and np.isfinite(jac).all():  # a finite SSR means a finite residual
         sigmas, deficient = _uncertainties(jac, ssr, len(names))
         if deficient:
             notes = (*notes, "some parameters are unidentifiable from this curve")

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .analysis import (
     fit_decay,
 )
 from .config import ToolkitConfig, default_config, parse_config
-from .curveio import read_curve, write_curve
+from .curveio import read_curve, write_curve, write_text
 from .errors import ValidationError
 from .ise import (
     ShotModel,
@@ -88,8 +89,8 @@ def _report(args, out_path: Path, rows: list[tuple[str, str]], notes=()) -> None
         rows = rows + [("seed", str(args.seed))]
     lines = [f"{k}: {v}" for k, v in rows] + [f"note: {note}" for note in notes]
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(lines) + "\n")
-    out_path.with_suffix(".csv").write_text("\n".join(f"{k},{v}" for k, v in rows) + "\n")
+    write_text(out_path, "\n".join(lines) + "\n")
+    write_text(out_path.with_suffix(".csv"), "\n".join(f"{k},{v}" for k, v in rows) + "\n")
     print("\n".join(lines))
 
 
@@ -237,7 +238,9 @@ def cmd_calibrate(args) -> int:
         spin_count_ratio=args.spin_count_ratio,
         gain_ratio=args.gain_ratio,
     )
-    polarization = calibrate_polarization(cal)
+    with warnings.catch_warnings(record=True) as clamped:  # reported as a note, not on stderr
+        warnings.simplefilter("always")
+        polarization = calibrate_polarization(cal)
 
     rows = [
         ("enhanced_signal", repr(args.enhanced)),
@@ -251,7 +254,8 @@ def cmd_calibrate(args) -> int:
         baseline = thermal_polarization(cfg.field.magnitude_tesla, cfg.temperature_kelvin)
         rows.append(("thermal_polarization_baseline", repr(baseline)))
         rows.append(("enhancement_factor", repr(polarization / baseline)))
-    _report(args, _out_path(args, cfg, "calibrate_report.txt"), rows)
+    notes = [str(w.message) for w in clamped]
+    _report(args, _out_path(args, cfg, "calibrate_report.txt"), rows, notes=notes)
     return EXIT_OK
 
 
@@ -269,6 +273,10 @@ def _sweep_values(args) -> list[float]:
         raise ValidationError(f"--num must be at least 1, got {args.num}")
     if args.num > MAX_POINTS:
         raise ValidationError(f"--num must be at most {MAX_POINTS:,}, got {args.num}")
+    if not math.isfinite(args.stop - args.start):  # Python floats overflow to inf without a warning
+        raise ValidationError(
+            f"--start and --stop must be finite and less than 1.8e308 apart, got {args.start} and {args.stop}"
+        )
     return [float(v) for v in np.linspace(args.start, args.stop, args.num)]
 
 
@@ -302,7 +310,7 @@ def cmd_sweep(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{args.parameter},final_polarization"]
     lines += [f"{v!r},{p!r}" for v, p in results]
-    out.write_text("\n".join(lines) + "\n")
+    write_text(out, "\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK
 

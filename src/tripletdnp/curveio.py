@@ -10,6 +10,7 @@ write/read cycle reproduces a curve exactly.
 from __future__ import annotations
 
 import math
+import os
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -103,4 +104,23 @@ def write_curve(path, curve: BuildupCurve) -> None:
     repr cells. Its checks were made in BuildupCurve, which built the curve."""
     out = [f"# value_kind: {curve.value_kind.value}", "time_min,value"]
     out += [f"{t!r},{v!r}" for t, v in zip(curve.times_min.tolist(), curve.values.tolist())]
-    Path(path).write_text("\n".join(out) + "\n")
+    write_text(path, "\n".join(out) + "\n")
+
+
+def write_text(path, text: str) -> None:
+    """Write text as UTF-8 over the file at path, in place, creating it if absent.
+
+    Opening an existing file with O_TRUNC makes ext4 (auto_da_alloc) start
+    writeback of the new data at close, which costs more than the write; so
+    the file is opened without it, written from the start, and cut to
+    length only if the old contents were longer. The bytes on disk are
+    those of a truncating write. A non-regular target such as /dev/null or
+    a FIFO reports size 0 and is never truncated, which it could not be.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as f:
+        stale = os.fstat(fd).st_size > len(data)
+        f.write(data)
+        if stale:
+            f.truncate()

@@ -159,9 +159,9 @@ def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = False) -> Bu
     h_max = min(params.td_minutes, params.tr_minutes) / 1000.0
 
     spans = np.diff(grid)
-    with np.errstate(over="ignore"):  # a subnormal h_max gives inf steps, rejected below
+    with np.errstate(over="ignore"):  # a subnormal h_max or a huge span gives an inf total, rejected below
         steps = np.maximum(1.0, np.ceil(spans / h_max))
-    total = float(steps.sum())
+        total = float(steps.sum())
     if not total <= MAX_RK4_STEPS:
         raise ValidationError(
             f"time grid needs {total:.3g} RK4 steps of at most min(td, tr)/1000 = {h_max:.3g} min, "

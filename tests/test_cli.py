@@ -1,6 +1,8 @@
 import contextlib
 import io
 import math
+import os
+import re
 import tempfile
 import time
 import warnings
@@ -8,10 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tripletdnp import KineticsParams, buildup_closed_form, buildup_ode, read_curve
-from tripletdnp.cli import main
+from tripletdnp import (
+    BuildupCurve,
+    KineticsParams,
+    buildup_closed_form,
+    buildup_ode,
+    read_curve,
+    write_curve,
+)
+from tripletdnp.cli import SWEEP_PARAMETERS, main
 
 REFERENCE_CFG = """
 [field]
@@ -341,6 +350,20 @@ class TestFit:
         sigmas = [line for line in cap.out.splitlines() if "_sigma: " in line]
         assert sigmas and all(line.endswith(": inf") for line in sigmas)
 
+    def test_overflow_in_the_rate_scan_leads_with_the_overflow_note(self, tmp_path, capsys):
+        # values near 1e200 overflow the scan's SSR, whose smallest value then lands on an edge rate
+        rng = np.random.default_rng(0)
+        t = np.linspace(0.0, 100.0, 30)
+        y = 1e200 * (1.0 - np.exp(-t / 20.0)) * (1.0 + 0.01 * rng.standard_normal(30))
+        curve, report = tmp_path / "c.csv", tmp_path / "r.txt"
+        write_curve(curve, BuildupCurve(t, y))
+        code, cap = run(["fit", curve, "--model", "buildup", "--out", report], capsys)
+        assert code == 4
+        notes = [line for line in cap.out.splitlines() if line.startswith("note: ")]
+        assert notes[0].startswith("note: the model overflows at this curve's scale")
+        for text in (cap.out, report.read_text(), report.with_suffix(".csv").read_text()):
+            assert not re.search(r"\bnan\b", text)
+
     def test_tr_minutes_with_decay_model_rejected(self, tmp_path, capsys):
         curve = tmp_path / "decay.csv"
         curve.write_text("time_min,value\n" + "".join(f"{i},{0.5 * 0.8**i!r}\n" for i in range(8)))
@@ -396,6 +419,62 @@ def test_fit_of_finite_extremes_ends_in_a_documented_exit_code(model, grid, valu
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == ""
+
+
+FLAG_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-308, -1e-308, 0.5, 1.0, -1.0, 57.1, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf]
+FLAG = st.sampled_from(FLAG_VALUES).map(repr)
+COUNTS = st.sampled_from([0, 1, 2, 5, -1, 10**5 + 1, 10**18]).map(str)
+
+
+def _flag(name, values=FLAG):
+    """`--name=value`, so argparse takes a value such as -1e+308 for a value, not an option."""
+    return values.map(lambda v: [f"{name}={v}"])
+
+
+def _optional(name, values=FLAG):
+    return st.just([]) | _flag(name, values)
+
+
+def _args(*groups):
+    """The argument groups drawn in order, as one argv list."""
+    return st.tuples(*groups).map(lambda drawn: [arg for group in drawn for arg in group])
+
+
+# decompose's positionals follow "--" for the same reason as _flag
+CALLS = st.one_of(
+    _args(st.just(["simulate"]), _flag("--duration-min"),
+          _flag("--mode", st.sampled_from(["closed_form", "ode", "shots"])),
+          _optional("--points", COUNTS), st.sampled_from([[], ["--include-pth"]])),
+    _args(st.just(["decompose"]), _optional("--reference-te"), _optional("--tolerance-pct"),
+          st.lists(FLAG, min_size=2, max_size=2).map(lambda v: ["--", *v])),
+    _args(st.just(["calibrate"]), _flag("--enhanced"), _flag("--reference"),
+          _optional("--reference-thermal-polarization"), _optional("--spin-count-ratio"),
+          _optional("--gain-ratio"), st.sampled_from([[], ["--verbose"]])),
+    _args(st.sampled_from(sorted(SWEEP_PARAMETERS)).map(lambda p: ["sweep", p]),
+          _flag("--values", st.lists(FLAG, min_size=1, max_size=3).map(",".join))
+          | _args(_flag("--start"), _flag("--stop"), _flag("--num", COUNTS))),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=CALLS)
+def test_flags_at_float_extremes_end_in_a_documented_exit_code(tmp_path, argv):
+    """simulate, decompose, calibrate and sweep with numeric flags from +-1e+-308,
+    subnormals, 0, NaN and +-inf, and counts at and past their limits: every call
+    ends in exit 0, 3, 4 or 5 with no traceback and no warning. The outputs land
+    on the same paths call after call, so each call also overwrites the last."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], f"--out={tmp_path / 'out.csv'}", *argv[1:]])
+    assert code in (0, 3, 4, 5)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith(("error: ", "i/o error: "))
 
 
 class TestDecompose:
@@ -582,6 +661,54 @@ class TestSweep:
         code, cap = run(["sweep", "tr", "--config", cfg], capsys)
         assert code == 3
 
+
+
+class TestOutputFiles:
+    """Outputs are rewritten in place with the bytes of a fresh write."""
+
+    def test_shorter_report_overwrites_longer(self, tmp_path, capsys):
+        out, fresh = tmp_path / "r.txt", tmp_path / "fresh" / "r.txt"
+        long = ["decompose", 132, 57.1, "--reference-te", 96.9, "--seed", 123456789]
+        short = ["decompose", 132, 57.1]
+        run([*long, "--out", out], capsys)
+        inodes = [out.stat().st_ino, out.with_suffix(".csv").stat().st_ino]
+        run([*short, "--out", out], capsys)
+        run([*short, "--out", fresh], capsys)
+        assert out.read_bytes() == fresh.read_bytes()
+        assert out.with_suffix(".csv").read_bytes() == fresh.with_suffix(".csv").read_bytes()
+        assert [out.stat().st_ino, out.with_suffix(".csv").stat().st_ino] == inodes
+
+    def test_shorter_sweep_overwrites_longer(self, cfg, tmp_path, capsys):
+        out, fresh = tmp_path / "s.csv", tmp_path / "fresh.csv"
+        run(["sweep", "tr", "--config", cfg, "--start", 10, "--stop", 100, "--num", 50, "--out", out], capsys)
+        inode = out.stat().st_ino
+        for path in (out, fresh):
+            run(["sweep", "tr", "--config", cfg, "--values", "57.1", "--out", path], capsys)
+        assert out.read_bytes() == fresh.read_bytes()
+        assert out.stat().st_ino == inode
+
+    def test_symlinked_out_keeps_the_link(self, cfg, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("stale\n" * 1000)
+        link.symlink_to(target)
+        code, cap = run(["sweep", "tr", "--config", cfg, "--values", "57.1", "--out", link], capsys)
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == cap.out  # sweep echoes its CSV
+
+    def test_out_to_dev_null(self, capsys):
+        code, cap = run(["sweep", "tr", "--values", "57.1,96.9", "--out", os.devnull], capsys)
+        assert code == 0 and cap.err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "tr", "--values", "57.1"], ["decompose", 132, 57.1], ["simulate", "--duration-min", 10]],
+        ids=["sweep", "report", "curve"],
+    )
+    def test_out_naming_a_directory_exits_5(self, tmp_path, capsys, argv):
+        code, cap = run([*argv, "--out", tmp_path], capsys)
+        assert code == 5
+        assert cap.err.startswith("i/o error: ") and cap.err.count("\n") == 1
 
 def test_usage_error_on_no_command(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -229,3 +232,48 @@ def test_write_curve_bytes_are_pinned(tmp_path):
         b"# value_kind: polarization\ntime_min,value\n"
         b"0.0,-0.0\n1e-05,0.1\n0.1,1e-05\n1e+16,-1e+16\n1.7976931348623157e+308,5e-324\n"
     )
+
+
+def _curve(rows: int) -> BuildupCurve:
+    rng = np.random.default_rng(rows)
+    return BuildupCurve(np.cumsum(rng.uniform(0.1, 1.0, size=rows)), rng.normal(size=rows))
+
+
+def test_overwrite_with_shorter_curve_matches_fresh_write(tmp_path):
+    p, fresh = tmp_path / "c.csv", tmp_path / "fresh.csv"
+    write_curve(p, _curve(5000))
+    inode = p.stat().st_ino
+    write_curve(p, _curve(20))
+    write_curve(fresh, _curve(20))
+    assert p.read_bytes() == fresh.read_bytes()  # no stale tail of the longer file
+    assert p.stat().st_ino == inode  # rewritten in place, not replaced
+
+
+def test_new_file_mode_follows_umask(tmp_path):
+    p = tmp_path / "c.csv"
+    old = os.umask(0o027)
+    try:
+        write_curve(p, _curve(3))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~0o027
+
+
+def test_write_to_dev_null():
+    write_curve(os.devnull, _curve(20))
+
+
+def test_write_to_fifo(tmp_path):
+    fifo, regular = tmp_path / "pipe", tmp_path / "c.csv"
+    os.mkfifo(fifo)
+    write_curve(regular, _curve(20))
+    # a reader opened without blocking lets the writer's open return at once; 20 rows fit the pipe
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_curve(fifo, _curve(20))
+        chunks = [os.read(reader, 1 << 16)]
+        while chunks[-1]:
+            chunks.append(os.read(reader, 1 << 16))
+    finally:
+        os.close(reader)
+    assert b"".join(chunks) == regular.read_bytes()
