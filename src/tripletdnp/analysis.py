@@ -87,7 +87,8 @@ class NmrCalibration:
     """Signal comparison against a thermally polarized reference sample.
 
     spin_count_ratio is (reference 1H count) / (sample 1H count); gain_ratio
-    corrects for different receiver gains between the two measurements.
+    corrects for different receiver gains between the two measurements. The
+    reference's thermal polarization is a polarization, so |value| <= 1.
     """
 
     enhanced_signal: float
@@ -103,6 +104,10 @@ class NmrCalibration:
             raise ValidationError("reference_signal must be nonzero")
         if self.spin_count_ratio <= 0.0 or self.gain_ratio <= 0.0:
             raise ValidationError("spin_count_ratio and gain_ratio must be positive")
+        if not abs(self.reference_thermal_polarization) <= 1.0:
+            raise ValidationError(
+                f"reference_thermal_polarization must lie in [-1, 1], got {self.reference_thermal_polarization}"
+            )
 
 
 def _rate_scan(t: np.ndarray) -> np.ndarray:
@@ -368,7 +373,8 @@ def calibrate_polarization(cal: NmrCalibration) -> float:
     P = (enhanced / reference) * spin_count_ratio * gain_ratio * reference
     thermal polarization. The sign passes through (an emissive line gives a
     negative polarization); a magnitude above 1 is unphysical and is clamped
-    with a warning.
+    with a warning. Where a partial product over- or underflows, the
+    magnitude comes from the sum of the factors' logarithms instead.
     """
     p = (
         cal.enhanced_signal
@@ -377,6 +383,12 @@ def calibrate_polarization(cal: NmrCalibration) -> float:
         * cal.gain_ratio
         * cal.reference_thermal_polarization
     )
+    factors = (cal.enhanced_signal, cal.spin_count_ratio, cal.gain_ratio, cal.reference_thermal_polarization)
+    if 0.0 in factors:
+        p = 0.0 if math.isnan(p) else p  # inf * 0 after an overflow; else the product's signed zero
+    elif p == 0.0 or math.isinf(p):  # no factor is 0, so the sign of p is the true sign
+        log_p = math.fsum(math.log(abs(f)) for f in factors) - math.log(abs(cal.reference_signal))
+        p = math.copysign(math.exp(log_p) if log_p < 709.0 else math.inf, p)
     if abs(p) > 1.0:
         warnings.warn(
             f"calibrated polarization {p} exceeds unit magnitude; clamping. "

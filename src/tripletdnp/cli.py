@@ -177,6 +177,11 @@ def cmd_fit(args) -> int:
         if not args.tr_minutes > 0.0:
             raise ValidationError(f"--tr-minutes must be positive, got {args.tr_minutes}")
     curve = read_curve(args.curve)
+    if args.tr_minutes is not None and curve.value_kind is ValueKind.RAW_SIGNAL:
+        raise ValidationError(
+            f"{args.curve} holds raw_signal values; --tr-minutes derives pe and td from a polarization "
+            "curve, so calibrate the curve to polarization first"
+        )
     fit = fit_buildup(curve) if args.model == "buildup" else fit_decay(curve)
 
     rows: list[tuple[str, str]] = [

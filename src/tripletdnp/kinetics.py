@@ -189,11 +189,16 @@ def steady_state_with_pth(params: KineticsParams) -> float:
     """Fixed point of the rate equation including the thermal floor.
 
     (pe/td + pth/tr) / (1/td + 1/tr); reduces to final_polarization for
-    pth = 0.
+    pth = 0. Where a rate 1/td or 1/tr overflows (a subnormal time constant),
+    the same weighted mean is taken with the ratio td/tr.
     """
     num = params.pe / params.td_minutes + params.pth / params.tr_minutes
     den = 1.0 / params.td_minutes + 1.0 / params.tr_minutes
-    return num / den
+    p = num / den
+    if math.isnan(p):  # inf / inf
+        x = params.td_minutes / params.tr_minutes
+        p = (params.pe + params.pth * x) / (1.0 + x) if x <= 1.0 else (params.pe / x + params.pth) / (1.0 / x + 1.0)
+    return p
 
 
 def relaxation_decay(p0: float, t_const_minutes: float, t_minutes, pth: float = 0.0):

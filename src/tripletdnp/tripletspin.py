@@ -11,7 +11,10 @@ spin polarization available for transfer.
 
 All functions are pure and all value types are immutable after
 construction, so they are safe to share between threads. Every value type
-rejects non-finite numbers (NaN or infinity) with ValidationError.
+rejects non-finite numbers (NaN or infinity) with ValidationError. The
+per-orientation checks and projections run on Python numbers taken from one
+tolist() of each 3x3 array: at this size numpy's per-call dispatch costs
+more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -43,14 +46,12 @@ _TRACE_TOL = 1e-9
 _UNITARY_TOL = 1e-10
 _EIGSUM_TOL = 1e-9
 
-_EYE3 = np.eye(3, dtype=complex)
-_EYE3.setflags(write=False)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
+def _moduli(zs) -> list[float]:
+    """abs() of each entry; [inf] where one overflows (Python raises, numpy gives inf)."""
+    try:
+        return list(map(abs, zs))
+    except OverflowError:
+        return [math.inf]
 
 
 def _all_finite(*values: float) -> bool:
@@ -135,17 +136,24 @@ class SpinHamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)  # a private copy, made read-only below
         if m.shape != (3, 3):
             raise ValidationError(f"Hamiltonian must be 3x3, got shape {m.shape}")
-        scale = abs(m).max()
-        if not math.isfinite(scale):
+        (a, b, c), (d, e, f), (g, h, k) = m.tolist()
+        size = _moduli((a, b, c, d, e, f, g, h, k))
+        if not all(map(math.isfinite, size)):
             raise ValidationError("Hamiltonian entries must be finite")
-        if not abs(m - m.conj().T).max() <= _HERMITIAN_TOL * max(1.0, scale):
+        tol = _HERMITIAN_TOL * max(1.0, *size)
+        # |H - H^H| is symmetric, so the diagonal and upper triangle cover it
+        skew = _moduli((a - a.conjugate(), e - e.conjugate(), k - k.conjugate(),
+                        b - d.conjugate(), c - g.conjugate(), f - h.conjugate()))
+        if not all(x <= tol for x in skew):
             raise ValidationError("Hamiltonian must be Hermitian within 1e-12")
-        if not abs(m[0, 0] + m[1, 1] + m[2, 2]) <= _TRACE_TOL:
+        # abs cannot raise here: the diagonal is now real up to 1e-12 of its size
+        if not abs(a + e + k) <= _TRACE_TOL:
             raise ValidationError("Hamiltonian must be traceless within 1e-9 MHz")
-        object.__setattr__(self, "matrix", _readonly(m))
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -156,8 +164,8 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.eigenvectors, dtype=complex)
+        vals = np.array(self.eigenvalues, dtype=float)  # private copies, made read-only below
+        vecs = np.array(self.eigenvectors, dtype=complex)
         if vals.shape != (3,) or vecs.shape != (3, 3):
             raise ValidationError("eigensystem must hold 3 eigenvalues and a 3x3 eigenvector matrix")
         low, mid, high = vals.tolist()
@@ -165,12 +173,22 @@ class EigenSystem:
             raise ValidationError(f"eigenvalues must be finite, got {vals}")
         if not low <= mid <= high:
             raise ValidationError("eigenvalues must be ascending")
-        if not abs(vecs.conj().T @ vecs - _EYE3).max() <= _UNITARY_TOL:
+        (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = vecs.T.tolist()  # the columns
+        x0, x1, x2 = u0.conjugate(), u1.conjugate(), u2.conjugate()
+        y0, y1, y2 = v0.conjugate(), v1.conjugate(), v2.conjugate()
+        # V^H V - I is Hermitian, so its diagonal and upper triangle cover it
+        gram = _moduli((x0 * u0 + x1 * u1 + x2 * u2 - 1.0, x0 * v0 + x1 * v1 + x2 * v2,
+                        x0 * w0 + x1 * w1 + x2 * w2, y0 * v0 + y1 * v1 + y2 * v2 - 1.0,
+                        y0 * w0 + y1 * w1 + y2 * w2,
+                        w0.conjugate() * w0 + w1.conjugate() * w1 + w2.conjugate() * w2 - 1.0))
+        if not all(x <= _UNITARY_TOL for x in gram):  # max() would drop a NaN
             raise ValidationError("eigenvector set must be unitary within 1e-10")
         if abs(low + mid + high) > _EIGSUM_TOL:
             raise ValidationError("eigenvalue sum must vanish within 1e-9 MHz (traceless Hamiltonian)")
-        object.__setattr__(self, "eigenvalues", _readonly(vals))
-        object.__setattr__(self, "eigenvectors", _readonly(vecs))
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "eigenvectors", vecs)
 
 
 @dataclass(frozen=True)
@@ -229,8 +247,9 @@ def project_populations(eig: EigenSystem, params: TripletParameters) -> FieldPop
     Sudden approximation: the laser pulse populates (Tx, Ty, Tz) faster than
     any spin evolution, so p_i = sum_k |<psi_i|T_k>|^2 p_k.
     """
-    weights = abs(eig.eigenvectors) ** 2  # weights[k, i] = |<T_k|psi_i>|^2
-    p = np.dot(params.zf_populations, weights).tolist()
+    px, py, pz = params.zf_populations
+    p = [px * abs(x) ** 2 + py * abs(y) ** 2 + pz * abs(z) ** 2  # |<T_k|psi_i>|^2 p_k
+         for x, y, z in eig.eigenvectors.T.tolist()]
     total = sum(p)  # unit up to rounding; renormalize the last ulps
     return FieldPopulations((p[0] / total, p[1] / total, p[2] / total))
 
@@ -244,10 +263,11 @@ def electron_polarization(
     (-1, 0, +1); the clamp trims rounding only and passes NaN through.
     Equal populations give exactly zero (trace of S_B).
     """
-    s_b = _spin_form(*field._axis())
-    v = eig.eigenvectors
-    expect = (v.conj() * (s_b @ v)).sum(axis=0).real
-    pe = float(np.dot(pops.populations, expect))
+    bx, by, bz = field._axis()
+    # <psi|S_a|psi> = 2 Im(conj(psi_b) psi_c) over cyclic (a, b, c), from (S_a)_bc = -i eps_abc
+    pe = sum(p * 2.0 * (bx * (y.conjugate() * z).imag + by * (z.conjugate() * x).imag
+                        + bz * (x.conjugate() * y).imag)
+             for p, (x, y, z) in zip(pops.populations, eig.eigenvectors.T.tolist()))
     return max(min(pe, 1.0), -1.0)
 
 

@@ -5,9 +5,10 @@ spin matrices are built in the Zeeman basis and transformed, eigenvalues
 come from the characteristic polynomial, the swept-passage transfer
 probability comes from direct numerical propagation of the two-level
 Schrodinger equation, curve files are read and checked one row at a time,
-and the exponential fits keep the plain numpy calls they were first
-written with. Agreement between these and the package is the point of the
-tests, so nothing below may import from tripletdnp.
+and the exponential fits and the spin chain's validators and projections
+keep the plain numpy calls they were first written with. Agreement
+between these and the package is the point of the tests, so nothing below
+may import from tripletdnp.
 """
 
 import math
@@ -87,6 +88,87 @@ def expectation_polarization(eigvecs, populations, theta, phi):
         v = eigvecs[:, i]
         total += populations[i] * np.real(v.conj() @ s_b @ v)
     return total
+
+
+# The per-orientation spin chain and its validators as they were written on
+# numpy arrays, before the checks and projections moved onto Python numbers.
+# The package must give the same verdicts and messages, the same eigensystem
+# bit for bit, and populations and pe within rounding.
+
+
+def spin_hamiltonian_error(matrix):
+    """The message SpinHamiltonian's numpy validator raised for matrix, or None."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (3, 3):
+        return f"Hamiltonian must be 3x3, got shape {m.shape}"
+    with np.errstate(all="ignore"):
+        scale = abs(m).max()
+        if not math.isfinite(scale):
+            return "Hamiltonian entries must be finite"
+        if not abs(m - m.conj().T).max() <= 1e-12 * max(1.0, scale):
+            return "Hamiltonian must be Hermitian within 1e-12"
+        if not abs(m[0, 0] + m[1, 1] + m[2, 2]) <= 1e-9:
+            return "Hamiltonian must be traceless within 1e-9 MHz"
+    return None
+
+
+def unitarity_gap(vectors):
+    """max |V^H V - I| by numpy's matmul, the quantity the 1e-10 unitarity check bounds."""
+    v = np.asarray(vectors, dtype=complex)
+    with np.errstate(all="ignore"):
+        return abs(v.conj().T @ v - np.eye(3, dtype=complex)).max()
+
+
+def eigensystem_error(values, vectors):
+    """The message EigenSystem's numpy validator raised, or None."""
+    vals = np.asarray(values, dtype=float)
+    vecs = np.asarray(vectors, dtype=complex)
+    if vals.shape != (3,) or vecs.shape != (3, 3):
+        return "eigensystem must hold 3 eigenvalues and a 3x3 eigenvector matrix"
+    low, mid, high = vals.tolist()
+    if not all(math.isfinite(v) for v in (low, mid, high)):
+        return f"eigenvalues must be finite, got {vals}"
+    if not low <= mid <= high:
+        return "eigenvalues must be ascending"
+    if not unitarity_gap(vecs) <= 1e-10:
+        return "eigenvector set must be unitary within 1e-10"
+    if abs(low + mid + high) > 1e-9:
+        return "eigenvalue sum must vanish within 1e-9 MHz (traceless Hamiltonian)"
+    return None
+
+
+def _spin_form(x, y, z, diagonal=(0.0, 0.0, 0.0)):
+    return np.array([
+        [diagonal[0], -1j * z, 1j * y],
+        [1j * z, diagonal[1], -1j * x],
+        [-1j * y, 1j * x, diagonal[2]],
+    ])
+
+
+def spin_chain(d_mhz, e_mhz, zf_populations, b_tesla, theta, phi):
+    """(H, eigenvalues, eigenvectors, populations, pe) for one field orientation.
+
+    H is assembled as the package assembles it, eigh's eigenvector phases are
+    fixed the package's way, and the projections use the array expressions
+    (weights |V|^2 through np.dot, <psi|S_B|psi> through S_B @ V).
+    """
+    st = math.sin(theta)
+    axis = (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+    gamma_b = GAMMA_E_MHZ_PER_T * b_tesla
+    zfs = (d_mhz / 3.0 - e_mhz, d_mhz / 3.0 + e_mhz, -2.0 * d_mhz / 3.0)
+    h = _spin_form(gamma_b * axis[0], gamma_b * axis[1], gamma_b * axis[2], zfs)
+    vals, vecs = np.linalg.eigh(h)
+    phases = []
+    for col in vecs.T.tolist():
+        lead = next((c for c in col if abs(c) > 1e-12), 1.0)
+        phases.append(lead.conjugate() / abs(lead))
+    vecs = vecs * phases
+    p = np.dot(zf_populations, abs(vecs) ** 2).tolist()
+    total = sum(p)
+    pops = (p[0] / total, p[1] / total, p[2] / total)
+    expect = (vecs.conj() * (_spin_form(*axis) @ vecs)).sum(axis=0).real
+    pe = float(np.dot(pops, expect))
+    return h, vals, vecs, pops, max(min(pe, 1.0), -1.0)
 
 
 def landau_zener_numeric(omega1_rad_s, sweep_rate_rad_s2, span_factor=60.0, tail=0.25, nsteps=60000):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,9 @@ from tripletdnp.analysis import MAX_ITERATIONS, FitResult, _rate_scan
 import oracles
 
 REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
+# the finite and non-finite extremes that tests/test_cli.py draws its flags from
+FLOAT_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-308, -1e-308, 0.5, 1.0, -1.0, 57.1, 1e308,
+                  -1e308, 1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf]
 
 
 def decay_curve(t, p0=0.61, tau=57.1, offset=0.0, noise=None, rng=None):
@@ -288,6 +293,57 @@ class TestCalibratePolarization:
     def test_non_finite_inputs_rejected(self, args):
         with pytest.raises(ValidationError, match="finite"):
             NmrCalibration(*args)
+
+    @pytest.mark.parametrize("ref_pol", [57.1, -1.0000000000000002, 1e308])
+    def test_reference_polarization_above_one_rejected(self, ref_pol):
+        with pytest.raises(ValidationError, match=r"\[-1, 1\]"):
+            NmrCalibration(1.0, 1.0, reference_thermal_polarization=ref_pol)
+        NmrCalibration(1.0, 1.0, reference_thermal_polarization=math.copysign(1.0, ref_pol))
+
+    @pytest.mark.parametrize(
+        "enhanced, reference, ref_pol, spins, gain",
+        [
+            (1e308, 5e-324, 0.0, 1.0, 1.0),
+            (1e308, 5e-324, 5e-324, 1e-308, 1e-308),
+            (-1e308, 5e-324, 5e-324, 1e-308, 1e-308),
+            (5e-324, 1e308, 1.0, 1e300, 1e300),
+            (5e-324, -1e308, 1e-300, 1e300, 1e300),
+            (1e308, 5e-324, 1.0, 1.0, 1.0),
+            (1e308, -5e-324, -0.0, 1.0, 1.0),
+        ],
+    )
+    def test_partial_product_over_or_underflow(self, enhanced, reference, ref_pol, spins, gain):
+        """Left to right, 1e308 / 5e-324 is inf and 5e-324 / 1e308 is 0; the
+        exact product is finite, and a true magnitude above 1 still clamps."""
+        exact = Fraction(enhanced) / Fraction(reference) * Fraction(spins) * Fraction(gain) * Fraction(ref_pol)
+        want = float(max(min(exact, 1), -1))
+        with warnings.catch_warnings(record=True) as clamped:
+            warnings.simplefilter("always")
+            got = calibrate_polarization(NmrCalibration(enhanced, reference, ref_pol, spins, gain))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert len(clamped) == (abs(exact) > 1)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(FLOAT_EXTREMES) | st.floats(), min_size=5, max_size=5))
+    def test_construction_validates_or_gives_bounded_fields(self, values):
+        """From finite and non-finite extremes, NmrCalibration either raises
+        ValidationError or holds finite fields inside the documented bounds,
+        and its polarization is finite, within [-1, 1], with the sign of the
+        product of the inputs."""
+        try:
+            cal = NmrCalibration(*values)
+        except ValidationError:
+            return
+        assert all(math.isfinite(v) for v in dataclasses.astuple(cal))
+        assert cal.reference_signal != 0.0 and abs(cal.reference_thermal_polarization) <= 1.0
+        assert cal.spin_count_ratio > 0.0 and cal.gain_ratio > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = calibrate_polarization(cal)
+        assert abs(p) <= 1.0
+        if p != 0.0:
+            assert math.copysign(1.0, p) == math.prod(math.copysign(1.0, v) for v in values)
 
 
 def _same(got, want):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tripletdnp import (
     BuildupCurve,
@@ -20,6 +20,7 @@ from tripletdnp import (
     read_curve,
     write_curve,
 )
+from tripletdnp import cli
 from tripletdnp.cli import SWEEP_PARAMETERS, main
 
 REFERENCE_CFG = """
@@ -373,6 +374,22 @@ class TestFit:
         assert cap.err == "error: --tr-minutes applies to --model buildup only\n"
         assert cap.out == "" and not out.exists()
 
+    def test_tr_minutes_on_raw_signal_rejected_before_fitting(self, tmp_path, capsys, monkeypatch):
+        curve = tmp_path / "raw.csv"
+        t = np.linspace(0.0, 150.0, 61)
+        signal = 2.77e5 * 0.6 * -np.expm1(-t / 15.0)
+        curve.write_text("# value_kind: raw_signal\ntime_min,value\n"
+                         + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), signal.tolist())))
+        out = tmp_path / "r.txt"
+        monkeypatch.setattr(cli, "fit_buildup", lambda curve: pytest.fail("fitted a raw-signal curve"))
+        code, cap = run(["fit", curve, "--model", "buildup", "--tr-minutes", 57.1, "--out", out], capsys)
+        assert code == 3
+        assert cap.err.count("\n") == 1 and "raw_signal" in cap.err and "calibrate" in cap.err
+        assert cap.out == "" and not out.exists()
+        monkeypatch.undo()
+        code, cap = run(["fit", curve, "--model", "buildup", "--out", out], capsys)
+        assert code == 0 and "amplitude: 166" in cap.out
+
     @pytest.mark.parametrize("tr", ["nan", "0", "-57.1"])
     def test_nonpositive_or_nan_tr_minutes_rejected_before_fitting(self, cfg, tmp_path, capsys, tr):
         curve = tmp_path / "curve.csv"
@@ -460,10 +477,13 @@ CALLS = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=CALLS)
+@example(argv=["calibrate", "--enhanced=1e+308", "--reference=5e-324", "--reference-thermal-polarization=0.0"])
+@example(argv=["sweep", "td", "--values=5e-324"])
 def test_flags_at_float_extremes_end_in_a_documented_exit_code(tmp_path, argv):
     """simulate, decompose, calibrate and sweep with numeric flags from +-1e+-308,
     subnormals, 0, NaN and +-inf, and counts at and past their limits: every call
-    ends in exit 0, 3, 4 or 5 with no traceback and no warning. The outputs land
+    ends in exit 0, 3, 4 or 5 with no traceback and no warning, and no value in a
+    report row (`key: value` or a sweep's CSV row) reads nan. The outputs land
     on the same paths call after call, so each call also overwrites the last."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
@@ -471,6 +491,8 @@ def test_flags_at_float_extremes_end_in_a_documented_exit_code(tmp_path, argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([argv[0], f"--out={tmp_path / 'out.csv'}", *argv[1:]])
     assert code in (0, 3, 4, 5)
+    rows = [line for line in out.getvalue().splitlines() if not line.startswith("note: ")]
+    assert [row for row in rows if "nan" in re.split(": |,", row)[1:]] == []
     if code == 0:
         assert err.getvalue() == ""
     else:
@@ -565,6 +587,33 @@ class TestCalibrate:
         assert "polarization: 0.6094" in cap.out
         lines = dict(l.split(": ") for l in cap.out.splitlines() if ": " in l)
         assert float(lines["enhancement_factor"]) == pytest.approx(2.75e5, rel=0.01)
+
+    @pytest.mark.parametrize(
+        "flags, polarization",
+        [
+            (["--reference-thermal-polarization", "0"], 0.0),
+            (["--reference-thermal-polarization", "5e-324", "--spin-count-ratio", "1e-308",
+              "--gain-ratio", "1e-308"], 1e-308),
+        ],
+        ids=["inf-times-zero", "overflow-then-underflow"],
+    )
+    def test_partial_product_overflow(self, tmp_path, capsys, flags, polarization):
+        """1e308 / 5e-324 overflows, although the whole product is finite."""
+        argv = ["calibrate", "--enhanced", "1e308", "--reference", "5e-324", *flags]
+        code, cap = run([*argv, "--out", tmp_path / "cal.txt"], capsys)
+        assert code == 0 and cap.err == ""
+        lines = dict(l.split(": ", 1) for l in cap.out.splitlines())
+        assert float(lines["polarization"]) == pytest.approx(polarization, rel=1e-12, abs=0.0)
+        assert "note" not in lines
+
+    @pytest.mark.parametrize("value", ["57.1", "-1.0000000000000002", "1e308"])
+    def test_unphysical_reference_polarization_rejected(self, tmp_path, capsys, value):
+        out = tmp_path / "cal.txt"
+        code, cap = run(["calibrate", "--enhanced", 1.0, "--reference", 1.0,
+                         "--reference-thermal-polarization", value, "--out", out], capsys)
+        assert code == 3
+        assert cap.err == f"error: reference_thermal_polarization must lie in [-1, 1], got {float(value)}\n"
+        assert not out.exists()
 
     def test_baseline_from_config_when_not_given(self, cfg, tmp_path, capsys):
         code, cap = run(

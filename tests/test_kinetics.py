@@ -56,6 +56,14 @@ class TestKineticsParams:
         assert steady_state_with_pth(KineticsParams(0.8, math.inf, 57.1, pth=0.05)) == 0.05
         assert steady_state_with_pth(KineticsParams(0.8, 20.2, math.inf)) == pytest.approx(0.8, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "td, tr, want", [(5e-324, 57.1, 0.8), (20.2, 5e-324, 0.05), (5e-324, 5e-324, 0.425),
+                         (1e-310, 1.7976931348623157e308, 0.8), (1.7976931348623157e308, 1e-310, 0.05)]
+    )
+    def test_steady_state_where_a_rate_overflows(self, td, tr, want):
+        """1/td or 1/tr is inf, so the plain weighted mean is inf / inf."""
+        assert steady_state_with_pth(KineticsParams(0.8, td, tr, pth=0.05)) == pytest.approx(want, rel=1e-15)
+
 
 class TestBuildupCurve:
     def test_times_strictly_increasing(self):

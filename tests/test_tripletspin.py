@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tripletdnp import (
     EigenSystem,
@@ -344,3 +345,146 @@ class TestNonFiniteRejected:
         m[0, 1] = complex(0.0, bad)
         with pytest.raises(ValidationError, match="finite"):
             SpinHamiltonian(m)
+
+
+def _error(make, *args):
+    """The ValidationError message make(*args) raises, or None."""
+    try:
+        make(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+UNIT = st.floats(0.0, 1.0)
+CHAIN_INPUTS = st.builds(
+    lambda d, e, pops, b, theta, phi: (d, e * abs(d) / 3.0, tuple(p / sum(pops) for p in pops), b, theta, phi),
+    st.floats(-3000.0, 3000.0),
+    st.floats(-1.0, 1.0),
+    st.tuples(UNIT, UNIT, UNIT).filter(lambda p: sum(p) > 0.1),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+)
+# a multiple of a tolerance on either side of it, never within 1e-6 of it
+FACTOR = st.floats(0.5, 2.0).filter(lambda f: abs(f - 1.0) > 1e-6)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+ENTRY = st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans())  # row, column, imaginary part
+
+
+def _set(m, entry, value):
+    i, j, imaginary = entry
+    m[i, j] = complex(m[i, j].real, value) if imaginary else complex(value, m[i, j].imag)
+
+
+def _add(m, entry, delta):
+    i, j, imaginary = entry
+    _set(m, entry, (m[i, j].imag if imaginary else m[i, j].real) + delta)
+
+
+class TestChainMatchesNumpyOracle:
+    """The checks and projections on Python numbers give oracles.spin_chain's
+    eigensystem bit for bit, its populations and pe within 1e-15, and the
+    numpy validators' verdict and message on every drawn matrix."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(inputs=CHAIN_INPUTS)
+    def test_outputs(self, inputs):
+        d, e, pops, b, theta, phi = inputs
+        h, vals, vecs, want_pops, want_pe = oracles.spin_chain(d, e, pops, b, theta, phi)
+        params, field = TripletParameters(d, e, pops), MagneticFieldSetting(b, theta, phi)
+        ham = build_hamiltonian(params, field)
+        eig = eigensystem(ham)
+        got_pops = project_populations(eig, params)
+        assert ham.matrix.tobytes() == h.tobytes()
+        assert eig.eigenvalues.tobytes() == vals.tobytes()
+        assert eig.eigenvectors.tobytes() == vecs.tobytes()
+        np.testing.assert_allclose(got_pops.populations, want_pops, rtol=0.0, atol=1e-15)
+        assert electron_polarization(eig, got_pops, field) == pytest.approx(want_pe, rel=0.0, abs=1e-15)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        inputs=CHAIN_INPUTS,
+        kind=st.sampled_from(["none", "non-finite", "hermitian", "trace"]),
+        entry=ENTRY,
+        bad=NON_FINITE,
+        factor=FACTOR,
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_hamiltonian_verdicts(self, inputs, kind, entry, bad, factor, sign):
+        """NaN or +-inf in any part of any entry; an entry moved off Hermitian,
+        or the trace moved off zero, by a multiple of 0.5-2 of the tolerance."""
+        m = oracles.spin_chain(*inputs)[0]
+        i, j, imaginary = entry
+        if kind == "non-finite":
+            _set(m, entry, bad)
+        elif kind == "hermitian":
+            scale = max(1.0, float(np.max(np.abs(m))))
+            # a diagonal entry's skew part is twice its imaginary part
+            step = 1e-12 * scale * factor * (0.5 if i == j else 1.0)
+            _add(m, (i, j, imaginary or i == j), sign * step)
+        elif kind == "trace":
+            _add(m, (i, i, False), sign * factor * 1e-9)
+        want = oracles.spin_hamiltonian_error(m)
+        assert _error(SpinHamiltonian, m) == want
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        inputs=CHAIN_INPUTS,
+        kind=st.sampled_from(["none", "non-finite value", "non-finite vector", "stretch", "mix", "sum"]),
+        entry=ENTRY,
+        bad=NON_FINITE,
+        factor=FACTOR,
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_eigensystem_verdicts(self, inputs, kind, entry, bad, factor, sign):
+        """NaN or +-inf in any eigenvalue or any part of any eigenvector entry;
+        a column stretched, or mixed with another, so that |V^H V - I| moves
+        by 0.5-2 times 1e-10; the eigenvalue sum moved by 0.5-2 times 1e-9.
+        numpy's matmul and the Python sums round differently, so draws whose
+        numpy |V^H V - I| lies within 1e-14 of 1e-10 are skipped."""
+        _, vals, vecs, _, _ = oracles.spin_chain(*inputs)
+        i, j, _ = entry
+        if kind == "non-finite value":
+            vals[i] = bad
+        elif kind == "non-finite vector":
+            _set(vecs, entry, bad)
+        elif kind == "stretch":
+            vecs[:, j] *= 1.0 + sign * factor * 0.5e-10  # |v_j|^2 - 1 = +-factor * 1e-10
+        elif kind == "mix":
+            vecs[:, (j + 1) % 3] += sign * factor * 1e-10 * vecs[:, j]
+        elif kind == "sum":
+            vals[1] += sign * factor * 1e-9
+        assume(not abs(oracles.unitarity_gap(vecs) - 1e-10) <= 1e-14)
+        want = oracles.eigensystem_error(vals, vecs)
+        assert _error(EigenSystem, vals, vecs) == want
+
+    @pytest.mark.parametrize("factor, passes", [(0.9, True), (1.1, False)])
+    def test_perturbations_straddle_each_tolerance(self, factor, passes):
+        m = build_hamiltonian(PENTACENE, MagneticFieldSetting(0.64, 1.0, 2.0)).matrix.copy()
+        m[0, 1] += 1e-12 * float(np.max(np.abs(m))) * factor
+        assert (_error(SpinHamiltonian, m) is None) == passes
+        m = build_hamiltonian(PENTACENE, MagneticFieldSetting(0.64, 1.0, 2.0)).matrix.copy()
+        m[0, 0] += 1e-9 * factor
+        assert (_error(SpinHamiltonian, m) is None) == passes
+        eig = eigensystem(build_hamiltonian(PENTACENE, MagneticFieldSetting(0.64, 1.0, 2.0)))
+        vals, vecs = eig.eigenvalues.copy(), eig.eigenvectors.copy()
+        vecs[:, 0] *= 1.0 + factor * 0.5e-10
+        assert (_error(EigenSystem, vals, vecs) is None) == passes
+        vecs = eig.eigenvectors.copy()
+        vecs[:, 1] += factor * 1e-10 * vecs[:, 0]
+        assert (_error(EigenSystem, vals, vecs) is None) == passes
+        vals[1] += 1e-9 * factor
+        assert (_error(EigenSystem, vals, eig.eigenvectors) is None) == passes
+
+    def test_callers_array_is_copied(self):
+        m = build_hamiltonian(PENTACENE, FIELD_064).matrix.copy()
+        ham = SpinHamiltonian(m)
+        m[0, 1] = 7.0
+        assert ham.matrix[0, 1] == pytest.approx(-17935.936j, abs=1e-9)
+        vals, vecs = np.array([-1.0, 0.0, 1.0]), np.eye(3, dtype=complex)
+        eig = EigenSystem(vals, vecs)
+        vals[0], vecs[0, 0] = -5.0, 3.0
+        assert eig.eigenvalues.tolist() == [-1.0, 0.0, 1.0]
+        assert eig.eigenvectors[0, 0] == 1.0
+        assert not (ham.matrix.flags.writeable or eig.eigenvalues.flags.writeable)
