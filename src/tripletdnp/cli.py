@@ -231,11 +231,23 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _thermal_baseline(cfg: ToolkitConfig) -> float:
+    """The config's thermal polarization, rejected at 0: calibrate scales by it
+    or, with --verbose, divides by it."""
+    baseline = thermal_polarization(cfg.field.magnitude_tesla, cfg.temperature_kelvin)
+    if baseline == 0.0:
+        raise ValidationError(
+            f"the thermal polarization at [field] field_tesla = {cfg.field.magnitude_tesla!r} T and "
+            f"[general] temperature_kelvin = {cfg.temperature_kelvin!r} K underflows to 0"
+        )
+    return baseline
+
+
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     ref_pol = args.reference_thermal_polarization
     if ref_pol is None:
-        ref_pol = thermal_polarization(cfg.field.magnitude_tesla, cfg.temperature_kelvin)
+        ref_pol = _thermal_baseline(cfg)
     cal = NmrCalibration(
         enhanced_signal=args.enhanced,
         reference_signal=args.reference,
@@ -256,7 +268,7 @@ def cmd_calibrate(args) -> int:
         ("polarization", repr(polarization)),
     ]
     if args.verbose:
-        baseline = thermal_polarization(cfg.field.magnitude_tesla, cfg.temperature_kelvin)
+        baseline = _thermal_baseline(cfg)
         rows.append(("thermal_polarization_baseline", repr(baseline)))
         rows.append(("enhancement_factor", repr(polarization / baseline)))
     notes = [str(w.message) for w in clamped]

@@ -70,6 +70,10 @@ class IseSequenceParams:
         ):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not self.shot_period_s < math.inf:
+            raise ValidationError(
+                f"repetition_rate_hz must give a finite shot period, got {self.repetition_rate_hz}"
+            )
         # zero span means no sweep (adiabatic limit of the passage), so it is allowed
         if not 0.0 <= self.sweep_span_mt < math.inf:
             raise ValidationError(f"sweep_span_mt must be finite and >= 0, got {self.sweep_span_mt}")

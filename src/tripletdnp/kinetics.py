@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ __all__ = [
 # Total RK4 steps buildup_ode accepts per call: about 0.7 s at the 60-70 ns per step
 # measured on a 2-CPU Xeon VM with Python 3.11 and numpy 2.4.
 MAX_RK4_STEPS = 10_000_000
+
+# h gamma_H / 2 kB, K/T: thermal_polarization's ratio per unit B / T
+_HALF_H_GAMMA_OVER_KB = PLANCK_J_S * GAMMA_H_MHZ_PER_T * 1e6 / (2.0 * BOLTZMANN_J_PER_K)
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,9 @@ def buildup_closed_form(params: KineticsParams, t_minutes, include_pth: bool = F
     if not np.all((t >= 0.0) & (t < math.inf)):
         raise ValidationError("buildup time must be finite and nonnegative")
     rate = 1.0 / params.td_minutes + 1.0 / params.tr_minutes
-    e = np.exp(-t * rate)
+    with np.errstate(over="ignore"):  # t * rate past 1.8e308 gives e = exp(-inf) = 0
+        # a rate of inf (subnormal td or tr) would make t = 0 a NaN: e is 1 there, else 0
+        e = np.exp(-t * rate) if rate < math.inf else (t == 0.0).astype(float)
     if include_pth:
         out = steady_state_with_pth(params) * (1.0 - e) + params.pth * e
     else:
@@ -159,7 +165,8 @@ def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = False) -> Bu
     h_max = min(params.td_minutes, params.tr_minutes) / 1000.0
 
     spans = np.diff(grid)
-    with np.errstate(over="ignore"):  # a subnormal h_max or a huge span gives an inf total, rejected below
+    # a subnormal or zero h_max (td or tr below 5e-321) or a huge span gives an inf total, rejected below
+    with np.errstate(over="ignore", divide="ignore"):
         steps = np.maximum(1.0, np.ceil(spans / h_max))
         total = float(steps.sum())
     if not total <= MAX_RK4_STEPS:
@@ -189,13 +196,14 @@ def steady_state_with_pth(params: KineticsParams) -> float:
     """Fixed point of the rate equation including the thermal floor.
 
     (pe/td + pth/tr) / (1/td + 1/tr); reduces to final_polarization for
-    pth = 0. Where a rate 1/td or 1/tr overflows (a subnormal time constant),
+    pth = 0. Where a rate 1/td or 1/tr overflows (a subnormal time constant)
+    or a sum is subnormal and so has lost precision (huge time constants),
     the same weighted mean is taken with the ratio td/tr.
     """
     num = params.pe / params.td_minutes + params.pth / params.tr_minutes
     den = 1.0 / params.td_minutes + 1.0 / params.tr_minutes
     p = num / den
-    if math.isnan(p):  # inf / inf
+    if not (abs(num) >= sys.float_info.min and sys.float_info.min <= den < math.inf):
         x = params.td_minutes / params.tr_minutes
         p = (params.pe + params.pth * x) / (1.0 + x) if x <= 1.0 else (params.pe / x + params.pth) / (1.0 / x + 1.0)
     return p
@@ -229,4 +237,7 @@ def thermal_polarization(field_tesla: float, temperature_kelvin: float) -> float
     if not 0.0 < temperature_kelvin < math.inf:
         raise ValidationError(f"temperature must be finite and positive, got {temperature_kelvin}")
     nu_hz = GAMMA_H_MHZ_PER_T * 1e6 * field_tesla
-    return math.tanh(PLANCK_J_S * nu_hz / (2.0 * BOLTZMANN_J_PER_K * temperature_kelvin))
+    two_kt = 2.0 * BOLTZMANN_J_PER_K * temperature_kelvin
+    if two_kt < sys.float_info.min:  # below about 8e-286 K, where 2 kB T is subnormal or 0
+        return math.tanh(field_tesla / temperature_kelvin * _HALF_H_GAMMA_OVER_KB)
+    return math.tanh(PLANCK_J_S * nu_hz / two_kt)

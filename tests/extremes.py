@@ -1,0 +1,7 @@
+"""Float extremes the property tests draw from: signed zeros, subnormals, the
+smallest normals, ordinary values, the largest floats, NaN and +-inf."""
+
+import math
+
+FLOAT_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-308, -1e-308, 0.5, 1.0, -1.0, 57.1, 1e308, -1e308,
+                  1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf]

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tripletdnp import (
     BuildupCurve,
@@ -24,11 +25,12 @@ from tripletdnp import (
 from tripletdnp.analysis import MAX_ITERATIONS, FitResult, _rate_scan
 
 import oracles
+from extremes import FLOAT_EXTREMES
 
 REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
-# the finite and non-finite extremes that tests/test_cli.py draws its flags from
-FLOAT_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-308, -1e-308, 0.5, 1.0, -1.0, 57.1, 1e308,
-                  -1e308, 1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf]
+# positive floats spread evenly over the binary exponents, subnormals included
+BINADES = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024))
+SIGNED_BINADES = st.builds(math.copysign, BINADES, st.sampled_from([1.0, -1.0]))
 
 
 def decay_curve(t, p0=0.61, tau=57.1, offset=0.0, noise=None, rng=None):
@@ -310,11 +312,13 @@ class TestCalibratePolarization:
             (5e-324, -1e308, 1e-300, 1e300, 1e300),
             (1e308, 5e-324, 1.0, 1.0, 1.0),
             (1e308, -5e-324, -0.0, 1.0, 1.0),
+            (1e-320, 3.0, 1.0, 1e300, 1e19),
         ],
     )
     def test_partial_product_over_or_underflow(self, enhanced, reference, ref_pol, spins, gain):
-        """Left to right, 1e308 / 5e-324 is inf and 5e-324 / 1e308 is 0; the
-        exact product is finite, and a true magnitude above 1 still clamps."""
+        """Left to right, 1e308 / 5e-324 is inf, 5e-324 / 1e308 is 0 and 1e-320 / 3
+        is subnormal, keeping 3 of 17 digits; the exact product is finite, and a
+        true magnitude above 1 still clamps."""
         exact = Fraction(enhanced) / Fraction(reference) * Fraction(spins) * Fraction(gain) * Fraction(ref_pol)
         want = float(max(min(exact, 1), -1))
         with warnings.catch_warnings(record=True) as clamped:
@@ -323,6 +327,28 @@ class TestCalibratePolarization:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
         assert len(clamped) == (abs(exact) > 1)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        enhanced=SIGNED_BINADES, reference=SIGNED_BINADES, spins=BINADES, gain=BINADES,
+        ref_pol=SIGNED_BINADES.filter(lambda x: abs(x) <= 1.0),
+    )
+    @example(enhanced=1e-320, reference=3.0, ref_pol=1.0, spins=1e300, gain=1e19)
+    def test_matches_the_exact_product(self, enhanced, reference, ref_pol, spins, gain):
+        """Within 1e-12 of the exact product whenever that lies in [1e-300, 1] in
+        magnitude, and bit for bit the left-to-right float product whenever every
+        partial product of that is normal and the result is in range."""
+        exact = Fraction(enhanced) / Fraction(reference) * Fraction(spins) * Fraction(gain) * Fraction(ref_pol)
+        assume(Fraction(1, 10**300) <= abs(exact) <= 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a product one ulp above 1 clamps
+            got = calibrate_polarization(NmrCalibration(enhanced, reference, ref_pol, spins, gain))
+        assert abs(Fraction(got) - exact) <= abs(exact) / 10**12
+        partials = [enhanced / reference]
+        for factor in (spins, gain, ref_pol):
+            partials.append(partials[-1] * factor)
+        if all(sys.float_info.min <= abs(q) < math.inf for q in partials) and abs(partials[-1]) <= 1.0:
+            assert got == enhanced / reference * spins * gain * ref_pol
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(st.lists(st.sampled_from(FLOAT_EXTREMES) | st.floats(), min_size=5, max_size=5))

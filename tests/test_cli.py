@@ -23,6 +23,8 @@ from tripletdnp import (
 from tripletdnp import cli
 from tripletdnp.cli import SWEEP_PARAMETERS, main
 
+from extremes import FLOAT_EXTREMES
+
 REFERENCE_CFG = """
 [field]
 field_tesla = 0.64
@@ -438,9 +440,7 @@ def test_fit_of_finite_extremes_ends_in_a_documented_exit_code(model, grid, valu
         assert err.getvalue() == ""
 
 
-FLAG_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-308, -1e-308, 0.5, 1.0, -1.0, 57.1, 1e308, -1e308,
-               1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf]
-FLAG = st.sampled_from(FLAG_VALUES).map(repr)
+FLAG = st.sampled_from(FLOAT_EXTREMES).map(repr)
 COUNTS = st.sampled_from([0, 1, 2, 5, -1, 10**5 + 1, 10**18]).map(str)
 
 
@@ -474,17 +474,9 @@ CALLS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=CALLS)
-@example(argv=["calibrate", "--enhanced=1e+308", "--reference=5e-324", "--reference-thermal-polarization=0.0"])
-@example(argv=["sweep", "td", "--values=5e-324"])
-def test_flags_at_float_extremes_end_in_a_documented_exit_code(tmp_path, argv):
-    """simulate, decompose, calibrate and sweep with numeric flags from +-1e+-308,
-    subnormals, 0, NaN and +-inf, and counts at and past their limits: every call
-    ends in exit 0, 3, 4 or 5 with no traceback and no warning, and no value in a
-    report row (`key: value` or a sweep's CSV row) reads nan. The outputs land
-    on the same paths call after call, so each call also overwrites the last."""
+def _assert_documented_exit(tmp_path, argv):
+    """main(argv) ends in exit 0, 3, 4 or 5 with no traceback and no warning, and
+    no value in a report row (`key: value` or a sweep's CSV row) reads nan."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -497,6 +489,51 @@ def test_flags_at_float_extremes_end_in_a_documented_exit_code(tmp_path, argv):
         assert err.getvalue() == ""
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith(("error: ", "i/o error: "))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=CALLS)
+@example(argv=["calibrate", "--enhanced=1e+308", "--reference=5e-324", "--reference-thermal-polarization=0.0"])
+@example(argv=["sweep", "td", "--values=5e-324"])
+def test_flags_at_float_extremes_end_in_a_documented_exit_code(tmp_path, argv):
+    """simulate, decompose, calibrate and sweep with numeric flags from +-1e+-308,
+    subnormals, 0, NaN and +-inf, and counts at and past their limits, end as
+    _assert_documented_exit says. The outputs land on the same paths call after
+    call, so each call also overwrites the last."""
+    _assert_documented_exit(tmp_path, argv)
+
+
+CONFIG_KEYS = [("field", "field_tesla"), ("general", "temperature_kelvin"), ("kinetics", "pe"),
+               ("kinetics", "td_minutes"), ("kinetics", "tr_minutes"), ("kinetics", "pth")]
+CONFIG_CALLS = st.one_of(
+    _args(st.just(["calibrate", "--enhanced=2.77e5", "--reference=1.0"]),
+          _optional("--reference-thermal-polarization"), st.sampled_from([[], ["--verbose"]])),
+    _args(st.just(["simulate", "--duration-min=150", "--points=21"]),
+          _flag("--mode", st.sampled_from(["closed_form", "ode", "shots"])),
+          st.sampled_from([[], ["--include-pth"]])),
+    _args(st.sampled_from(sorted(SWEEP_PARAMETERS)).map(lambda p: ["sweep", p]),
+          _flag("--values", st.lists(FLAG, min_size=1, max_size=2).map(",".join))),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=CONFIG_CALLS, config=st.dictionaries(st.sampled_from(CONFIG_KEYS), FLAG, min_size=1))
+@example(argv=["calibrate", "--enhanced=1", "--reference=1", "--verbose"],
+         config={("field", "field_tesla"): "1e-300"})
+@example(argv=["calibrate", "--enhanced=1", "--reference=1"],
+         config={("general", "temperature_kelvin"): "5e-324"})
+def test_config_values_at_float_extremes_end_in_a_documented_exit_code(tmp_path, argv, config):
+    """calibrate (with and without --verbose), simulate and sweep under a config
+    whose field, temperature and kinetics keys come from the same extremes as
+    the flags above end as _assert_documented_exit says."""
+    sections = {}
+    for (section, key), value in config.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    path = tmp_path / "extreme.cfg"
+    path.write_text("".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items()))
+    _assert_documented_exit(tmp_path, [argv[0], f"--config={path}", *argv[1:]])
 
 
 class TestDecompose:
@@ -614,6 +651,48 @@ class TestCalibrate:
         assert code == 3
         assert cap.err == f"error: reference_thermal_polarization must lie in [-1, 1], got {float(value)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--verbose"], ["--reference-thermal-polarization", "1e-6", "--verbose"]],
+        ids=["baseline-as-reference", "verbose", "verbose-with-reference"],
+    )
+    @pytest.mark.parametrize(
+        "config, field, temperature",
+        [("[field]\nfield_tesla = 1e-300\n", "1e-300", "295.0"),
+         ("[field]\nfield_tesla = 1e-30\n[general]\ntemperature_kelvin = 1e300\n", "1e-30", "1e+300")],
+        ids=["tiny-field", "tiny-field-over-huge-temperature"],
+    )
+    def test_thermal_baseline_underflowing_to_zero_rejected(
+        self, tmp_path, capsys, flags, config, field, temperature
+    ):
+        """Without --reference-thermal-polarization the baseline is the reference, and
+        --verbose divides by it: a baseline of 0 exits 3 naming the field and temperature."""
+        path = tmp_path / "f.cfg"
+        path.write_text(config)
+        out = tmp_path / "cal.txt"
+        code, cap = run(["calibrate", "--enhanced", 1, "--reference", 1, *flags,
+                         "--config", path, "--out", out], capsys)
+        assert code == 3 and not out.exists()
+        assert all(line.startswith("# default ") for line in cap.out.splitlines())  # --verbose's echo only
+        assert cap.err == (f"error: the thermal polarization at [field] field_tesla = {field} T and "
+                           f"[general] temperature_kelvin = {temperature} K underflows to 0\n")
+
+    def test_unused_zero_baseline_is_not_an_error(self, tmp_path, capsys):
+        path = tmp_path / "f.cfg"
+        path.write_text("[field]\nfield_tesla = 1e-300\n")
+        code, cap = run(["calibrate", "--enhanced", 1, "--reference", 1, "--reference-thermal-polarization",
+                         "1e-6", "--config", path, "--out", tmp_path / "cal.txt"], capsys)
+        assert code == 0 and "\npolarization: 1e-06\n" in cap.out
+
+    def test_baseline_at_a_subnormal_temperature(self, tmp_path, capsys):
+        """2 kB T underflows to 0 at 5e-324 K; the baseline is then tanh of a huge ratio."""
+        path = tmp_path / "f.cfg"
+        path.write_text("[general]\ntemperature_kelvin = 5e-324\n")
+        code, cap = run(["calibrate", "--enhanced", 1, "--reference", 2, "--verbose",
+                         "--config", path, "--out", tmp_path / "cal.txt"], capsys)
+        assert code == 0 and cap.err == ""
+        assert "\npolarization: 0.5\n" in cap.out and "\nthermal_polarization_baseline: 1.0\n" in cap.out
 
     def test_baseline_from_config_when_not_given(self, cfg, tmp_path, capsys):
         code, cap = run(

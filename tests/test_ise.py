@@ -78,6 +78,12 @@ class TestSequenceParams:
         with pytest.raises(ValidationError, match="finite"):
             sequence(**kwargs)
 
+    def test_shot_period_must_be_finite(self):
+        """1 / 5e-324 overflows, so such a rate has no shot period."""
+        with pytest.raises(ValidationError, match="finite shot period"):
+            sequence(rep_hz=5e-324)
+        assert sequence(rep_hz=1e-308).shot_period_s == pytest.approx(1e308)
+
     def test_shot_model_rejects_non_finite_period(self):
         with pytest.raises(ValidationError, match="finite"):
             ShotModel(0.1, math.nan)

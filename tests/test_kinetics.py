@@ -18,6 +18,7 @@ from tripletdnp import (
 )
 
 import oracles
+from tripletdnp.constants import BOLTZMANN_J_PER_K, GAMMA_H_MHZ_PER_T, PLANCK_J_S
 from tripletdnp.kinetics import MAX_RK4_STEPS
 
 REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
@@ -63,6 +64,13 @@ class TestKineticsParams:
     def test_steady_state_where_a_rate_overflows(self, td, tr, want):
         """1/td or 1/tr is inf, so the plain weighted mean is inf / inf."""
         assert steady_state_with_pth(KineticsParams(0.8, td, tr, pth=0.05)) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("pe, t_const", [(1e-200, 5e-324), (1e-10, 1e300)])
+    def test_steady_state_of_tiny_polarizations(self, pe, t_const):
+        """1e-200 / 5e-324 is finite and 1/5e-324 is inf, so the plain mean is 0;
+        1e-10 / 1e300 is subnormal, so it has lost precision."""
+        steady = steady_state_with_pth(KineticsParams(pe, t_const, t_const, pth=pe))
+        assert steady == pytest.approx(pe, rel=1e-15, abs=0.0)
 
 
 class TestBuildupCurve:
@@ -119,6 +127,17 @@ class TestClosedForm:
         p_lo, p_hi = buildup_closed_form(params, lo), buildup_closed_form(params, hi)
         assert p_lo <= p_hi + 1e-15
         assert 0.0 <= p_lo <= final_polarization(params) <= pe
+
+    @pytest.mark.parametrize("td", [5e-324, 1e-308])
+    @pytest.mark.parametrize("include_pth", [False, True])
+    def test_subnormal_buildup_time_jumps_to_steady_state(self, td, include_pth):
+        """The rate is inf (td 5e-324) or t * rate overflows (td 1e-308): the curve
+        starts at its initial value and is at the steady state from the first step
+        on, with no RuntimeWarning."""
+        params = KineticsParams(0.8, td, 57.1, pth=0.05)
+        start, steady = (0.05, steady_state_with_pth(params)) if include_pth else (0.0, 0.8)
+        assert buildup_closed_form(params, 0.0, include_pth) == start
+        assert buildup_closed_form(params, [0.0, 1.0, 150.0], include_pth).tolist() == [start, steady, steady]
 
     def test_include_pth_starts_at_pth_and_settles_at_steady_state(self):
         params = KineticsParams(0.826, 20.2, 57.1, pth=0.05)
@@ -216,6 +235,9 @@ class TestOde:
         # a subnormal time constant overflows the step count to inf without a RuntimeWarning
         with pytest.raises(ValidationError, match="inf RK4 steps"):
             buildup_ode(KineticsParams(pe=0.826, td_minutes=1e-310, tr_minutes=57.1), [0.0, 150.0])
+        # and one below 5e-321 makes the step bound 0 without a divide-by-zero RuntimeWarning
+        with pytest.raises(ValidationError, match="inf RK4 steps"):
+            buildup_ode(KineticsParams(pe=0.826, td_minutes=5e-324, tr_minutes=57.1), [0.0, 150.0])
 
 
 class TestSteadyStates:
@@ -302,6 +324,15 @@ class TestThermalPolarization:
         temps = np.linspace(4.0, 600.0, 50)
         vals = [thermal_polarization(0.64, t) for t in temps]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_subnormal_two_kt(self):
+        """Below about 8e-286 K, 2 kB T is subnormal or 0: the ratio is taken as
+        B / T times h gamma / 2 kB, which divides B by T before any product underflows."""
+        ratio = PLANCK_J_S * GAMMA_H_MHZ_PER_T * 1e6 / (2.0 * BOLTZMANN_J_PER_K)  # per T/K
+        assert thermal_polarization(0.64, 5e-324) == 1.0
+        assert thermal_polarization(5e-324, 5e-324) == pytest.approx(math.tanh(ratio), rel=1e-15, abs=0.0)
+        assert thermal_polarization(1e-300, 1e-290) == pytest.approx(1e-10 * ratio, rel=1e-15, abs=0.0)
+        assert thermal_polarization(0.0, 5e-324) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
