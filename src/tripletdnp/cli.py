@@ -112,11 +112,6 @@ def _simulate_shots(
     period = 1.0 / repetition_rate_hz
     eps = epsilon_for_buildup_time(params.td_minutes, period)
     shot = ShotModel(epsilon=eps, shot_period_s=period)
-    if eps + period / (60.0 * params.tr_minutes) > 1.0:
-        raise ValidationError(
-            f"td {params.td_minutes:g} min and tr {params.tr_minutes:g} min at {repetition_rate_hz:g} Hz "
-            "make every shot overshoot its fixed point (per-shot gain plus relaxation above 1)"
-        )
     pth = p = params.pth if include_pth else 0.0
     # checked as a Python float, which overflows to inf without a warning, before the int64 cast
     n_shots = float(grid[-1]) * 60.0 * repetition_rate_hz
@@ -126,10 +121,15 @@ def _simulate_shots(
             "more than the 64-bit shot counter holds"
         )
     counts = np.rint(grid * 60.0 * repetition_rate_hz).astype(np.int64)
-    values = [p]
-    for i in range(grid.size - 1):
-        p = iterate_shots(p, shot, params.pe, params.tr_minutes, pth, int(counts[i + 1] - counts[i]))
-        values.append(p)
+    values = []
+    try:  # the first interval holds 0 shots, so overshooting kinetics are rejected at t = 0 too
+        for n in np.diff(counts, prepend=0):
+            p = iterate_shots(p, shot, params.pe, params.tr_minutes, pth, int(n))
+            values.append(p)
+    except ValidationError as exc:
+        raise ValidationError(
+            f"td {params.td_minutes:g} min and tr {params.tr_minutes:g} min at {repetition_rate_hz:g} Hz: {exc}"
+        ) from None
     return BuildupCurve(grid, np.array(values), ValueKind.POLARIZATION)
 
 
@@ -312,7 +312,7 @@ def _sweep_final_polarization(cfg: ToolkitConfig, parameter: str, value: float) 
     swept = dataclasses.replace(seq, **{name: value})
     eps = min(1.0, calibration * sweep_transfer_probability(swept))
     # without transfer td is infinite and the floor pth remains
-    td_minutes = effective_buildup_time(ShotModel(eps, swept.shot_period_s)).minutes
+    td_minutes = effective_buildup_time(ShotModel(eps, swept.shot_period_s))
     return steady_state_with_pth(dataclasses.replace(base, td_minutes=td_minutes))
 
 

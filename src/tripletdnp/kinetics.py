@@ -236,8 +236,9 @@ def thermal_polarization(field_tesla: float, temperature_kelvin: float) -> float
         raise ValidationError(f"field magnitude must be finite and >= 0, got {field_tesla}")
     if not 0.0 < temperature_kelvin < math.inf:
         raise ValidationError(f"temperature must be finite and positive, got {temperature_kelvin}")
-    nu_hz = GAMMA_H_MHZ_PER_T * 1e6 * field_tesla
+    h_nu = PLANCK_J_S * (GAMMA_H_MHZ_PER_T * 1e6 * field_tesla)
     two_kt = 2.0 * BOLTZMANN_J_PER_K * temperature_kelvin
-    if two_kt < sys.float_info.min:  # below about 8e-286 K, where 2 kB T is subnormal or 0
+    # below about 8e-283 T or 8e-286 K, h nu or 2 kB T is subnormal or 0: divide B by T first
+    if min(h_nu, two_kt) < sys.float_info.min:
         return math.tanh(field_tesla / temperature_kelvin * _HALF_H_GAMMA_OVER_KB)
-    return math.tanh(PLANCK_J_S * nu_hz / two_kt)
+    return math.tanh(h_nu / two_kt)

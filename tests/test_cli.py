@@ -160,7 +160,7 @@ class TestSimulate:
         assert cap.err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("duration", [10, "1e6"])
+    @pytest.mark.parametrize("duration", [0, 10, "1e6"])
     def test_overshooting_shot_map_rejected(self, tmp_path, capsys, duration):
         # dt/td = 0.833 and dt/tr = 1.667 at 1 kHz: every shot jumps past the fixed point
         cfg = tmp_path / "overshoot.cfg"
@@ -659,7 +659,7 @@ class TestCalibrate:
     )
     @pytest.mark.parametrize(
         "config, field, temperature",
-        [("[field]\nfield_tesla = 1e-300\n", "1e-300", "295.0"),
+        [("[field]\nfield_tesla = 1e-320\n", "1e-320", "295.0"),
          ("[field]\nfield_tesla = 1e-30\n[general]\ntemperature_kelvin = 1e300\n", "1e-30", "1e+300")],
         ids=["tiny-field", "tiny-field-over-huge-temperature"],
     )
@@ -680,7 +680,7 @@ class TestCalibrate:
 
     def test_unused_zero_baseline_is_not_an_error(self, tmp_path, capsys):
         path = tmp_path / "f.cfg"
-        path.write_text("[field]\nfield_tesla = 1e-300\n")
+        path.write_text("[field]\nfield_tesla = 1e-320\n")
         code, cap = run(["calibrate", "--enhanced", 1, "--reference", 1, "--reference-thermal-polarization",
                          "1e-6", "--config", path, "--out", tmp_path / "cal.txt"], capsys)
         assert code == 0 and "\npolarization: 1e-06\n" in cap.out
@@ -693,6 +693,14 @@ class TestCalibrate:
                          "--config", path, "--out", tmp_path / "cal.txt"], capsys)
         assert code == 0 and cap.err == ""
         assert "\npolarization: 0.5\n" in cap.out and "\nthermal_polarization_baseline: 1.0\n" in cap.out
+
+    def test_baseline_at_a_field_whose_h_nu_is_subnormal(self, tmp_path, capsys):
+        path = tmp_path / "f.cfg"
+        path.write_text("[field]\nfield_tesla = 1e-300\n")
+        code, cap = run(["calibrate", "--enhanced", 1, "--reference", 2, "--verbose",
+                         "--config", path, "--out", tmp_path / "cal.txt"], capsys)
+        assert code == 0 and cap.err == ""
+        assert "\nthermal_polarization_baseline: 3.463345293808704e-306\n" in cap.out
 
     def test_baseline_from_config_when_not_given(self, cfg, tmp_path, capsys):
         code, cap = run(

@@ -4,7 +4,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tripletdnp import (
     IseSequenceParams,
@@ -22,7 +22,6 @@ from tripletdnp import (
 )
 
 import oracles
-from tripletdnp.ise import MAX_EXPLICIT_SHOTS
 
 GAMMA_E_ANG = 2.0 * math.pi * 28.0249e9  # rad/s/T
 
@@ -35,6 +34,7 @@ def extremes(*values):
 
 
 UNIT = st.floats(-1.0, 1.0) | extremes(0.0, 1.0, *TINY, *HUGE)
+IN_UNIT = st.floats(-1.0, 1.0) | extremes(0.0, 1.0, *TINY)
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False) | st.sampled_from(TINY + HUGE)
 
 
@@ -162,22 +162,20 @@ class TestEffectiveBuildupTime:
         # 1e-3 s / 8.25e-7 = 1212.12 s = 20.202 min, the per-shot gain
         # implied by a 20.2 min buildup at 1 kHz
         td = effective_buildup_time(ShotModel(epsilon=8.25e-7, shot_period_s=1e-3))
-        assert td.finite
-        assert td.minutes == pytest.approx(20.2020202020202, rel=1e-12)
-        assert round(td.minutes, 1) == 20.2
+        assert td == pytest.approx(20.2020202020202, rel=1e-12)
+        assert round(td, 1) == 20.2
 
     def test_unit_epsilon(self):
         td = effective_buildup_time(ShotModel(epsilon=1.0, shot_period_s=1.0))
-        assert td.minutes == pytest.approx(1.0 / 60.0, rel=1e-15)
+        assert td == pytest.approx(1.0 / 60.0, rel=1e-15)
 
     def test_zero_epsilon_returns_infinite_sentinel(self):
-        td = effective_buildup_time(ShotModel(epsilon=0.0, shot_period_s=1e-3))
-        assert math.isinf(td.minutes) and not td.finite
+        assert effective_buildup_time(ShotModel(epsilon=0.0, shot_period_s=1e-3)) == math.inf
 
     def test_inverse_mapping_roundtrip(self):
         eps = epsilon_for_buildup_time(20.2, 1e-3)
         back = effective_buildup_time(ShotModel(epsilon=eps, shot_period_s=1e-3))
-        assert back.minutes == pytest.approx(20.2, rel=1e-15)
+        assert back == pytest.approx(20.2, rel=1e-15)
         with pytest.raises(ValidationError):
             epsilon_for_buildup_time(1e-9, 1.0)  # would need epsilon > 1
 
@@ -244,15 +242,41 @@ class TestShotMap:
         assert devs[0] < 1e-3 * 0.826
         assert devs[2] < devs[0]
 
-    def test_iterate_matches_stepping_in_clamping_regime(self):
-        # epsilon + per-shot relaxation above 1 leaves the affine fast path
-        shot = ShotModel(epsilon=0.9, shot_period_s=30.0)
-        args = (0.9, 0.05, -0.2)  # pe, tr_minutes, pth
-        p_loop = -0.8
-        for _ in range(40):
-            p_loop = shot_map(p_loop, shot, *args)
-        assert iterate_shots(-0.8, shot, *args, 40) == pytest.approx(p_loop, abs=1e-12)
-        assert -1.0 <= p_loop <= 1.0
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        p0=IN_UNIT,
+        epsilon=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, *TINY]),
+        relaxation_share=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, *TINY]),
+        period=st.floats(1e-6, 1e3),
+        pe=IN_UNIT,
+        pth=IN_UNIT,
+        n_shots=st.integers(0, 300),
+    )
+    def test_iterate_matches_stepping(self, p0, epsilon, relaxation_share, period, pe, pth, n_shots):
+        """Wherever epsilon + dt/tr <= 1, the closed form is n steps of shot_map."""
+        delta = relaxation_share * (1.0 - epsilon)
+        tr = period / (60.0 * delta) if delta > 0.0 else math.inf
+        assume(epsilon + period / (60.0 * tr) <= 1.0)
+        shot = ShotModel(epsilon=epsilon, shot_period_s=period)
+        p_loop = p0
+        for _ in range(n_shots):
+            p_loop = shot_map(p_loop, shot, pe, tr, pth)
+        assert iterate_shots(p0, shot, pe, tr, pth, n_shots) == pytest.approx(p_loop, rel=0.0, abs=1e-12)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        epsilon=st.floats(0.0, 1.0) | st.sampled_from(TINY),
+        delta=st.floats(0.0, 1.0) | st.sampled_from(TINY),
+        pe=IN_UNIT,
+        pth=IN_UNIT,
+    )
+    def test_no_admissible_shot_leaves_the_closed_form(self, epsilon, delta, pe, pth):
+        """For 0 < s = epsilon + dt/tr <= 1 the factor a = 1 - s lies in [0, 1] and the
+        fixed point in [-1, 1] after rounding too, so iterate_shots needs no clamp or loop."""
+        s = epsilon + delta
+        assume(0.0 < s <= 1.0)
+        assert 0.0 <= 1.0 - s <= 1.0
+        assert abs((epsilon * pe + delta * pth) / s) <= 1.0
 
     def test_outputs_stay_bounded(self):
         rng = np.random.default_rng(22)
@@ -265,12 +289,20 @@ class TestShotMap:
                 p = shot_map(p, shot, pe, tr, pth)
                 assert -1.0 <= p <= 1.0
 
-    def test_explicit_loop_bound_rejects_before_stepping(self):
+    @pytest.mark.parametrize("n_shots", [0, 1, 1_000_001])
+    def test_overshooting_shots_rejected(self, n_shots):
         shot = ShotModel(epsilon=0.8333333333333334, shot_period_s=1e-3)  # dt/tr = 1.667 below
         start = time.perf_counter()
-        with pytest.raises(ValidationError, match="1,000,000 allowed"):
-            iterate_shots(0.0, shot, 0.826, 1e-5, 0.0, MAX_EXPLICIT_SHOTS + 1)
+        with pytest.raises(ValidationError, match=r"epsilon \+ dt/tr = 2.5 exceeds 1"):
+            iterate_shots(0.0, shot, 0.826, 1e-5, 0.0, n_shots)
         assert time.perf_counter() - start < 0.1
+
+    def test_unit_shot_factor_lands_on_the_fixed_point(self):
+        # epsilon = dt/tr = 0.5: s = 1 is the largest admissible value, and a = 0
+        shot = ShotModel(epsilon=0.5, shot_period_s=60.0)
+        assert iterate_shots(0.3, shot, 0.8, 2.0, 0.1, 1) == 0.45
+        assert shot_map(0.3, shot, 0.8, 2.0, 0.1) == pytest.approx(0.45, rel=0.0, abs=1e-16)
+        assert iterate_shots(0.3, shot, 0.8, 2.0, 0.1, 7) == 0.45
 
     def test_closed_form_when_a_rounds_to_one(self):
         # td = tr = 1e12 min at 1 kHz: s = epsilon + dt/tr = 3.3e-17, so a = 1 - s is 1.0
@@ -280,7 +312,7 @@ class TestShotMap:
         params = KineticsParams(0.826, 1e12, 1e12, pth=0.05)
         for minutes in (300.0, 1e10, 1e13):
             n = int(minutes * 60.0 / period)
-            assert n > MAX_EXPLICIT_SHOTS
+            assert n > 1_000_000
             p = iterate_shots(0.05, shot, 0.826, 1e12, 0.05, n)
             assert p == pytest.approx(buildup_closed_form(params, minutes, include_pth=True), rel=1e-12)
 
@@ -297,8 +329,7 @@ class TestShotMap:
         pe=UNIT,
         pth=UNIT,
         tr=st.floats(allow_nan=False, allow_infinity=False) | extremes(0.0, *TINY, *HUGE),
-        n_shots=st.integers(-1, 1000)
-        | st.sampled_from([MAX_EXPLICIT_SHOTS - 1, MAX_EXPLICIT_SHOTS, MAX_EXPLICIT_SHOTS + 1, 2**62]),
+        n_shots=st.integers(-1, 1000) | st.sampled_from([999_999, 1_000_000, 1_000_001, 2**62]),
     )
     def test_iterate_returns_a_polarization_or_rejects(self, p0, epsilon, period, pe, pth, tr, n_shots):
         shot = ShotModel(epsilon=epsilon, shot_period_s=period)

@@ -334,6 +334,14 @@ class TestThermalPolarization:
         assert thermal_polarization(1e-300, 1e-290) == pytest.approx(1e-10 * ratio, rel=1e-15, abs=0.0)
         assert thermal_polarization(0.0, 5e-324) == 0.0
 
+    def test_subnormal_h_nu(self):
+        """Below about 8e-283 T, h nu is subnormal or 0 while 2 kB T is normal: the
+        ratio is again B / T times h gamma / 2 kB, a normal float down to about 6e-303 T at 295 K."""
+        ratio = PLANCK_J_S * GAMMA_H_MHZ_PER_T * 1e6 / (2.0 * BOLTZMANN_J_PER_K)  # per T/K
+        assert thermal_polarization(1e-300, 295.0) == pytest.approx(1e-300 / 295.0 * ratio, rel=1e-15, abs=0.0)
+        assert thermal_polarization(7e-283, 295.0) == pytest.approx(7e-283 / 295.0 * ratio, rel=1e-15, abs=0.0)
+        assert thermal_polarization(5e-324, 295.0) == 0.0  # B / T underflows as well
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             thermal_polarization(-0.1, 295.0)
