@@ -28,6 +28,7 @@ from .config import ToolkitConfig, default_config, parse_config
 from .curveio import read_curve, write_curve, write_text
 from .errors import ValidationError
 from .ise import (
+    IseSequenceParams,
     ShotModel,
     effective_buildup_time,
     epsilon_for_buildup_time,
@@ -73,24 +74,30 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args) -> ToolkitConfig:
+    echo = print if args.verbose else None
     if args.config:
-        return parse_config(args.config, verbose=args.verbose)
-    return default_config(verbose=args.verbose)
+        return parse_config(args.config, echo=echo)
+    return default_config(echo=echo)
 
 
 def _out_path(args, cfg: ToolkitConfig, default_name: str) -> Path:
-    return Path(args.out) if args.out else cfg.output_dir / default_name
+    out = Path(args.out) if args.out else cfg.output_dir / default_name
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _report(args, out_path: Path, rows: list[tuple[str, str]], notes=()) -> None:
     """Write rows (plus the seed) as `key: value` text and as a CSV twin; note lines
     follow the text, which is also echoed."""
+    twin = out_path.with_suffix(".csv")
+    if twin == out_path:
+        raise ValidationError(f"--out {out_path} would be overwritten by the report's CSV twin; "
+                              "give the report another suffix, such as .txt")
     if args.seed is not None:
         rows = rows + [("seed", str(args.seed))]
     lines = [f"{k}: {v}" for k, v in rows] + [f"note: {note}" for note in notes]
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_text(out_path, "\n".join(lines) + "\n")
-    write_text(out_path.with_suffix(".csv"), "\n".join(f"{k},{v}" for k, v in rows) + "\n")
+    write_text(twin, "\n".join(f"{k},{v}" for k, v in rows) + "\n")
     print("\n".join(lines))
 
 
@@ -107,9 +114,9 @@ def _simulate_grid(duration_min: float, points: int) -> np.ndarray:
 
 
 def _simulate_shots(
-    params: KineticsParams, grid: np.ndarray, repetition_rate_hz: float, include_pth: bool
+    params: KineticsParams, grid: np.ndarray, sequence: IseSequenceParams, include_pth: bool
 ) -> BuildupCurve:
-    period = 1.0 / repetition_rate_hz
+    period, repetition_rate_hz = sequence.shot_period_s, sequence.repetition_rate_hz
     eps = epsilon_for_buildup_time(params.td_minutes, period)
     shot = ShotModel(epsilon=eps, shot_period_s=period)
     pth = p = params.pth if include_pth else 0.0
@@ -140,14 +147,13 @@ def cmd_simulate(args) -> int:
 
     if args.mode == "closed_form":
         values = buildup_closed_form(params, grid, include_pth=args.include_pth)
-        curve = BuildupCurve(grid, np.atleast_1d(values), ValueKind.POLARIZATION)
+        curve = BuildupCurve(grid, values, ValueKind.POLARIZATION)
     elif args.mode == "ode":
         curve = buildup_ode(params, grid, include_pth=args.include_pth)
     else:
-        curve = _simulate_shots(params, grid, cfg.sequence.repetition_rate_hz, args.include_pth)
+        curve = _simulate_shots(params, grid, cfg.sequence, args.include_pth)
 
     out = _out_path(args, cfg, f"buildup_{args.mode}.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_curve(out, curve)
 
     rows = [
@@ -324,7 +330,6 @@ def cmd_sweep(args) -> int:
     results = [(v, _sweep_final_polarization(cfg, args.parameter, v)) for v in values]
 
     out = _out_path(args, cfg, f"sweep_{args.parameter}.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{args.parameter},final_polarization"]
     lines += [f"{v!r},{p!r}" for v, p in results]
     write_text(out, "\n".join(lines) + "\n")

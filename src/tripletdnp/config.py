@@ -4,7 +4,7 @@ The file format is INI-style with `#` comments. Every key carries its unit
 in its name (field_tesla, td_minutes, ...) to keep the minutes/seconds and
 mT/T traps out of config files. All keys have documented defaults; defaults
 that are literature values or model placeholders rather than
-setup-specific numbers are flagged as such and echoed in verbose mode.
+setup-specific numbers are flagged as such and echoed on request.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ _LITERATURE = "pentacene literature value, not setup-specific"
 
 # (section, key) -> (default, provenance note). This table is the only
 # declaration of a key: assembly walks it section by section in row order,
-# which is also the verbose echo order; the [triplet] and [field] rows follow
+# which is also the echo order; the [triplet] and [field] rows follow
 # the positional fields of their types. A None default marks a key computed
 # from other keys; a string default is a path. The provenance strings are
-# printed verbatim in verbose mode for every key the file does not set.
+# echoed verbatim for every key the file does not set.
 CONFIG_REFERENCE: dict[tuple[str, str], tuple[object, str]] = {
     ("triplet", "d_mhz"): (PENTACENE_D_MHZ, _LITERATURE),
     ("triplet", "e_mhz"): (PENTACENE_E_MHZ, _LITERATURE),
@@ -78,17 +78,17 @@ class ToolkitConfig:
             )
 
 
-def default_config(verbose: bool = False, echo=print) -> ToolkitConfig:
-    """Config with every key at its documented default."""
-    return _assemble({}, verbose=verbose, echo=echo)
+def default_config(*, echo=None) -> ToolkitConfig:
+    """Config with every key at its documented default, each echoed when echo is given."""
+    return _assemble({}, echo)
 
 
-def parse_config(path, verbose: bool = False, echo=print) -> ToolkitConfig:
+def parse_config(path, *, echo=None) -> ToolkitConfig:
     """Read and validate a config file.
 
-    Unknown sections or keys are rejected (they are usually typos). In
-    verbose mode every key that fell back to its default is echoed with its
-    provenance note.
+    Unknown sections or keys are rejected (they are usually typos). When
+    echo is given (print, say), it receives one line per key that fell back
+    to its default, with its provenance note; None is silent.
     """
     p = Path(path)
     if not p.is_file():
@@ -107,13 +107,13 @@ def parse_config(path, verbose: bool = False, echo=print) -> ToolkitConfig:
             if (section, key) not in CONFIG_REFERENCE:
                 raise ConfigError(f"unknown config key [{section}] {key}")
             raw[(section, key)] = value
-    return _assemble(raw, verbose=verbose, echo=echo)
+    return _assemble(raw, echo)
 
 
-def _assemble(raw, verbose: bool, echo) -> ToolkitConfig:
+def _assemble(raw, echo) -> ToolkitConfig:
     def section(name: str, computed=None) -> dict:
         """The section's keys in table order: the file's value, else the default
-        (computed for a None default), echoed when verbose."""
+        (computed for a None default), echoed unless echo is None."""
         values = {}
         for (sec, key), (default, provenance) in CONFIG_REFERENCE.items():
             if sec != name:
@@ -122,7 +122,7 @@ def _assemble(raw, verbose: bool, echo) -> ToolkitConfig:
                 value = raw[(sec, key)]
             else:
                 value = computed if default is None else default
-                if verbose:
+                if echo is not None:
                     echo(f"# default [{sec}] {key} = {value} ({provenance})")
             try:
                 values[key] = Path(value) if isinstance(default, str) else float(value)
@@ -134,7 +134,7 @@ def _assemble(raw, verbose: bool, echo) -> ToolkitConfig:
         d_mhz, e_mhz, *populations = section("triplet").values()
         triplet = TripletParameters(d_mhz, e_mhz, tuple(populations))
         field = MagneticFieldSetting(*section("field").values())
-        # computed eagerly, so a zero field fails here even when b1 is set
+        # computed eagerly, so a zero or subnormal field fails here even when b1 is set
         b1 = hartmann_hahn_b1(field.magnitude_tesla)
         sequence = IseSequenceParams(
             **section("sequence", computed=b1), static_field_tesla=field.magnitude_tesla

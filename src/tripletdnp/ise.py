@@ -106,9 +106,10 @@ class ShotModel:
 def hartmann_hahn_b1(static_field_tesla: float) -> float:
     """Microwave field amplitude B1 (mT) matching the electron Rabi frequency
     to the 1H Larmor frequency at the given static field."""
-    if not static_field_tesla > 0.0:
-        raise ValidationError(f"static field must be positive, got {static_field_tesla}")
-    return static_field_tesla * GAMMA_H_MHZ_PER_T / GAMMA_E_MHZ_PER_T * 1e3
+    b1 = proton_larmor(static_field_tesla) / GAMMA_E_MHZ_PER_T * 1e3
+    if b1 == 0.0:
+        raise ValidationError(f"static field {static_field_tesla!r} T is too small: its Hartmann-Hahn B1 is 0")
+    return b1
 
 
 def proton_larmor(static_field_tesla: float) -> float:
@@ -129,13 +130,9 @@ def sweep_transfer_probability(params: IseSequenceParams) -> float:
     gamma_ang = 2.0 * math.pi * GAMMA_E_MHZ_PER_T * 1e6  # rad/s/T
     omega1 = gamma_ang * params.b1_amplitude_mt * 1e-3
     sweep_rate = gamma_ang * params.sweep_span_mt * 1e-3 / (params.microwave_width_us * 1e-6)
-    return _landau_zener(omega1, sweep_rate)
-
-
-def _landau_zener(omega1_rad_s: float, sweep_rate_rad_s2: float) -> float:
-    if sweep_rate_rad_s2 == 0.0:
-        return 1.0 if omega1_rad_s > 0.0 else 0.0
-    p = 1.0 - math.exp(-math.pi * omega1_rad_s**2 / (2.0 * abs(sweep_rate_rad_s2)))
+    if sweep_rate == 0.0:
+        return 1.0 if omega1 > 0.0 else 0.0
+    p = 1.0 - math.exp(-math.pi * omega1**2 / (2.0 * abs(sweep_rate)))
     return min(1.0, max(0.0, p))
 
 

@@ -100,7 +100,7 @@ class BuildupCurve:
             raise ValidationError("times and values must be finite")
         if t[0] < 0.0:
             raise ValidationError("times must be nonnegative")
-        if np.any(np.diff(t) <= 0.0):
+        if np.any(t[1:] <= t[:-1]):  # np.diff would overflow on +-1e308
             raise ValidationError("times must be strictly increasing")
         t.setflags(write=False)
         v.setflags(write=False)
@@ -156,7 +156,7 @@ def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = False) -> Bu
         raise ValidationError("time grid must not be empty")
     if grid[0] != 0.0:
         raise ValidationError("time grid must start at 0")
-    if np.any(np.diff(grid) <= 0.0):
+    if np.any(grid[1:] <= grid[:-1]):
         raise ValidationError("time grid must be strictly increasing")
 
     pth = params.pth if include_pth else 0.0

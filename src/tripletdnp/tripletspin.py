@@ -54,10 +54,6 @@ def _moduli(zs) -> list[float]:
         return [math.inf]
 
 
-def _all_finite(*values: float) -> bool:
-    return all(math.isfinite(v) for v in values)
-
-
 def _spin_form(x: float, y: float, z: float, diagonal=(0.0, 0.0, 0.0)) -> np.ndarray:
     """diag(diagonal) + x Sx + y Sy + z Sz, with (S_a)_bc = -i eps_abc."""
     return np.array([
@@ -85,7 +81,7 @@ class TripletParameters:
         p = self.zf_populations
         if len(p) != 3:
             raise ValidationError("zf_populations must have exactly three entries")
-        if not _all_finite(self.d_mhz, self.e_mhz, *p):
+        if not all(map(math.isfinite, (self.d_mhz, self.e_mhz, *p))):
             raise ValidationError(
                 f"D, E and zf_populations must be finite, got D={self.d_mhz}, "
                 f"E={self.e_mhz}, populations {p}"
@@ -120,13 +116,10 @@ class MagneticFieldSetting:
         if not 0.0 <= self.phi_rad < 2.0 * math.pi:
             raise ValidationError(f"phi must lie in [0, 2*pi), got {self.phi_rad}")
 
-    def _axis(self) -> tuple[float, float, float]:
+    def direction(self) -> tuple[float, float, float]:
+        """Unit vector (x, y, z) of the field axis in the principal frame."""
         st = math.sin(self.theta_rad)
         return st * math.cos(self.phi_rad), st * math.sin(self.phi_rad), math.cos(self.theta_rad)
-
-    def direction(self) -> np.ndarray:
-        """Unit vector of the field axis in the (x, y, z) principal frame."""
-        return np.array(self._axis())
 
 
 @dataclass(frozen=True)
@@ -169,7 +162,7 @@ class EigenSystem:
         if vals.shape != (3,) or vecs.shape != (3, 3):
             raise ValidationError("eigensystem must hold 3 eigenvalues and a 3x3 eigenvector matrix")
         low, mid, high = vals.tolist()
-        if not _all_finite(low, mid, high):
+        if not all(map(math.isfinite, (low, mid, high))):
             raise ValidationError(f"eigenvalues must be finite, got {vals}")
         if not low <= mid <= high:
             raise ValidationError("eigenvalues must be ascending")
@@ -199,7 +192,7 @@ class FieldPopulations:
 
     def __post_init__(self):
         p = self.populations
-        if not _all_finite(*p):
+        if not all(map(math.isfinite, p)):
             raise ValidationError(f"populations must be finite, got {p}")
         if any(v < -1e-15 for v in p):
             raise ValidationError(f"populations must be nonnegative, got {p}")
@@ -216,7 +209,7 @@ def build_hamiltonian(params: TripletParameters, field: MagneticFieldSetting) ->
     """
     d, e = params.d_mhz, params.e_mhz
     gamma_b = GAMMA_E_MHZ_PER_T * field.magnitude_tesla
-    x, y, z = field._axis()
+    x, y, z = field.direction()
     zfs = (d / 3.0 - e, d / 3.0 + e, -2.0 * d / 3.0)
     return SpinHamiltonian(_spin_form(gamma_b * x, gamma_b * y, gamma_b * z, zfs))
 
@@ -263,7 +256,7 @@ def electron_polarization(
     (-1, 0, +1); the clamp trims rounding only and passes NaN through.
     Equal populations give exactly zero (trace of S_B).
     """
-    bx, by, bz = field._axis()
+    bx, by, bz = field.direction()
     # <psi|S_a|psi> = 2 Im(conj(psi_b) psi_c) over cyclic (a, b, c), from (S_a)_bc = -i eps_abc
     pe = sum(p * 2.0 * (bx * (y.conjugate() * z).imag + by * (z.conjugate() * x).imag
                         + bz * (x.conjugate() * y).imag)

@@ -712,6 +712,24 @@ class TestCalibrate:
         assert "reference_thermal_polarization: 2.216540988033941e-06" in cap.out
 
 
+@pytest.mark.parametrize("b1", ["", "[sequence]\nb1_amplitude_mt = 1.0\n"], ids=["b1-computed", "b1-set"])
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose", 132, 57.1], ["calibrate", "--enhanced", 2, "--reference", 1,
+                                "--reference-thermal-polarization", "1e-6"]],
+    ids=["decompose", "calibrate"],
+)
+def test_field_whose_b1_underflows_rejected_by_name(tmp_path, capsys, b1, argv):
+    """The Hartmann-Hahn B1 of a 5e-324 T field underflows to 0: exit 3 naming the field, not b1,
+    also where b1 is set or the subcommand reads neither."""
+    path = tmp_path / "f.cfg"
+    path.write_text("[field]\nfield_tesla = 5e-324\n" + b1)
+    out = tmp_path / "r.txt"
+    code, cap = run([*argv, "--config", path, "--out", out], capsys)
+    assert code == 3 and not out.exists() and cap.out == ""
+    assert cap.err == "error: static field 5e-324 T is too small: its Hartmann-Hahn B1 is 0\n"
+
+
 class TestSweep:
     def test_tr_sweep_values(self, cfg, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -831,6 +849,23 @@ class TestOutputFiles:
         assert code == 0
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_text() == cap.out  # sweep echoes its CSV
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "decay.csv", "--model", "decay"], ["decompose", 132, 57.1],
+         ["calibrate", "--enhanced", 2, "--reference", 1]],
+        ids=["fit", "decompose", "calibrate"],
+    )
+    def test_report_out_ending_in_csv_rejected(self, tmp_path, capsys, monkeypatch, argv):
+        """The CSV twin of r.csv is r.csv itself, which would overwrite the text report."""
+        monkeypatch.chdir(tmp_path)
+        t = np.linspace(0.0, 300.0, 15)
+        Path("decay.csv").write_text("time_min,value\n" + "".join(
+            f"{float(x)!r},{float(0.61 * np.exp(-x / 132.0))!r}\n" for x in t))
+        code, cap = run([*argv, "--out", "r.csv"], capsys)
+        assert code == 3 and not Path("r.csv").exists() and cap.out == ""
+        assert cap.err == ("error: --out r.csv would be overwritten by the report's CSV twin; "
+                           "give the report another suffix, such as .txt\n")
 
     def test_out_to_dev_null(self, capsys):
         code, cap = run(["sweep", "tr", "--values", "57.1,96.9", "--out", os.devnull], capsys)

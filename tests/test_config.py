@@ -15,7 +15,7 @@ def write_cfg(tmp_path, text):
 def test_minimal_config_applies_defaults(tmp_path):
     notes = []
     cfg = parse_config(
-        write_cfg(tmp_path, "[field]\nfield_tesla = 0.5\n"), verbose=True, echo=notes.append
+        write_cfg(tmp_path, "[field]\nfield_tesla = 0.5\n"), echo=notes.append
     )
     assert cfg.field.magnitude_tesla == 0.5
     assert cfg.triplet.d_mhz == 1395.0
@@ -96,9 +96,15 @@ def test_default_config_matches_empty_file(tmp_path):
     assert default_config() == parse_config(write_cfg(tmp_path, ""))
 
 
+def test_without_echo_nothing_is_printed(tmp_path, capsys):
+    parse_config(write_cfg(tmp_path, "[field]\nfield_tesla = 0.5\n"))
+    default_config()
+    assert capsys.readouterr() == ("", "")
+
+
 def test_verbose_echo_follows_table_order():
     notes = []
-    default_config(verbose=True, echo=notes.append)
+    default_config(echo=notes.append)
     echoed = [tuple(n.split("[", 1)[1].split(" = ")[0].split("] ")) for n in notes]
     assert echoed == list(CONFIG_REFERENCE)
 

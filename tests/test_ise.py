@@ -20,6 +20,7 @@ from tripletdnp import (
     shot_map,
     sweep_transfer_probability,
 )
+from tripletdnp.constants import GAMMA_E_MHZ_PER_T, GAMMA_H_MHZ_PER_T
 
 import oracles
 
@@ -100,6 +101,15 @@ class TestMatchingConditions:
             hartmann_hahn_b1(0.0)
         with pytest.raises(ValidationError):
             proton_larmor(-0.1)
+
+    def test_subnormal_field_whose_b1_underflows_rejected(self):
+        with pytest.raises(ValidationError, match=r"static field 5e-324 T is too small"):
+            hartmann_hahn_b1(5e-324)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.floats(min_value=1e-300, max_value=1e3))
+    def test_b1_is_the_larmor_ratio_bit_for_bit(self, field):
+        assert hartmann_hahn_b1(field) == field * GAMMA_H_MHZ_PER_T / GAMMA_E_MHZ_PER_T * 1e3
 
     def test_linearity_in_field(self):
         assert hartmann_hahn_b1(1.28) == pytest.approx(1.9446477953534178, abs=1e-12)

@@ -80,6 +80,14 @@ class TestBuildupCurve:
         with pytest.raises(ValidationError, match="nonnegative"):
             BuildupCurve(np.array([-1.0, 1.0]), np.zeros(2))
 
+    def test_order_checks_neither_overflow_nor_warn(self):
+        """A difference of the times would overflow or give inf - inf; the checks compare instead."""
+        with pytest.raises(ValidationError, match="increasing"):
+            BuildupCurve([0.0, 1.7e308, -1.7e308], np.zeros(3))
+        for grid in ([0.0, 1.7e308, -1.7e308], [0.0, math.inf, math.inf]):
+            with pytest.raises(ValidationError, match="increasing"):
+                buildup_ode(KineticsParams(0.5, 10.0, 20.0), grid)
+
     @pytest.mark.parametrize(
         "times, values",
         [([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]), ([0.0, 1.0, 2.0], [0.0, math.inf, 0.5])],

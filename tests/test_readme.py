@@ -1,0 +1,58 @@
+"""README's command block runs as written.
+
+Every `tripletdnp ...` line of the first shell block under "## Command line"
+(with `\\` continuations joined) runs through `cli.main` in a scratch
+directory that holds README's example config as `run.cfg` and seeded noisy
+curves at the reference kinetics as `curve.csv` and `decay.csv`.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tripletdnp import KineticsParams, final_polarization
+from tripletdnp.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
+
+
+def _block(heading: str, language: str) -> str:
+    section = README.split(f"\n{heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def _commands() -> list[list[str]]:
+    lines = _block("## Command line", "sh").replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("tripletdnp ")]
+
+
+def _curve_text(t, values) -> str:
+    return "# value_kind: polarization\ntime_min,value\n" + "".join(
+        f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, values))
+
+
+COMMANDS = _commands()
+
+
+def test_the_block_covers_every_subcommand():
+    assert {argv[0] for argv in COMMANDS} == {"simulate", "fit", "decompose", "calibrate", "sweep"}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])
+def test_readme_command_runs(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(_block("Example:", "ini"))
+    rng = np.random.default_rng(20250)
+    amplitude = final_polarization(REFERENCE)
+    rate = 1.0 / REFERENCE.td_minutes + 1.0 / REFERENCE.tr_minutes
+    t = np.linspace(0.0, 150.0, 201)
+    Path("curve.csv").write_text(_curve_text(t, -amplitude * np.expm1(-rate * t) + 0.005 * rng.normal(size=t.size)))
+    t = np.linspace(0.0, 300.0, 201)
+    decay = amplitude * np.exp(-t / REFERENCE.tr_minutes) + 0.005 * rng.normal(size=t.size)
+    Path("decay.csv").write_text(_curve_text(t, decay))
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (0, "")

@@ -133,8 +133,10 @@ def test_magnetic_field_setting(field):
     assert 0.0 <= field.magnitude_tesla < math.inf
     assert 0.0 <= field.theta_rad <= math.pi and 0.0 <= field.phi_rad < 2.0 * math.pi
     axis = field.direction()
-    assert axis.shape == (3,) and np.isfinite(axis).all()
-    assert abs(float(axis @ axis) - 1.0) <= 1e-15
+    assert type(axis) is tuple and len(axis) == 3
+    assert all(type(v) is float and math.isfinite(v) for v in axis)
+    x, y, z = axis
+    assert abs(x * x + y * y + z * z - 1.0) <= 1e-15
 
 
 @PROPERTY
