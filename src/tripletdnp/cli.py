@@ -210,10 +210,13 @@ def cmd_fit(args) -> int:
 
 def cmd_decompose(args) -> int:
     cfg = _load_config(args)
+    if args.tolerance_pct is not None and args.reference_te is None:
+        raise ValidationError("--tolerance-pct applies with --reference-te only")
     if args.reference_te is not None and not 0.0 < args.reference_te < math.inf:
         raise ValidationError(f"--reference-te must be finite and positive, got {args.reference_te}")
-    if not 0.0 <= args.tolerance_pct < math.inf:
-        raise ValidationError(f"--tolerance-pct must be finite and >= 0, got {args.tolerance_pct}")
+    tolerance_pct = 5.0 if args.tolerance_pct is None else args.tolerance_pct
+    if not 0.0 <= tolerance_pct < math.inf:
+        raise ValidationError(f"--tolerance-pct must be finite and >= 0, got {tolerance_pct}")
     result = decompose_relaxation(args.t1_minutes, args.tr_minutes)
     recomposed = 1.0 / (1.0 / result.t1_minutes + 1.0 / result.te_minutes)
     rows = [
@@ -225,11 +228,11 @@ def cmd_decompose(args) -> int:
     notes = ()
     if args.reference_te is not None:
         rel = abs(result.te_minutes - args.reference_te) / args.reference_te
-        within = rel <= args.tolerance_pct / 100.0
+        within = rel <= tolerance_pct / 100.0
         rows += [
             ("reference_te_minutes", repr(args.reference_te)),
             ("relative_difference", repr(rel)),
-            ("tolerance_pct", repr(args.tolerance_pct)),
+            ("tolerance_pct", repr(tolerance_pct)),
             ("within_tolerance", str(within).lower()),
         ]
         notes = (_TOLERANCE_RATIONALE,)
@@ -283,6 +286,8 @@ def cmd_calibrate(args) -> int:
 
 
 def _sweep_values(args) -> list[float]:
+    if args.values is not None and (args.start, args.stop, args.num) != (None, None, None):
+        raise ValidationError("--values does not combine with --start, --stop or --num")
     if args.values:
         try:
             return [float(v) for v in args.values.split(",") if v.strip()]
@@ -292,15 +297,16 @@ def _sweep_values(args) -> list[float]:
             ) from None
     if args.start is None or args.stop is None:
         raise ValidationError("provide either --values or --start/--stop (with optional --num)")
-    if args.num < 1:
-        raise ValidationError(f"--num must be at least 1, got {args.num}")
-    if args.num > MAX_POINTS:
-        raise ValidationError(f"--num must be at most {MAX_POINTS:,}, got {args.num}")
+    num = 11 if args.num is None else args.num
+    if num < 1:
+        raise ValidationError(f"--num must be at least 1, got {num}")
+    if num > MAX_POINTS:
+        raise ValidationError(f"--num must be at most {MAX_POINTS:,}, got {num}")
     if not math.isfinite(args.stop - args.start):  # Python floats overflow to inf without a warning
         raise ValidationError(
             f"--start and --stop must be finite and less than 1.8e308 apart, got {args.start} and {args.stop}"
         )
-    return [float(v) for v in np.linspace(args.start, args.stop, args.num)]
+    return [float(v) for v in np.linspace(args.start, args.stop, num)]
 
 
 def _sweep_final_polarization(cfg: ToolkitConfig, parameter: str, value: float) -> float:
@@ -368,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("t1_minutes", type=float)
     dec.add_argument("tr_minutes", type=float)
     dec.add_argument("--reference-te", type=float, default=None, help="reference value to compare against")
-    dec.add_argument("--tolerance-pct", type=float, default=5.0, help="comparison window, percent")
+    dec.add_argument("--tolerance-pct", type=float, default=None,
+                     help="comparison window, percent (--reference-te only; default 5)")
     _add_common(dec)
     dec.set_defaults(func=cmd_decompose)
 
@@ -391,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--values", help="comma-separated list of parameter values")
     sweep.add_argument("--start", type=float, default=None)
     sweep.add_argument("--stop", type=float, default=None)
-    sweep.add_argument("--num", type=int, default=11)
+    sweep.add_argument("--num", type=int, default=None, help="number of range points (default 11)")
     _add_common(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser

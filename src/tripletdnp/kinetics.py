@@ -43,7 +43,7 @@ __all__ = [
     "thermal_polarization",
 ]
 
-# Total RK4 steps buildup_ode accepts per call: about 0.7 s at the 60-70 ns per step
+# Total RK4 steps buildup_ode accepts per call: about a second at the 75-90 ns per step
 # measured on a 2-CPU Xeon VM with Python 3.11 and numpy 2.4.
 MAX_RK4_STEPS = 10_000_000
 

@@ -13,8 +13,9 @@ All functions are pure and all value types are immutable after
 construction, so they are safe to share between threads. Every value type
 rejects non-finite numbers (NaN or infinity) with ValidationError. The
 per-orientation checks and projections run on Python numbers taken from one
-tolist() of each 3x3 array: at this size numpy's per-call dispatch costs
-more than the arithmetic.
+tolist() of each 3x3 array, once per array: at this size numpy's per-call
+dispatch costs more than the arithmetic. So an EigenSystem keeps the columns
+it checked, and a MagneticFieldSetting computes its axis at construction.
 """
 
 from __future__ import annotations
@@ -54,13 +55,13 @@ def _moduli(zs) -> list[float]:
         return [math.inf]
 
 
-def _spin_form(x: float, y: float, z: float, diagonal=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """diag(diagonal) + x Sx + y Sy + z Sz, with (S_a)_bc = -i eps_abc."""
-    return np.array([
+def _spin_form(x: float, y: float, z: float, diagonal=(0.0, 0.0, 0.0)) -> list[list[complex]]:
+    """diag(diagonal) + x Sx + y Sy + z Sz, with (S_a)_bc = -i eps_abc, as nested lists."""
+    return [
         [diagonal[0], -1j * z, 1j * y],
         [1j * z, diagonal[1], -1j * x],
         [-1j * y, 1j * x, diagonal[2]],
-    ])
+    ]
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,13 @@ class MagneticFieldSetting:
             raise ValidationError(f"theta must lie in [0, pi], got {self.theta_rad}")
         if not 0.0 <= self.phi_rad < 2.0 * math.pi:
             raise ValidationError(f"phi must lie in [0, 2*pi), got {self.phi_rad}")
+        st = math.sin(self.theta_rad)
+        object.__setattr__(self, "_axis", (st * math.cos(self.phi_rad), st * math.sin(self.phi_rad),
+                                           math.cos(self.theta_rad)))
 
     def direction(self) -> tuple[float, float, float]:
         """Unit vector (x, y, z) of the field axis in the principal frame."""
-        st = math.sin(self.theta_rad)
-        return st * math.cos(self.phi_rad), st * math.sin(self.phi_rad), math.cos(self.theta_rad)
+        return self._axis
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ class SpinHamiltonian:
         # |H - H^H| is symmetric, so the diagonal and upper triangle cover it
         skew = _moduli((a - a.conjugate(), e - e.conjugate(), k - k.conjugate(),
                         b - d.conjugate(), c - g.conjugate(), f - h.conjugate()))
-        if not all(x <= tol for x in skew):
+        if not max(skew) <= tol:  # finite entries: a skew overflows to inf at worst, never NaN
             raise ValidationError("Hamiltonian must be Hermitian within 1e-12")
         # abs cannot raise here: the diagonal is now real up to 1e-12 of its size
         if not abs(a + e + k) <= _TRACE_TOL:
@@ -182,6 +185,7 @@ class EigenSystem:
         vecs.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
+        object.__setattr__(self, "_columns", ((u0, u1, u2), (v0, v1, v2), (w0, w1, w2)))
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,7 @@ class FieldPopulations:
         p = self.populations
         if not all(map(math.isfinite, p)):
             raise ValidationError(f"populations must be finite, got {p}")
-        if any(v < -1e-15 for v in p):
+        if min(p) < -1e-15:
             raise ValidationError(f"populations must be nonnegative, got {p}")
         if abs(sum(p) - 1.0) > 1e-10:
             raise ValidationError(f"populations must sum to 1 within 1e-10, got sum {sum(p)!r}")
@@ -217,8 +221,8 @@ def build_hamiltonian(params: TripletParameters, field: MagneticFieldSetting) ->
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Rotate each eigenvector so its first nonzero component is real positive."""
     phases = []
-    for col in vecs.T.tolist():
-        lead = next((c for c in col if abs(c) > 1e-12), 1.0)
+    for x, y, z in vecs.T.tolist():
+        lead = x if abs(x) > 1e-12 else y if abs(y) > 1e-12 else z if abs(z) > 1e-12 else 1.0
         phases.append(lead.conjugate() / abs(lead))
     return vecs * phases
 
@@ -242,7 +246,7 @@ def project_populations(eig: EigenSystem, params: TripletParameters) -> FieldPop
     """
     px, py, pz = params.zf_populations
     p = [px * abs(x) ** 2 + py * abs(y) ** 2 + pz * abs(z) ** 2  # |<T_k|psi_i>|^2 p_k
-         for x, y, z in eig.eigenvectors.T.tolist()]
+         for x, y, z in eig._columns]
     total = sum(p)  # unit up to rounding; renormalize the last ulps
     return FieldPopulations((p[0] / total, p[1] / total, p[2] / total))
 
@@ -260,7 +264,7 @@ def electron_polarization(
     # <psi|S_a|psi> = 2 Im(conj(psi_b) psi_c) over cyclic (a, b, c), from (S_a)_bc = -i eps_abc
     pe = sum(p * 2.0 * (bx * (y.conjugate() * z).imag + by * (z.conjugate() * x).imag
                         + bz * (x.conjugate() * y).imag)
-             for p, (x, y, z) in zip(pops.populations, eig.eigenvectors.T.tolist()))
+             for p, (x, y, z) in zip(pops.populations, eig._columns))
     return max(min(pe, 1.0), -1.0)
 
 

@@ -583,6 +583,23 @@ class TestDecompose:
         assert cap.err.count("\n") == 1 and "--tolerance-pct" in cap.err
         assert not out.exists() and not out.with_suffix(".csv").exists()
 
+    @pytest.mark.parametrize("tolerance", ["5", "nan"])
+    def test_tolerance_without_reference_rejected(self, tmp_path, capsys, tolerance):
+        argv = ["decompose", "132", "57.1", "--tolerance-pct", tolerance]
+        code, cap = run([*argv, "--out", tmp_path / "d.txt"], capsys)
+        assert code == 3
+        assert cap.err == "error: --tolerance-pct applies with --reference-te only\n"
+        assert cap.out == "" and list(tmp_path.iterdir()) == []
+        _assert_documented_exit(tmp_path, argv)
+
+    def test_explicit_default_tolerance_gives_the_same_bytes(self, tmp_path, capsys):
+        argv = ["decompose", 132, 57.1, "--reference-te", 96.9]
+        _, implicit = run([*argv, "--out", tmp_path / "a.txt"], capsys)
+        _, explicit = run([*argv, "--tolerance-pct", "5", "--out", tmp_path / "b.txt"], capsys)
+        assert explicit.out == implicit.out and "tolerance_pct: 5.0" in implicit.out.splitlines()
+        assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
     def test_t1_equal_tr_rejected(self, capsys):
         code, cap = run(["decompose", 100, 100], capsys)
         assert code == 3
@@ -810,6 +827,23 @@ class TestSweep:
         code, _ = run(["sweep", parameter, "--config", cfg, "--values", "nan", "--out", out], capsys)
         assert code == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("range_flags", [
+        ["--start", "1", "--stop", "2", "--num", "3"], ["--num", "11"], ["--start", "1"], ["--stop", "2"],
+    ])
+    def test_values_with_range_flags_rejected(self, cfg, tmp_path, capsys, range_flags):
+        argv = ["sweep", "tr", "--values", "57.1,96.9", *range_flags]
+        before = sorted(tmp_path.iterdir())
+        code, cap = run([*argv, "--config", cfg, "--out", tmp_path / "s.csv"], capsys)
+        assert code == 3
+        assert cap.err == "error: --values does not combine with --start, --stop or --num\n"
+        assert cap.out == "" and sorted(tmp_path.iterdir()) == before
+        _assert_documented_exit(tmp_path, argv)
+
+    def test_range_num_defaults_to_11(self, cfg, tmp_path, capsys):
+        code, cap = run(["sweep", "pe", "--config", cfg, "--start", 0.1, "--stop", 0.9,
+                         "--out", tmp_path / "s.csv"], capsys)
+        assert code == 0 and len(cap.out.splitlines()) == 12
 
     def test_missing_values_rejected(self, cfg, capsys):
         code, cap = run(["sweep", "tr", "--config", cfg], capsys)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -488,3 +491,54 @@ class TestChainMatchesNumpyOracle:
         assert eig.eigenvalues.tolist() == [-1.0, 0.0, 1.0]
         assert eig.eigenvectors[0, 0] == 1.0
         assert not (ham.matrix.flags.writeable or eig.eigenvalues.flags.writeable)
+
+    def test_projections_of_callers_arrays_survive_their_mutation(self):
+        """An EigenSystem built straight from a caller's arrays projects as the
+        oracle does, before and after the caller overwrites those arrays."""
+        field = MagneticFieldSetting(0.64, 1.0, 2.0)
+        _, vals, vecs, want_pops, want_pe = oracles.spin_chain(
+            PENTACENE.d_mhz, PENTACENE.e_mhz, PENTACENE.zf_populations, 0.64, 1.0, 2.0)
+        eig = EigenSystem(vals, vecs)
+        for mutate in (False, True):
+            if mutate:
+                vals[:], vecs[:] = (-2.0, 0.0, 2.0), np.eye(3)[::-1]
+            pops = project_populations(eig, PENTACENE)
+            np.testing.assert_allclose(pops.populations, want_pops, rtol=0.0, atol=1e-15)
+            assert electron_polarization(eig, pops, field) == pytest.approx(want_pe, rel=0.0, abs=1e-15)
+
+
+class TestDerivedOnce:
+    """The field axis and the eigenvector columns are derived at construction;
+    every copy and every replace carries or re-derives the same numbers."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    def test_direction_is_the_trig_expressions_bit_for_bit(self, theta, phi):
+        sin_theta = math.sin(theta)
+        want = (sin_theta * math.cos(phi), sin_theta * math.sin(phi), math.cos(theta))
+        got = MagneticFieldSetting(0.64, theta, phi).direction()
+        assert type(got) is tuple and [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)), dataclasses.replace,
+    ], ids=["copy", "deepcopy", "pickle", "replace"])
+    def test_copies_project_as_the_oracle(self, clone):
+        field = MagneticFieldSetting(0.64, 1.0, 2.0)
+        _, _, _, want_pops, want_pe = oracles.spin_chain(
+            PENTACENE.d_mhz, PENTACENE.e_mhz, PENTACENE.zf_populations, 0.64, 1.0, 2.0)
+        eig = eigensystem(build_hamiltonian(PENTACENE, field))
+        eig2, field2 = clone(eig), clone(field)
+        assert field2 == field and field2.direction() == field.direction()
+        assert eig2.eigenvectors.tobytes() == eig.eigenvectors.tobytes()
+        pops = project_populations(eig2, PENTACENE)
+        assert pops == project_populations(eig, PENTACENE)
+        np.testing.assert_allclose(pops.populations, want_pops, rtol=0.0, atol=1e-15)
+        assert electron_polarization(eig2, pops, field2) == pytest.approx(want_pe, rel=0.0, abs=1e-15)
+
+    def test_replace_rederives(self):
+        field = dataclasses.replace(MagneticFieldSetting(0.64, 1.0, 2.0), theta_rad=0.0)
+        assert field.direction() == (0.0, 0.0, 1.0)
+        eig = eigensystem(build_hamiltonian(PENTACENE, FIELD_064))
+        swapped = dataclasses.replace(eig, eigenvectors=eig.eigenvectors[:, ::-1])
+        assert project_populations(swapped, PENTACENE).populations == pytest.approx(
+            project_populations(eig, PENTACENE).populations[::-1], abs=1e-15)
