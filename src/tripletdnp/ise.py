@@ -29,7 +29,6 @@ __all__ = [
     "sweep_transfer_probability",
     "effective_buildup_time",
     "epsilon_for_buildup_time",
-    "shot_map",
     "iterate_shots",
 ]
 
@@ -160,48 +159,31 @@ def epsilon_for_buildup_time(td_minutes: float, shot_period_s: float) -> float:
     return eps
 
 
-def _relaxation_per_shot(p: float, shot: ShotModel, pe: float, tr_minutes: float, pth: float) -> float:
-    """Check the inputs of a shot and return its relaxation fraction dt/tr."""
-    if not abs(p) <= 1.0:
-        raise ValidationError(f"|polarization| <= 1 required, got {p}")
+def iterate_shots(
+    p0: float, shot: ShotModel, pe: float, tr_minutes: float, pth: float, n_shots: int
+) -> float:
+    """Polarization after n_shots shots from p0, in closed form.
+
+    One shot gains epsilon (pe - p) and relaxes (dt/tr)(p - pth), so it is
+    the affine map p -> a p + b with a = 1 - s, s = epsilon + dt/tr. s > 1
+    makes every shot overshoot its fixed point and is rejected, even for
+    n_shots = 0. For 0 < s <= 1, a lies in [0, 1) and the fixed point b/s, a
+    convex combination of pe and pth, lies in [-1, 1] after rounding too, so
+    the n-fold composition is exactly a^n p0 + (1 - a^n) b/s and stays in
+    [-1, 1]. When s is too small for a to differ from 1, a^n and 1 - a^n
+    come from n log1p(-s) instead.
+    """
+    if n_shots < 0:
+        raise ValidationError(f"n_shots must be >= 0, got {n_shots}")
+    if not abs(p0) <= 1.0:
+        raise ValidationError(f"|polarization| <= 1 required, got {p0}")
     if not (abs(pe) <= 1.0 and abs(pth) <= 1.0):
         raise ValidationError(f"|pe| and |pth| must be finite and not exceed 1, got {pe}, {pth}")
     if not tr_minutes > 0.0:
         raise ValidationError(f"tr_minutes must be positive, got {tr_minutes}")
     delta = shot.shot_period_s / (SECONDS_PER_MINUTE * tr_minutes)
-    if not delta < math.inf:  # inf * (p - pth) would be NaN at p = pth, which a clamp hides
+    if not delta < math.inf:  # the overshoot check below would reject it too, without naming tr
         raise ValidationError(f"shot period / tr overflows: tr_minutes {tr_minutes} is too small")
-    return delta
-
-
-def shot_map(p_now: float, shot: ShotModel, pe: float, tr_minutes: float, pth: float = 0.0) -> float:
-    """Polarization after one shot: gain epsilon (pe - p), relax (dt/tr)(p - pth).
-
-    The result is clamped to [-1, 1]; for admissible parameters the map is a
-    convex step toward a fixed point inside the interval and the clamp never
-    engages.
-    """
-    delta = _relaxation_per_shot(p_now, shot, pe, tr_minutes, pth)
-    p = p_now + shot.epsilon * (pe - p_now) - delta * (p_now - pth)
-    return min(1.0, max(-1.0, p))
-
-
-def iterate_shots(
-    p0: float, shot: ShotModel, pe: float, tr_minutes: float, pth: float, n_shots: int
-) -> float:
-    """Apply shot_map n_shots times, in closed form.
-
-    The map is affine, p -> a p + b with a = 1 - s, s = epsilon + dt/tr.
-    s > 1 makes every shot overshoot its fixed point and is rejected, even
-    for n_shots = 0. For 0 < s <= 1, a lies in [0, 1) and the fixed point
-    b/s, a convex combination of pe and pth, lies in [-1, 1] after rounding
-    too, so the n-fold composition is exactly a^n p0 + (1 - a^n) b/s and no
-    clamp can engage. When s is too small for a to differ from 1, a^n and
-    1 - a^n come from n log1p(-s) instead.
-    """
-    if n_shots < 0:
-        raise ValidationError(f"n_shots must be >= 0, got {n_shots}")
-    delta = _relaxation_per_shot(p0, shot, pe, tr_minutes, pth)
     s = shot.epsilon + delta
     if s > 1.0:
         raise ValidationError(
@@ -215,6 +197,6 @@ def iterate_shots(
     if a < 1.0:
         an = a**n_shots
         return an * p0 + (1.0 - an) * fixed_point
-    # a rounded to 1.0, so a**n would too: a^n = exp(n log1p(-s)), clamped as shot_map is
+    # a rounded to 1.0, so a**n would too: a^n = exp(n log1p(-s)), clamped to [-1, 1] against rounding
     x = n_shots * math.log1p(-s)
     return min(1.0, max(-1.0, math.exp(x) * p0 - math.expm1(x) * fixed_point))

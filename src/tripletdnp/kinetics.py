@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,32 @@ MAX_RK4_STEPS = 10_000_000
 
 # h gamma_H / 2 kB, K/T: thermal_polarization's ratio per unit B / T
 _HALF_H_GAMMA_OVER_KB = PLANCK_J_S * GAMMA_H_MHZ_PER_T * 1e6 / (2.0 * BOLTZMANN_J_PER_K)
+
+
+class ArrayValue:
+    """Equality and hash for a frozen dataclass, declared with eq=False, that holds arrays.
+
+    Two values are equal when they have the same class, equal scalar fields,
+    and array fields of the same dtype, shape and elements (np.array_equal).
+    The hash covers the scalar fields and the array bytes, with -0.0 folded
+    into 0.0 so that equal values hash alike; the arrays are read-only
+    private copies, so a hash cannot go stale.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(a.dtype == b.dtype and np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._values(), other._values()))
+
+    def __hash__(self):
+        return hash(tuple((a.dtype.str, a.shape, (a + 0.0).tobytes()) if isinstance(a, np.ndarray) else a
+                          for a in self._values()))
 
 
 @dataclass(frozen=True)
@@ -81,8 +107,8 @@ class ValueKind(enum.Enum):
     RAW_SIGNAL = "raw_signal"
 
 
-@dataclass(frozen=True)
-class BuildupCurve:
+@dataclass(frozen=True, eq=False)
+class BuildupCurve(ArrayValue):
     """Time-ordered (time, value) samples, simulated or measured."""
 
     times_min: np.ndarray
@@ -111,6 +137,25 @@ class BuildupCurve:
         return int(self.times_min.size)
 
 
+def _approach(p0: float, p_inf: float, t_consts: tuple, t_minutes, what: str):
+    """Solution p_inf (1 - e) + p0 e of dP/dt = k (p_inf - P), P(0) = p0, k = sum of 1/t_consts.
+
+    e = exp(-t k). Times must be finite and nonnegative; a scalar time gives
+    a float, an array of times an array. A t k past 1.8e308 gives e = 0
+    without a RuntimeWarning. Where k overflows (a subnormal time constant),
+    t = 0 would give a NaN, so e = exp(-sum of t / t_consts) instead, which
+    is 1 at t = 0. what names the time in the error.
+    """
+    t = np.asarray(t_minutes, dtype=float)
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise ValidationError(f"{what} time must be finite and nonnegative")
+    with np.errstate(over="ignore"):  # 1 / c of a numpy scalar would warn
+        rate = sum(1.0 / c for c in t_consts)
+        e = np.exp(-t * rate) if rate < math.inf else np.exp(-sum(t / c for c in t_consts))
+    out = p_inf * (1.0 - e) + p0 * e
+    return float(out) if t.ndim == 0 else out
+
+
 def buildup_closed_form(params: KineticsParams, t_minutes, include_pth: bool = False):
     """Closed-form buildup P(t) = P_inf (1 - e) + P0 e with e = exp(-t (1/td + 1/tr)).
 
@@ -119,18 +164,8 @@ def buildup_closed_form(params: KineticsParams, t_minutes, include_pth: bool = F
     P0 = pth and approaches steady_state_with_pth. Accepts a scalar or an
     array of times; times must be finite and nonnegative.
     """
-    t = np.asarray(t_minutes, dtype=float)
-    if not np.all((t >= 0.0) & (t < math.inf)):
-        raise ValidationError("buildup time must be finite and nonnegative")
-    rate = 1.0 / params.td_minutes + 1.0 / params.tr_minutes
-    with np.errstate(over="ignore"):  # t * rate past 1.8e308 gives e = exp(-inf) = 0
-        # a rate of inf (subnormal td or tr) would make t = 0 a NaN: e is 1 there, else 0
-        e = np.exp(-t * rate) if rate < math.inf else (t == 0.0).astype(float)
-    if include_pth:
-        out = steady_state_with_pth(params) * (1.0 - e) + params.pth * e
-    else:
-        out = final_polarization(params) * (1.0 - e)
-    return float(out) if np.ndim(t_minutes) == 0 else out
+    p0, p_inf = (params.pth, steady_state_with_pth(params)) if include_pth else (0.0, final_polarization(params))
+    return _approach(p0, p_inf, (params.td_minutes, params.tr_minutes), t_minutes, "buildup")
 
 
 def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = False) -> BuildupCurve:
@@ -219,11 +254,7 @@ def relaxation_decay(p0: float, t_const_minutes: float, t_minutes, pth: float = 
         raise ValidationError(f"time constant must be positive (finite or +inf), got {t_const_minutes}")
     if not (math.isfinite(p0) and math.isfinite(pth)):
         raise ValidationError(f"p0 and pth must be finite, got p0={p0}, pth={pth}")
-    t = np.asarray(t_minutes, dtype=float)
-    if not np.all((t >= 0.0) & (t < math.inf)):
-        raise ValidationError("decay time must be finite and nonnegative")
-    out = pth + (p0 - pth) * np.exp(-t / t_const_minutes)
-    return float(out) if np.ndim(t_minutes) == 0 else out
+    return _approach(p0, pth, (t_const_minutes,), t_minutes, "decay")
 
 
 def thermal_polarization(field_tesla: float, temperature_kelvin: float) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .constants import GAMMA_E_MHZ_PER_T
 from .errors import ValidationError
+from .kinetics import ArrayValue
 
 __all__ = [
     "TripletParameters",
@@ -125,8 +126,8 @@ class MagneticFieldSetting:
         return self._axis
 
 
-@dataclass(frozen=True)
-class SpinHamiltonian:
+@dataclass(frozen=True, eq=False)
+class SpinHamiltonian(ArrayValue):
     """3x3 Hermitian triplet Hamiltonian in the zero-field basis, MHz."""
 
     matrix: np.ndarray
@@ -152,8 +153,8 @@ class SpinHamiltonian:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+@dataclass(frozen=True, eq=False)
+class EigenSystem(ArrayValue):
     """Eigenvalues (ascending, MHz) and orthonormal eigenvectors (columns)."""
 
     eigenvalues: np.ndarray

@@ -6,15 +6,19 @@ come from the characteristic polynomial, the swept-passage transfer
 probability comes from direct numerical propagation of the two-level
 Schrodinger equation, curve files are read and checked one row at a time,
 and the exponential fits and the spin chain's validators and projections
-keep the plain numpy calls they were first written with. Agreement
+keep the plain numpy calls they were first written with, as do the
+closed-form kinetics, and shots are stepped one at a time. Agreement
 between these and the package is the point of the tests, so nothing below
-may import from tripletdnp.
+may import from tripletdnp except ValidationError, which the shot loop
+raises where the package does.
 """
 
 import math
 from pathlib import Path
 
 import numpy as np
+
+from tripletdnp.errors import ValidationError
 
 GAMMA_E_MHZ_PER_T = 28024.9
 
@@ -234,6 +238,49 @@ def rk4_rate_equation(pe, td_minutes, tr_minutes, pth, grid, include_pth):
             p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(p)
     return np.array(out)
+
+
+# The closed-form kinetics as written before the buildup and the decay shared
+# one approach step, without their input checks. final_polarization and
+# steady_state_with_pth did not change, so the caller passes the asymptote.
+
+
+def buildup_closed_form(params, t_minutes, include_pth, p_inf):
+    """P_inf (1 - e) + pth e with include_pth, else P_inf (1 - e); e = exp(-t (1/td + 1/tr))."""
+    t = np.asarray(t_minutes, dtype=float)
+    rate = 1.0 / params.td_minutes + 1.0 / params.tr_minutes
+    with np.errstate(over="ignore"):
+        e = np.exp(-t * rate) if rate < math.inf else (t == 0.0).astype(float)
+    out = p_inf * (1.0 - e) + params.pth * e if include_pth else p_inf * (1.0 - e)
+    return float(out) if np.ndim(t_minutes) == 0 else out
+
+
+def relaxation_decay(p0, t_const_minutes, t_minutes, pth=0.0):
+    """pth + (p0 - pth) exp(-t / t_const); -t / t_const may overflow, with a RuntimeWarning."""
+    t = np.asarray(t_minutes, dtype=float)
+    out = pth + (p0 - pth) * np.exp(-t / t_const_minutes)
+    return float(out) if np.ndim(t_minutes) == 0 else out
+
+
+def shot_map(p_now, shot, pe, tr_minutes, pth=0.0):
+    """Polarization after one shot: gain epsilon (pe - p), relax (dt/tr)(p - pth).
+
+    The loop oracle of iterate_shots, one shot per call. It rejects the
+    inputs iterate_shots rejects with ValidationError, except that a shot
+    that overshoots its fixed point (epsilon + dt/tr > 1) is taken and the
+    result clamped to [-1, 1].
+    """
+    if not abs(p_now) <= 1.0:
+        raise ValidationError(f"|polarization| <= 1 required, got {p_now}")
+    if not (abs(pe) <= 1.0 and abs(pth) <= 1.0):
+        raise ValidationError(f"|pe| and |pth| must be finite and not exceed 1, got {pe}, {pth}")
+    if not tr_minutes > 0.0:
+        raise ValidationError(f"tr_minutes must be positive, got {tr_minutes}")
+    delta = shot.shot_period_s / (60.0 * tr_minutes)
+    if not delta < math.inf:  # inf * (p - pth) would be NaN at p = pth, which the clamp hides
+        raise ValidationError(f"shot period / tr overflows: tr_minutes {tr_minutes} is too small")
+    p = p_now + shot.epsilon * (pe - p_now) - delta * (p_now - pth)
+    return min(1.0, max(-1.0, p))
 
 
 def read_curve_by_rows(path):

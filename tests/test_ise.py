@@ -17,12 +17,12 @@ from tripletdnp import (
     hartmann_hahn_b1,
     iterate_shots,
     proton_larmor,
-    shot_map,
     sweep_transfer_probability,
 )
 from tripletdnp.constants import GAMMA_E_MHZ_PER_T, GAMMA_H_MHZ_PER_T
 
 import oracles
+from oracles import shot_map
 
 GAMMA_E_ANG = 2.0 * math.pi * 28.0249e9  # rad/s/T
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tripletdnp import (
     BuildupCurve,
@@ -146,6 +146,21 @@ class TestClosedForm:
         start, steady = (0.05, steady_state_with_pth(params)) if include_pth else (0.0, 0.8)
         assert buildup_closed_form(params, 0.0, include_pth) == start
         assert buildup_closed_form(params, [0.0, 1.0, 150.0], include_pth).tolist() == [start, steady, steady]
+
+    @pytest.mark.parametrize("include_pth", [False, True])
+    def test_overflowing_rate_at_tiny_times(self, include_pth):
+        """1/td overflows (td 5e-324), but t/td does not at t = td: e = exp(-1) there."""
+        params = KineticsParams(0.8, 5e-324, 57.1, pth=0.05)
+        start, steady = (0.05, steady_state_with_pth(params)) if include_pth else (0.0, 0.8)
+        e = math.exp(-1.0 - 5e-324 / 57.1)
+        assert buildup_closed_form(params, 5e-324, include_pth) == pytest.approx(
+            steady * (1.0 - e) + start * e, rel=1e-15)
+        assert relaxation_decay(0.0, 5e-324, 5e-324, pth=1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
+
+    def test_negative_buildup_starts_at_positive_zero(self):
+        """P0 e is added also for P0 = 0, so a negative P_inf (1 - e) of -0.0 at t = 0 becomes 0.0."""
+        p = buildup_closed_form(KineticsParams(-0.5, 20.2, 57.1), 0.0)
+        assert p == 0.0 and math.copysign(1.0, p) == 1.0
 
     def test_include_pth_starts_at_pth_and_settles_at_steady_state(self):
         params = KineticsParams(0.826, 20.2, 57.1, pth=0.05)
@@ -313,6 +328,44 @@ class TestRelaxationDecay:
 
     def test_infinite_time_constant_keeps_p0(self):
         assert relaxation_decay(0.61, math.inf, 100.0, pth=0.01) == 0.61
+
+    @pytest.mark.parametrize("t_const, t", [(5e-324, 1.0), (np.float64(5e-324), 1.0), (1e-300, 1e10)])
+    @pytest.mark.parametrize("pth", [0.0, 0.05])
+    def test_overflowing_rate_reaches_pth(self, t_const, t, pth):
+        """1/t_const is inf (5e-324) or t/t_const overflows (1e-300 at 1e10 min): the
+        decay starts at p0 and is at pth from the first step on, with no RuntimeWarning."""
+        assert relaxation_decay(0.61, t_const, t, pth) == pth
+        assert relaxation_decay(0.61, t_const, [0.0, t], pth).tolist() == [0.61, pth]
+
+
+UNIT = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]) | st.floats(-1.0, 1.0)
+TIME_CONSTANTS = st.sampled_from([5e-324, 1e-308, 1e-300, 57.1, 1e308, math.inf]) | st.floats(1e-3, 1e4)
+TIMES = st.sampled_from([0.0, 5e-324, 1.0, 150.0, 1e10, 1e308, 1.7976931348623157e308]) | st.floats(0.0, 1e4)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(UNIT, TIME_CONSTANTS, TIME_CONSTANTS, UNIT, TIMES | st.lists(TIMES, min_size=1, max_size=4), st.booleans())
+def test_closed_forms_match_their_oracles(pe, td, tr, pth, times, include_pth):
+    """buildup_closed_form is its oracle bit for bit, but for a -0.0 that adding
+    0 e turns into 0.0, and where 1/td + 1/tr overflows: there the oracle's e
+    is 0 for every t > 0, while exp(-(t/td + t/tr)) is not 0 below about 746
+    min(td, tr) (test_overflowing_rate_at_tiny_times). relaxation_decay, which
+    now multiplies by 1/t_const instead of dividing, stays within 2^-50 (4
+    ulps of 1.0) of its oracle."""
+    assume(not td == tr == math.inf)
+    params = KineticsParams(pe, td, tr, pth)
+    p_inf = steady_state_with_pth(params) if include_pth else final_polarization(params)
+    new = buildup_closed_form(params, times, include_pth)
+    old = oracles.buildup_closed_form(params, times, include_pth, p_inf)
+    assert type(new) is type(old)
+    t = np.atleast_1d(times)
+    same = (t == 0.0) | (t >= 746.0 * min(td, tr)) if 1.0 / td + 1.0 / tr == math.inf else t >= 0.0
+    assert np.atleast_1d(new)[same].tobytes() == np.atleast_1d(old if include_pth else old + 0.0)[same].tobytes()
+    with np.errstate(over="ignore"):  # the oracle's -t / t_const may overflow
+        old = oracles.relaxation_decay(pe, td, times, pth)
+    new = relaxation_decay(pe, td, times, pth)
+    assert type(new) is type(old)
+    assert np.all(np.abs(new - old) <= 2.0**-50)
 
 
 class TestThermalPolarization:

@@ -42,11 +42,18 @@ def test_a_layer_name_loads_that_layer():
     assert loaded == {"layers": ["tripletdnp.errors"], "numpy": False, "probe": "tripletdnp.errors"}
 
 
+def test_ise_imports_no_numpy():
+    """The shot model stays numpy-free, so it does not share kinetics' approach step."""
+    loaded = loaded_after("import tripletdnp.ise")
+    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.errors", "tripletdnp.ise"],
+                      "numpy": False, "probe": None}
+
+
 def test_star_import_gives_every_export():
     loaded = loaded_after("ns = {}\nexec('from tripletdnp import *', ns)\n"
                           "probe = sorted(set(ns) - {'__builtins__'})")
     assert loaded["probe"] == tripletdnp.__all__
-    assert len(loaded["probe"]) == 47
+    assert len(loaded["probe"]) == 46
 
 
 def test_resolved_name_is_cached_in_the_package():

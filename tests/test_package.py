@@ -10,7 +10,7 @@ MODULES = (analysis, config, curveio, errors, ise, kinetics, tripletspin)
 
 
 def test_package_exports_union_of_module_exports():
-    assert len(tripletdnp.__all__) == len(set(tripletdnp.__all__)) == 47
+    assert len(tripletdnp.__all__) == len(set(tripletdnp.__all__)) == 46
     assert set(tripletdnp.__all__) == {name for m in MODULES for name in m.__all__}
     for m in MODULES:
         for name in m.__all__:

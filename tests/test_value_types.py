@@ -4,13 +4,17 @@ Each type gets one hypothesis strategy that draws its fields from the finite
 and non-finite extremes the CLI properties use (tests/extremes.py), mixed
 with ordinary floats. Construction either raises ValidationError or gives
 an object whose fields are finite where finiteness is required and inside
-the bounds its docstring and README state.
+the bounds its docstring and README state. The types that hold arrays
+also compare and hash by value.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tripletdnp import (
@@ -22,6 +26,8 @@ from tripletdnp import (
     TripletParameters,
     ValidationError,
     ValueKind,
+    build_hamiltonian,
+    eigensystem,
     final_polarization,
     steady_state_with_pth,
 )
@@ -152,3 +158,36 @@ def test_buildup_curve(curve):
     assert t[0] >= 0.0 and (np.diff(t) > 0.0).all()
     assert not t.flags.writeable and not v.flags.writeable
     assert isinstance(curve.value_kind, ValueKind)
+
+
+def _array_values():
+    """(value, array field, index, step) for each value type that holds arrays:
+    the step changes one element and keeps the value valid."""
+    h = build_hamiltonian(TripletParameters(1395.0, -50.0, (0.76, 0.16, 0.08)), MagneticFieldSetting(0.64, 0.3, 1.2))
+    eig = eigensystem(h)
+    curve = BuildupCurve([0.0, 1.0, 2.0], [0.0, 0.3, 0.5], ValueKind.RAW_SIGNAL)
+    return [(h, "matrix", (0, 0), 1e-10), (eig, "eigenvalues", 1, 1e-11), (eig, "eigenvectors", (0, 0), 1e-12),
+            (curve, "values", -1, 1.0)]
+
+
+@pytest.mark.parametrize("value, name, index, step", _array_values(),
+                         ids=lambda x: type(x).__name__ if dataclasses.is_dataclass(x) else None)
+def test_array_value_types_compare_and_hash(value, name, index, step):
+    copies = [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)), dataclasses.replace(value)]
+    for other in copies:
+        assert other == value and not other != value
+        assert hash(other) == hash(value)
+    assert len({value, *copies}) == 1
+    array = getattr(value, name).copy()
+    array[index] += step
+    changed = dataclasses.replace(value, **{name: array})
+    assert changed != value and not changed == value
+    assert value != object()
+
+
+def test_equal_curves_hash_alike():
+    """-0.0 == 0.0, so curves that differ only in the sign of a zero are equal and hash alike."""
+    a = BuildupCurve([0.0, 1.0], [-0.0, 0.5])
+    b = BuildupCurve(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+    assert a == b and hash(a) == hash(b)
+    assert a != BuildupCurve([0.0, 1.0], [0.0, 0.5], ValueKind.RAW_SIGNAL)
