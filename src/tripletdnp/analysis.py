@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InconsistencyError, ValidationError
-from .kinetics import BuildupCurve, KineticsParams
+from .kinetics import BuildupCurve, ByValue, KineticsParams
 
 __all__ = [
     "FitResult",
@@ -44,14 +44,14 @@ _OVERFLOW_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class FitResult:
+@dataclass(frozen=True, eq=False)
+class FitResult(ByValue):
     """Fitted parameters with one-sigma uncertainties from the residual covariance.
 
     residual_norm is the root-mean-square residual. gradient_norm is the
     max-norm of J^T r at the returned point; a converged fit has driven it
     to numerical noise. iterations counts the rate-search steps after the
-    bracketing scan.
+    bracketing scan. Results compare and hash by value, NaN equal to NaN.
     """
 
     parameters: dict[str, float]
@@ -366,6 +366,8 @@ def decompose_relaxation(t1_minutes: float, tr_minutes: float) -> RelaxationDeco
             f"t1 = {t1_minutes} min must exceed tr = {tr_minutes} min; "
             "no positive paramagnetic time constant exists otherwise"
         )
+    if not 1.0 / tr_minutes < math.inf:  # te would come out as 0
+        raise ValidationError(f"1 / tr overflows: tr_minutes {tr_minutes} is too small")
     te = 1.0 / (1.0 / tr_minutes - 1.0 / t1_minutes)
     return RelaxationDecomposition(t1_minutes=t1_minutes, tr_minutes=tr_minutes, te_minutes=te)
 

@@ -277,7 +277,7 @@ def cmd_calibrate(args) -> int:
         ("polarization", repr(polarization)),
     ]
     if args.verbose:
-        baseline = _thermal_baseline(cfg)
+        baseline = ref_pol if args.reference_thermal_polarization is None else _thermal_baseline(cfg)
         rows.append(("thermal_polarization_baseline", repr(baseline)))
         rows.append(("enhancement_factor", repr(polarization / baseline)))
     notes = [str(w.message) for w in clamped]

@@ -15,8 +15,8 @@ With pth kept and P(0) = pth the approach is to the fixed point
 (pe/td + pth/tr) / (1/td + 1/tr) instead; buildup_closed_form and
 buildup_ode both take include_pth to choose between the two.
 
-Times are minutes throughout this module; the CLI boundary accepts seconds
-with an explicit unit suffix and converts before calling in.
+Times are minutes throughout this module; only a curve file with a time_s
+header gives seconds, and read_curve converts those to minutes.
 """
 
 from __future__ import annotations
@@ -43,38 +43,42 @@ __all__ = [
     "thermal_polarization",
 ]
 
-# Total RK4 steps buildup_ode accepts per call: about a second at the 75-90 ns per step
-# measured on a 2-CPU Xeon VM with Python 3.11 and numpy 2.4.
-MAX_RK4_STEPS = 10_000_000
-
 # h gamma_H / 2 kB, K/T: thermal_polarization's ratio per unit B / T
 _HALF_H_GAMMA_OVER_KB = PLANCK_J_S * GAMMA_H_MHZ_PER_T * 1e6 / (2.0 * BOLTZMANN_J_PER_K)
 
 
-class ArrayValue:
-    """Equality and hash for a frozen dataclass, declared with eq=False, that holds arrays.
+class ByValue:
+    """Equality and hash by value for a frozen dataclass declared with eq=False.
 
-    Two values are equal when they have the same class, equal scalar fields,
-    and array fields of the same dtype, shape and elements (np.array_equal).
-    The hash covers the scalar fields and the array bytes, with -0.0 folded
-    into 0.0 so that equal values hash alike; the arrays are read-only
-    private copies, so a hash cannot go stale.
+    Values of one class compare field by field through keys: an array by
+    dtype, shape and bytes (-0.0 as 0.0), a dict by its set of items, and
+    every NaN as one marker, as NaN is unequal to itself and hashes by
+    identity. Array fields are read-only private copies: a hash cannot go stale.
     """
 
     __slots__ = ()
 
-    def _values(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
+    def _key(self) -> tuple:
+        return tuple(_field_key(getattr(self, f.name)) for f in fields(self))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(a.dtype == b.dtype and np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-                   for a, b in zip(self._values(), other._values()))
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(tuple((a.dtype.str, a.shape, (a + 0.0).tobytes()) if isinstance(a, np.ndarray) else a
-                          for a in self._values()))
+        return hash(self._key())
+
+
+_NAN = object()
+
+
+def _field_key(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, (value + 0.0).tobytes()
+    if isinstance(value, dict):
+        return frozenset((k, _field_key(v)) for k, v in value.items())
+    return _NAN if isinstance(value, float) and math.isnan(value) else value
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,8 @@ class KineticsParams:
             raise ValidationError(f"pe must be finite with |pe| <= 1, got {self.pe}")
         if not abs(self.pth) <= 1.0:
             raise ValidationError(f"pth must be finite with |pth| <= 1, got {self.pth}")
+        for f in fields(self):  # a numpy scalar would warn where a float overflows silently
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
 class ValueKind(enum.Enum):
@@ -108,7 +114,7 @@ class ValueKind(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class BuildupCurve(ArrayValue):
+class BuildupCurve(ByValue):
     """Time-ordered (time, value) samples, simulated or measured."""
 
     times_min: np.ndarray
@@ -176,15 +182,20 @@ def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = False) -> Bu
     Each grid interval is cut into n = ceil(span / h_max) equal steps with
     h_max = min(td, tr)/1000, which keeps the integrator deterministic and
     far below the 1e-9 agreement required against the closed form. A grid
-    needing more than MAX_RK4_STEPS steps in total is rejected before any
-    step is taken.
+    whose step count is not finite (a span of more than 1.8e308 h_max, or
+    h_max = 0) is rejected.
 
     For the linear equation dP/dt = c - kP the four RK4 stages collapse:
     with x = hk, k1 + 2k2 + 2k3 + k4 = k1 (6 - 3x + x^2 - x^3/4), so one
-    classical step is exactly P += g (c - kP) with g = h (1 - x/2 + x^2/6
-    - x^3/24). g is computed once per interval and the steps are still
-    taken one by one, so the result stays an independent check of the
-    closed form.
+    classical step is exactly P -> P + g (c - kP) = P* + (1 - gk)(P - P*)
+    with g = h (1 - x/2 + x^2/6 - x^3/24) and, whatever h, the steady state
+    P* = c/k (final_polarization, or steady_state_with_pth with the floor,
+    as in buildup_closed_form). The n steps of an interval scale P - P* by
+    (1 - gk)^n, taken as exp(n log1p(-gk)) lest the rounding of 1 - gk be
+    raised to the n-th power, and the curve is P* + (P0 - P*) times the
+    running product of the interval factors: an independent check of the
+    closed form's exp(-k t). x is h/td + h/tr, as k overflows for a
+    subnormal td or tr.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.size == 0:
@@ -194,32 +205,18 @@ def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = False) -> Bu
     if np.any(grid[1:] <= grid[:-1]):
         raise ValidationError("time grid must be strictly increasing")
 
-    pth = params.pth if include_pth else 0.0
-    k = 1.0 / params.td_minutes + 1.0 / params.tr_minutes
-    c = params.pe / params.td_minutes + pth / params.tr_minutes
+    p0, p_inf = (params.pth, steady_state_with_pth(params)) if include_pth else (0.0, final_polarization(params))
     h_max = min(params.td_minutes, params.tr_minutes) / 1000.0
-
     spans = np.diff(grid)
-    # a subnormal or zero h_max (td or tr below 5e-321) or a huge span gives an inf total, rejected below
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):  # h_max is 0 for td or tr below 5e-321
         steps = np.maximum(1.0, np.ceil(spans / h_max))
-        total = float(steps.sum())
-    if not total <= MAX_RK4_STEPS:
-        raise ValidationError(
-            f"time grid needs {total:.3g} RK4 steps of at most min(td, tr)/1000 = {h_max:.3g} min, "
-            f"more than the {MAX_RK4_STEPS:,} allowed"
-        )
-
-    p = pth
-    values = [p]
-    for span, n in zip(spans.tolist(), steps.astype(int).tolist()):
-        h = span / n
-        x = h * k
-        g = h * (1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0)
-        for _ in range(n):
-            p += g * (c - k * p)
-        values.append(p)
-    return BuildupCurve(grid, np.array(values), ValueKind.POLARIZATION)
+    if not np.all(steps < math.inf):
+        raise ValidationError(f"time grid needs inf RK4 steps of at most min(td, tr)/1000 = {h_max:.3g} min")
+    h = spans / steps
+    x = h / params.td_minutes + h / params.tr_minutes
+    gk = x * (1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0)
+    decay = np.cumprod(np.exp(steps * np.log1p(-gk)))
+    return BuildupCurve(grid, np.concatenate(([p0], p_inf + (p0 - p_inf) * decay)), ValueKind.POLARIZATION)
 
 
 def final_polarization(params: KineticsParams) -> float:

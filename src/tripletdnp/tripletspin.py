@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import GAMMA_E_MHZ_PER_T
 from .errors import ValidationError
-from .kinetics import ArrayValue
+from .kinetics import ByValue
 
 __all__ = [
     "TripletParameters",
@@ -127,7 +127,7 @@ class MagneticFieldSetting:
 
 
 @dataclass(frozen=True, eq=False)
-class SpinHamiltonian(ArrayValue):
+class SpinHamiltonian(ByValue):
     """3x3 Hermitian triplet Hamiltonian in the zero-field basis, MHz."""
 
     matrix: np.ndarray
@@ -154,7 +154,7 @@ class SpinHamiltonian(ArrayValue):
 
 
 @dataclass(frozen=True, eq=False)
-class EigenSystem(ArrayValue):
+class EigenSystem(ByValue):
     """Eigenvalues (ascending, MHz) and orthonormal eigenvectors (columns)."""
 
     eigenvalues: np.ndarray

@@ -22,7 +22,7 @@ from tripletdnp import (
     fit_decay,
     relaxation_decay,
 )
-from tripletdnp.analysis import MAX_ITERATIONS, FitResult, _rate_scan
+from tripletdnp.analysis import MAX_ITERATIONS, FitResult, RelaxationDecomposition, _rate_scan
 
 import oracles
 from extremes import FLOAT_EXTREMES
@@ -206,6 +206,8 @@ class TestDisentangleBuildup:
     def test_rate_at_boundary_rejected(self):
         with pytest.raises(InconsistencyError, match="rate"):
             disentangle_buildup(self._fit(0.3, 1.0 / 57.1), 57.1)
+        with pytest.raises(ValidationError, match="uncertainty for rate must be nonnegative"):
+            dataclasses.replace(self._fit(0.3, 0.06701), uncertainties={"amplitude": 0.0, "rate": -1e-3})
 
     @pytest.mark.parametrize("tr", [math.nan, 0.0, -57.1, -math.inf])
     def test_nonpositive_or_nan_tr_rejected(self, tr):
@@ -254,6 +256,15 @@ class TestDecomposeRelaxation:
             decompose_relaxation(math.nan, 57.1)
         with pytest.raises(ValidationError):
             decompose_relaxation(132.0, math.nan)
+        with pytest.raises(ValidationError, match="positive"):
+            RelaxationDecomposition(132.0, 57.1, -100.6)
+        with pytest.raises(ValidationError, match="1/tr = 1/t1 \\+ 1/te"):
+            RelaxationDecomposition(132.0, 57.1, 57.1)
+
+    def test_overflowing_tr_rate_rejected(self):
+        # 1 / 5e-324 is inf, so te would come out as 0
+        with pytest.raises(ValidationError, match="1 / tr overflows: tr_minutes 5e-324"):
+            decompose_relaxation(1.0, 5e-324)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(61)

@@ -18,6 +18,7 @@ from tripletdnp import (
     buildup_closed_form,
     buildup_ode,
     read_curve,
+    steady_state_with_pth,
     write_curve,
 )
 from tripletdnp import cli
@@ -147,7 +148,6 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "mode, message",
         [
-            ("ode", "RK4 steps"),
             ("shots", "1e+300 min at 1000 Hz"),  # names the duration and the repetition rate
         ],
     )
@@ -158,6 +158,28 @@ class TestSimulate:
         assert code == 3
         assert message in cap.err
         assert cap.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("include_pth", [False, True])
+    def test_huge_ode_duration_reaches_the_steady_state(self, tmp_path, capsys, include_pth):
+        # the RK4 steps of each interval are composed in closed form, so their number is not capped
+        cfg = tmp_path / "pth.cfg"
+        cfg.write_text(REFERENCE_CFG + "pth = 0.3\n")
+        out = tmp_path / "d.csv"
+        code, cap = run(["simulate", "--config", cfg, "--duration-min", "1e300", "--mode", "ode", "--points", 3,
+                         *["--include-pth"] * include_pth, "--out", out], capsys)
+        assert code == 0 and cap.err == ""
+        want = steady_state_with_pth(KineticsParams(0.826, 20.2, 57.1, pth=0.3 * include_pth))
+        assert read_curve(out).values[-1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("td", ["5e-324", "1e-310"])
+    def test_subnormal_td_ode_rejected(self, tmp_path, capsys, td):
+        cfg = tmp_path / "td.cfg"
+        cfg.write_text(f"[kinetics]\ntd_minutes = {td}\n")
+        out = tmp_path / "d.csv"
+        code, cap = run(["simulate", "--config", cfg, "--duration-min", 150, "--mode", "ode", "--out", out], capsys)
+        assert code == 3
+        assert "inf RK4 steps" in cap.err and cap.err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("duration", [0, 10, "1e6"])
@@ -599,6 +621,14 @@ class TestDecompose:
         assert explicit.out == implicit.out and "tolerance_pct: 5.0" in implicit.out.splitlines()
         assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
         assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+    def test_overflowing_tr_rate_rejected(self, tmp_path, capsys):
+        # 1 / 5e-324 overflows, which would make te 0
+        out = tmp_path / "d.txt"
+        code, cap = run(["decompose", 1, 5e-324, "--out", out], capsys)
+        assert code == 3
+        assert cap.err == "error: 1 / tr overflows: tr_minutes 5e-324 is too small\n"
+        assert not out.exists()
 
     def test_t1_equal_tr_rejected(self, capsys):
         code, cap = run(["decompose", 100, 100], capsys)

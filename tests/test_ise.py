@@ -188,6 +188,10 @@ class TestEffectiveBuildupTime:
         assert back == pytest.approx(20.2, rel=1e-15)
         with pytest.raises(ValidationError):
             epsilon_for_buildup_time(1e-9, 1.0)  # would need epsilon > 1
+        with pytest.raises(ValidationError, match="td_minutes must be positive"):
+            epsilon_for_buildup_time(0.0, 1e-3)
+        with pytest.raises(ValidationError, match="shot_period_s must be positive"):
+            epsilon_for_buildup_time(20.2, -1e-3)
 
 
 class TestShotMap:

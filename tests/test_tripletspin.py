@@ -46,10 +46,16 @@ class TestTripletParameters:
     def test_population_sum_enforced(self):
         with pytest.raises(ValidationError, match="sum to 1"):
             TripletParameters(1395.0, -50.0, (0.5, 0.3, 0.1))
+        with pytest.raises(ValidationError, match="sum to 1"):
+            FieldPopulations((0.5, 0.3, 0.1))
+        with pytest.raises(ValidationError, match="exactly three"):
+            TripletParameters(1395.0, -50.0, (0.5, 0.5))
 
     def test_negative_population_rejected(self):
         with pytest.raises(ValidationError, match="nonnegative"):
             TripletParameters(1395.0, -50.0, (1.2, -0.1, -0.1))
+        with pytest.raises(ValidationError, match="nonnegative"):
+            FieldPopulations((1.2, -0.1, -0.1))
 
     def test_e_over_d_ordering_enforced(self):
         with pytest.raises(ValidationError, match="D"):
@@ -339,6 +345,14 @@ class TestNonFiniteRejected:
         vecs[1, 1] = math.nan
         with pytest.raises(ValidationError, match="unitary"):
             EigenSystem([-1.0, 0.0, 1.0], vecs)
+
+    def test_wrong_shapes(self):
+        with pytest.raises(ValidationError, match="3x3"):
+            SpinHamiltonian(np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match="3 eigenvalues"):
+            EigenSystem([-1.0, 1.0], np.eye(3))
+        with pytest.raises(ValidationError, match="3x3 eigenvector"):
+            EigenSystem([-1.0, 0.0, 1.0], np.eye(2))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_hamiltonian(self, bad):

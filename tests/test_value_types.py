@@ -4,8 +4,8 @@ Each type gets one hypothesis strategy that draws its fields from the finite
 and non-finite extremes the CLI properties use (tests/extremes.py), mixed
 with ordinary floats. Construction either raises ValidationError or gives
 an object whose fields are finite where finiteness is required and inside
-the bounds its docstring and README state. The types that hold arrays
-also compare and hash by value.
+the bounds its docstring and README state. The types that hold arrays,
+and FitResult, also compare and hash by value.
 """
 
 import copy
@@ -27,8 +27,11 @@ from tripletdnp import (
     ValidationError,
     ValueKind,
     build_hamiltonian,
+    buildup_closed_form,
     eigensystem,
     final_polarization,
+    fit_buildup,
+    fit_decay,
     steady_state_with_pth,
 )
 
@@ -191,3 +194,27 @@ def test_equal_curves_hash_alike():
     b = BuildupCurve(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
     assert a == b and hash(a) == hash(b)
     assert a != BuildupCurve([0.0, 1.0], [0.0, 0.5], ValueKind.RAW_SIGNAL)
+
+
+def _fits():
+    """A converged buildup fit and a degenerate decay fit, whose t_const is NaN."""
+    t = np.linspace(0.0, 100.0, 8)
+    converged = fit_buildup(BuildupCurve(t, buildup_closed_form(KineticsParams(0.826, 20.2, 57.1), t)))
+    degenerate = fit_decay(BuildupCurve(t, np.full(8, 0.3)))
+    assert converged.converged and math.isnan(degenerate.parameters["t_const"])
+    return [converged, degenerate]
+
+
+@pytest.mark.parametrize("fit", _fits(), ids=["converged", "degenerate"])
+def test_fit_results_compare_and_hash(fit):
+    reordered = dataclasses.replace(fit, parameters=dict(reversed(fit.parameters.items())))
+    copies = [copy.copy(fit), copy.deepcopy(fit), pickle.loads(pickle.dumps(fit)), dataclasses.replace(fit), reordered]
+    for other in copies:
+        assert other == fit and not other != fit
+        assert hash(other) == hash(fit)
+    assert len({fit, *copies}) == 1
+    assert dataclasses.replace(fit, iterations=fit.iterations + 1) != fit
+    values = list(fit.parameters.values())
+    rotated = dict(zip(fit.parameters, values[1:] + values[:1]))
+    assert dataclasses.replace(fit, parameters=rotated) != fit  # a NaN matches a NaN at the same key only
+    assert fit != object()
