@@ -25,6 +25,7 @@ from .analysis import (
     fit_decay,
 )
 from .config import ToolkitConfig, default_config, parse_config
+from .constants import SECONDS_PER_MINUTE
 from .curveio import read_curve, write_curve, write_text
 from .errors import ValidationError
 from .ise import (
@@ -110,29 +111,23 @@ def _simulate_grid(duration_min: float, points: int) -> np.ndarray:
         raise ValidationError(f"need at least 2 grid points, got {points}")
     if points > MAX_POINTS:
         raise ValidationError(f"at most {MAX_POINTS:,} grid points allowed, got {points}")
-    return np.linspace(0.0, duration_min, points)
+    grid = np.linspace(0.0, duration_min, points)
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValidationError(f"--duration-min {duration_min!r} is too short for --points {points}: times repeat")
+    return grid
 
 
 def _simulate_shots(
     params: KineticsParams, grid: np.ndarray, sequence: IseSequenceParams, include_pth: bool
 ) -> BuildupCurve:
     period, repetition_rate_hz = sequence.shot_period_s, sequence.repetition_rate_hz
-    eps = epsilon_for_buildup_time(params.td_minutes, period)
-    shot = ShotModel(epsilon=eps, shot_period_s=period)
-    pth = p = params.pth if include_pth else 0.0
-    # checked as a Python float, which overflows to inf without a warning, before the int64 cast
-    n_shots = float(grid[-1]) * 60.0 * repetition_rate_hz
-    if not n_shots < 2.0**63:
-        raise ValidationError(
-            f"{grid[-1]:g} min at {repetition_rate_hz:g} Hz is {n_shots:.3g} shots, "
-            "more than the 64-bit shot counter holds"
-        )
-    counts = np.rint(grid * 60.0 * repetition_rate_hz).astype(np.int64)
-    values = []
-    try:  # the first interval holds 0 shots, so overshooting kinetics are rejected at t = 0 too
-        for n in np.diff(counts, prepend=0):
-            p = iterate_shots(p, shot, params.pe, params.tr_minutes, pth, int(n))
-            values.append(p)
+    shot = ShotModel(epsilon_for_buildup_time(params.td_minutes, period), period)
+    pth = params.pth if include_pth else 0.0
+    # each point's shot count from t = 0 as a float, whole past 2^53; an inf count gives the fixed point
+    with np.errstate(over="ignore"):
+        counts = np.rint(grid * SECONDS_PER_MINUTE * repetition_rate_hz).tolist()
+    try:  # t = 0 holds 0 shots, so overshooting kinetics are rejected at any duration
+        values = [iterate_shots(pth, shot, params.pe, params.tr_minutes, pth, n) for n in counts]
     except ValidationError as exc:
         raise ValidationError(
             f"td {params.td_minutes:g} min and tr {params.tr_minutes:g} min at {repetition_rate_hz:g} Hz: {exc}"
@@ -309,23 +304,26 @@ def _sweep_values(args) -> list[float]:
     return [float(v) for v in np.linspace(args.start, args.stop, num)]
 
 
-def _sweep_final_polarization(cfg: ToolkitConfig, parameter: str, value: float) -> float:
+def _sweep_final_polarizations(cfg: ToolkitConfig, parameter: str, values: list[float]) -> list[float]:
     base = cfg.kinetics
     name = SWEEP_PARAMETERS[parameter]
     if hasattr(base, name):
-        return steady_state_with_pth(dataclasses.replace(base, **{name: value}))
+        return [steady_state_with_pth(dataclasses.replace(base, **{name: v})) for v in values]
 
     # ISE-side sweeps: scale the per-shot gain with the transfer probability,
-    # calibrated so the configured sequence reproduces the configured td.
+    # calibrated once so the configured sequence reproduces the configured td.
     seq = cfg.sequence
     p_ref = sweep_transfer_probability(seq)
     eps_ref = epsilon_for_buildup_time(base.td_minutes, seq.shot_period_s)
     calibration = eps_ref / p_ref if p_ref > 0 else 0.0
-    swept = dataclasses.replace(seq, **{name: value})
-    eps = min(1.0, calibration * sweep_transfer_probability(swept))
-    # without transfer td is infinite and the floor pth remains
-    td_minutes = effective_buildup_time(ShotModel(eps, swept.shot_period_s))
-    return steady_state_with_pth(dataclasses.replace(base, td_minutes=td_minutes))
+    results = []
+    for value in values:
+        swept = dataclasses.replace(seq, **{name: value})
+        eps = min(1.0, calibration * sweep_transfer_probability(swept))
+        # without transfer td is infinite and the floor pth remains
+        td_minutes = effective_buildup_time(ShotModel(eps, swept.shot_period_s))
+        results.append(steady_state_with_pth(dataclasses.replace(base, td_minutes=td_minutes)))
+    return results
 
 
 def cmd_sweep(args) -> int:
@@ -333,7 +331,7 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args)
     if not values:
         raise ValidationError("sweep needs at least one value")
-    results = [(v, _sweep_final_polarization(cfg, args.parameter, v)) for v in values]
+    results = zip(values, _sweep_final_polarizations(cfg, args.parameter, values))
 
     out = _out_path(args, cfg, f"sweep_{args.parameter}.csv")
     lines = [f"{args.parameter},final_polarization"]

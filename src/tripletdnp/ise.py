@@ -160,20 +160,21 @@ def epsilon_for_buildup_time(td_minutes: float, shot_period_s: float) -> float:
 
 
 def iterate_shots(
-    p0: float, shot: ShotModel, pe: float, tr_minutes: float, pth: float, n_shots: int
+    p0: float, shot: ShotModel, pe: float, tr_minutes: float, pth: float, n_shots: float
 ) -> float:
     """Polarization after n_shots shots from p0, in closed form.
 
-    One shot gains epsilon (pe - p) and relaxes (dt/tr)(p - pth), so it is
-    the affine map p -> a p + b with a = 1 - s, s = epsilon + dt/tr. s > 1
-    makes every shot overshoot its fixed point and is rejected, even for
-    n_shots = 0. For 0 < s <= 1, a lies in [0, 1) and the fixed point b/s, a
-    convex combination of pe and pth, lies in [-1, 1] after rounding too, so
-    the n-fold composition is exactly a^n p0 + (1 - a^n) b/s and stays in
+    n_shots is a whole number of shots, or inf for the fixed point. One shot
+    gains epsilon (pe - p) and relaxes (dt/tr)(p - pth), so it is the affine
+    map p -> a p + b with a = 1 - s, s = epsilon + dt/tr. s > 1 makes every
+    shot overshoot its fixed point and is rejected, even for n_shots = 0. For
+    0 < s <= 1, a lies in [0, 1) and the fixed point b/s, a convex
+    combination of pe and pth, lies in [-1, 1] after rounding too, so the
+    n-fold composition is exactly a^n p0 + (1 - a^n) b/s and stays in
     [-1, 1]. When s is too small for a to differ from 1, a^n and 1 - a^n
     come from n log1p(-s) instead.
     """
-    if n_shots < 0:
+    if not n_shots >= 0:
         raise ValidationError(f"n_shots must be >= 0, got {n_shots}")
     if not abs(p0) <= 1.0:
         raise ValidationError(f"|polarization| <= 1 required, got {p0}")

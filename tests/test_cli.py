@@ -15,8 +15,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from tripletdnp import (
     BuildupCurve,
     KineticsParams,
+    ShotModel,
     buildup_closed_form,
     buildup_ode,
+    epsilon_for_buildup_time,
+    iterate_shots,
     read_curve,
     steady_state_with_pth,
     write_curve,
@@ -25,6 +28,7 @@ from tripletdnp import cli
 from tripletdnp.cli import SWEEP_PARAMETERS, main
 
 from extremes import FLOAT_EXTREMES
+from oracles import shot_map
 
 REFERENCE_CFG = """
 [field]
@@ -145,28 +149,16 @@ class TestSimulate:
         assert "finite" in cap.err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "mode, message",
-        [
-            ("shots", "1e+300 min at 1000 Hz"),  # names the duration and the repetition rate
-        ],
-    )
-    def test_huge_duration_rejected(self, cfg, tmp_path, capsys, mode, message):
-        out = tmp_path / "d.csv"
-        code, cap = run(["simulate", "--config", cfg, "--duration-min", "1e300", "--mode", mode,
-                         "--points", 3, "--out", out], capsys)
-        assert code == 3
-        assert message in cap.err
-        assert cap.err.count("\n") == 1
-        assert not out.exists()
-
+    @pytest.mark.parametrize("mode", ["ode", "shots"])
+    @pytest.mark.parametrize("duration", ["1e300", "1e306"])
     @pytest.mark.parametrize("include_pth", [False, True])
-    def test_huge_ode_duration_reaches_the_steady_state(self, tmp_path, capsys, include_pth):
-        # the RK4 steps of each interval are composed in closed form, so their number is not capped
+    def test_huge_duration_reaches_the_steady_state(self, tmp_path, capsys, include_pth, duration, mode):
+        # ode composes each interval's RK4 steps and shots each point's shot count in closed form,
+        # so neither counts steps or shots one by one; 1e306 min at 1 kHz is inf shots
         cfg = tmp_path / "pth.cfg"
         cfg.write_text(REFERENCE_CFG + "pth = 0.3\n")
         out = tmp_path / "d.csv"
-        code, cap = run(["simulate", "--config", cfg, "--duration-min", "1e300", "--mode", "ode", "--points", 3,
+        code, cap = run(["simulate", "--config", cfg, "--duration-min", duration, "--mode", mode, "--points", 3,
                          *["--include-pth"] * include_pth, "--out", out], capsys)
         assert code == 0 and cap.err == ""
         want = steady_state_with_pth(KineticsParams(0.826, 20.2, 57.1, pth=0.3 * include_pth))
@@ -193,6 +185,16 @@ class TestSimulate:
         assert code == 3
         assert "td 2e-05 min and tr 1e-05 min at 1000 Hz" in cap.err
         assert cap.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["closed_form", "shots", "ode"])
+    def test_collapsing_grid_names_duration_and_points(self, tmp_path, capsys, mode):
+        # linspace(0, 5e-324, 3) is [0, 0, 5e-324]: the grid spacing underflows
+        out = tmp_path / "g.csv"
+        code, cap = run(["simulate", "--duration-min", "5e-324", "--points", 3, "--mode", mode, "--out", out],
+                        capsys)
+        assert code == 3
+        assert cap.err == "error: --duration-min 5e-324 is too short for --points 3: times repeat\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["closed_form", "shots", "ode"])
@@ -266,6 +268,28 @@ class TestSimulate:
         np.testing.assert_allclose(curves["closed_form"], curves["ode"], atol=1e-9)
         np.testing.assert_allclose(curves["shots"], curves["ode"], atol=1e-3)
         assert curves["closed_form"][-1] == pytest.approx(0.6232, abs=1e-4)
+
+    @pytest.mark.parametrize("include_pth", [False, True])
+    def test_short_shots_curve_counts_each_point_from_the_start(self, tmp_path, capsys, include_pth):
+        # 0.5 min at 1 kHz on 11 points: point i holds N_i = 3000 i shots
+        cfg = tmp_path / "pth.cfg"
+        cfg.write_text(REFERENCE_CFG + "pth = 0.05\n")  # appended to [kinetics]
+        out = tmp_path / "shots.csv"
+        code, _ = run(["simulate", "--config", cfg, "--duration-min", 0.5, "--points", 11, "--mode", "shots",
+                       *["--include-pth"] * include_pth, "--out", out], capsys)
+        assert code == 0
+        curve = read_curve(out)
+        shot = ShotModel(epsilon_for_buildup_time(20.2, 1e-3), 1e-3)
+        pth = 0.05 if include_pth else 0.0
+        counts = [round(t * 60.0 * 1000.0) for t in curve.times_min]
+        assert counts == [3000 * i for i in range(11)]
+        assert curve.values.tolist() == [iterate_shots(pth, shot, 0.826, 57.1, pth, n) for n in counts]
+        p, stepped = pth, []
+        for n in range(counts[-1] + 1):
+            if n in counts:
+                stepped.append(p)
+            p = shot_map(p, shot, 0.826, 57.1, pth)
+        np.testing.assert_allclose(curve.values, stepped, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("include_pth", [False, True])
     def test_long_ode_matches_library(self, tmp_path, capsys, include_pth):
@@ -826,6 +850,17 @@ class TestSweep:
         code, _ = run(["sweep", "b1", "--config", cfg, "--values", "1e-12", "--out", out], capsys)
         assert code == 0
         assert float(out.read_text().splitlines()[1].split(",")[1]) == pytest.approx(0.05, rel=1e-12)
+
+    @pytest.mark.parametrize("parameter", ["repetition_rate", "b1", "sweep_span"])
+    def test_calibration_fails_before_any_value(self, tmp_path, capsys, parameter):
+        # the reference calibration is made once, before the NaN value is read
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("[kinetics]\ntd_minutes = 1e-8\n")
+        out = tmp_path / "s.csv"
+        code, cap = run(["sweep", parameter, "--config", cfg, "--values", "nan,1", "--out", out], capsys)
+        assert code == 3
+        assert cap.err == "error: buildup time 1e-08 min is shorter than one shot period; no epsilon <= 1 exists\n"
+        assert not out.exists()
 
     def test_unknown_parameter_usage_error(self, cfg, capsys):
         with pytest.raises(SystemExit) as exc:

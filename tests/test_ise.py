@@ -221,6 +221,14 @@ class TestShotMap:
             iterate_shots(0.0, shot, 0.8, math.nan, 0.0, 1000)
         with pytest.raises(ValidationError):
             iterate_shots(math.nan, shot, 0.8, 57.1, 0.0, 1000)
+        with pytest.raises(ValidationError, match="n_shots must be >= 0, got nan"):
+            iterate_shots(0.0, shot, 0.8, 57.1, 0.0, math.nan)
+
+    def test_infinite_count_gives_the_fixed_point(self):
+        shot = ShotModel(epsilon=1e-3, shot_period_s=1e-3)
+        delta = 1e-3 / (60.0 * 57.1)
+        fixed_point = (1e-3 * 0.8 + delta * 0.05) / (1e-3 + delta)
+        assert iterate_shots(-0.5, shot, 0.8, 57.1, 0.05, math.inf) == pytest.approx(fixed_point, rel=1e-15)
 
     def test_iterate_matches_explicit_stepping(self):
         rng = np.random.default_rng(21)

@@ -267,7 +267,7 @@ class TestOde:
         with pytest.raises(ValidationError):
             buildup_ode(REFERENCE, [0.0, 2.0, 2.0])
 
-    def test_step_bound_counts_the_whole_grid(self):
+    def test_infinite_step_count_rejected(self):
         # a subnormal time constant overflows the step count to inf without a RuntimeWarning
         with pytest.raises(ValidationError, match="inf RK4 steps"):
             buildup_ode(KineticsParams(pe=0.826, td_minutes=1e-310, tr_minutes=57.1), [0.0, 150.0])
