@@ -359,6 +359,8 @@ def decompose_relaxation(t1_minutes: float, tr_minutes: float) -> RelaxationDeco
     te = 1 / (1/tr - 1/t1). Requires t1 > tr > 0: the triplet electrons add
     a relaxation channel, so the combined constant must be the shorter one.
     """
+    if math.isnan(t1_minutes):  # else reported as the inconsistency t1 <= tr
+        raise ValidationError(f"t1_minutes must be a number, got {t1_minutes}")
     if not 0.0 < tr_minutes < math.inf:
         raise ValidationError(f"tr_minutes must be finite and positive, got {tr_minutes}")
     if not t1_minutes > tr_minutes:

@@ -105,12 +105,12 @@ def _report(args, out_path: Path, rows: list[tuple[str, str]], notes=()) -> None
 def _simulate_grid(duration_min: float, points: int) -> np.ndarray:
     if not 0.0 <= duration_min < math.inf:
         raise ValidationError(f"duration must be finite and nonnegative, got {duration_min}")
-    if duration_min == 0.0:
-        return np.array([0.0])
     if points < 2:
         raise ValidationError(f"need at least 2 grid points, got {points}")
     if points > MAX_POINTS:
         raise ValidationError(f"at most {MAX_POINTS:,} grid points allowed, got {points}")
+    if duration_min == 0.0:
+        return np.array([0.0])
     grid = np.linspace(0.0, duration_min, points)
     if not np.all(np.diff(grid) > 0.0):
         raise ValidationError(f"--duration-min {duration_min!r} is too short for --points {points}: times repeat")
@@ -135,8 +135,7 @@ def _simulate_shots(
     return BuildupCurve(grid, np.array(values), ValueKind.POLARIZATION)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def cmd_simulate(args, cfg: ToolkitConfig) -> int:
     params = cfg.kinetics
     grid = _simulate_grid(args.duration_min, args.points)
 
@@ -170,8 +169,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    cfg = _load_config(args)
+def cmd_fit(args, cfg: ToolkitConfig) -> int:
     if args.tr_minutes is not None:
         if args.model != "buildup":
             raise ValidationError("--tr-minutes applies to --model buildup only")
@@ -203,8 +201,7 @@ def cmd_fit(args) -> int:
     return EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_decompose(args) -> int:
-    cfg = _load_config(args)
+def cmd_decompose(args, cfg: ToolkitConfig) -> int:
     if args.tolerance_pct is not None and args.reference_te is None:
         raise ValidationError("--tolerance-pct applies with --reference-te only")
     if args.reference_te is not None and not 0.0 < args.reference_te < math.inf:
@@ -247,8 +244,7 @@ def _thermal_baseline(cfg: ToolkitConfig) -> float:
     return baseline
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
+def cmd_calibrate(args, cfg: ToolkitConfig) -> int:
     ref_pol = args.reference_thermal_polarization
     if ref_pol is None:
         ref_pol = _thermal_baseline(cfg)
@@ -283,7 +279,7 @@ def cmd_calibrate(args) -> int:
 def _sweep_values(args) -> list[float]:
     if args.values is not None and (args.start, args.stop, args.num) != (None, None, None):
         raise ValidationError("--values does not combine with --start, --stop or --num")
-    if args.values:
+    if args.values is not None:
         try:
             return [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError:
@@ -326,8 +322,7 @@ def _sweep_final_polarizations(cfg: ToolkitConfig, parameter: str, values: list[
     return results
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def cmd_sweep(args, cfg: ToolkitConfig) -> int:
     values = _sweep_values(args)
     if not values:
         raise ValidationError("sweep needs at least one value")
@@ -405,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -166,13 +166,14 @@ def iterate_shots(
 
     n_shots is a whole number of shots, or inf for the fixed point. One shot
     gains epsilon (pe - p) and relaxes (dt/tr)(p - pth), so it is the affine
-    map p -> a p + b with a = 1 - s, s = epsilon + dt/tr. s > 1 makes every
-    shot overshoot its fixed point and is rejected, even for n_shots = 0. For
-    0 < s <= 1, a lies in [0, 1) and the fixed point b/s, a convex
-    combination of pe and pth, lies in [-1, 1] after rounding too, so the
-    n-fold composition is exactly a^n p0 + (1 - a^n) b/s and stays in
-    [-1, 1]. When s is too small for a to differ from 1, a^n and 1 - a^n
-    come from n log1p(-s) instead.
+    map p -> (1 - s) p + s f with s = epsilon + dt/tr and the fixed point
+    f = (epsilon pe + (dt/tr) pth) / s, a convex combination of pe and pth.
+    s > 1 makes every shot overshoot f and is rejected, even for n_shots = 0.
+    For 0 < s <= 1 the n-fold composition is e^x p0 - expm1(x) f with
+    x = n log1p(-s), taken from s itself so that rounding 1 - s costs
+    nothing however large n is. s = 1 (one shot lands on f) and
+    n_shots = inf both give x = -inf, hence f. The result is clamped to
+    [-1, 1] against rounding.
     """
     if not n_shots >= 0:
         raise ValidationError(f"n_shots must be >= 0, got {n_shots}")
@@ -193,11 +194,6 @@ def iterate_shots(
         )
     if n_shots == 0 or s == 0.0:
         return p0
-    a = 1.0 - s
     fixed_point = (shot.epsilon * pe + delta * pth) / s
-    if a < 1.0:
-        an = a**n_shots
-        return an * p0 + (1.0 - an) * fixed_point
-    # a rounded to 1.0, so a**n would too: a^n = exp(n log1p(-s)), clamped to [-1, 1] against rounding
-    x = n_shots * math.log1p(-s)
+    x = n_shots * math.log1p(-s) if s < 1.0 else -math.inf  # math.log1p(-1.0) raises ValueError
     return min(1.0, max(-1.0, math.exp(x) * p0 - math.expm1(x) * fixed_point))

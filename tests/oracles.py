@@ -7,13 +7,15 @@ probability comes from direct numerical propagation of the two-level
 Schrodinger equation, curve files are read and checked one row at a time,
 and the exponential fits and the spin chain's validators and projections
 keep the plain numpy calls they were first written with, as do the
-closed-form kinetics, and shots are stepped one at a time. Agreement
+closed-form kinetics, and shots are stepped one at a time or composed
+in exact decimal arithmetic. Agreement
 between these and the package is the point of the tests, so nothing below
 may import from tripletdnp except ValidationError, which the shot loop
 raises where the package does.
 """
 
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +283,23 @@ def shot_map(p_now, shot, pe, tr_minutes, pth=0.0):
         raise ValidationError(f"shot period / tr overflows: tr_minutes {tr_minutes} is too small")
     p = p_now + shot.epsilon * (pe - p_now) - delta * (p_now - pth)
     return min(1.0, max(-1.0, p))
+
+
+def shots_exact(p0, epsilon, delta, pe, pth, n):
+    """Polarization after n shots from p0, composed at 60 significant digits.
+
+    One shot is p -> a p + epsilon pe + delta pth with a = 1 - epsilon - delta,
+    taken from the float epsilon and delta exactly, so n of them give
+    a^n p0 + (1 - a^n) f with the fixed point f = (epsilon pe + delta pth) /
+    (epsilon + delta). n is a whole number, or inf for the fixed point.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        eps, dlt = Decimal(epsilon), Decimal(delta)
+        s = eps + dlt
+        fixed_point = (eps * Decimal(pe) + dlt * Decimal(pth)) / s
+        an = Decimal(0) if n == math.inf else (1 - s) ** int(n)
+        return float(an * Decimal(p0) + (1 - an) * fixed_point)
 
 
 def read_curve_by_rows(path):

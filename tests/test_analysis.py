@@ -252,8 +252,9 @@ class TestDecomposeRelaxation:
             decompose_relaxation(40.0, 57.1)
 
     def test_nan_inputs_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="t1_minutes") as rejected:
             decompose_relaxation(math.nan, 57.1)
+        assert not isinstance(rejected.value, InconsistencyError)
         with pytest.raises(ValidationError):
             decompose_relaxation(132.0, math.nan)
         with pytest.raises(ValidationError, match="positive"):

@@ -197,14 +197,25 @@ class TestSimulate:
         assert cap.err == "error: --duration-min 5e-324 is too short for --points 3: times repeat\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode", ["closed_form", "shots", "ode"])
-    def test_huge_point_count_rejected(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("mode, duration", [
+        pytest.param(mode, duration, id=mode if duration else f"{mode}-zero_duration")
+        for mode in ("closed_form", "shots", "ode") for duration in (10, 0)
+    ])
+    def test_huge_point_count_rejected(self, tmp_path, capsys, mode, duration):
         out = tmp_path / "p.csv"
-        code, cap = run(["simulate", "--duration-min", 10, "--mode", mode, "--points", 10**12,
+        code, cap = run(["simulate", "--duration-min", duration, "--mode", mode, "--points", 10**12,
                          "--out", out], capsys)
         assert code == 3
         assert "grid points" in cap.err
         assert cap.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", [1, -5])
+    def test_too_few_points_rejected_at_zero_duration(self, tmp_path, capsys, points):
+        out = tmp_path / "p.csv"
+        code, cap = run(["simulate", "--duration-min", 0, "--points", points, "--out", out], capsys)
+        assert code == 3
+        assert cap.err == f"error: need at least 2 grid points, got {points}\n"
         assert not out.exists()
 
     def test_shots_with_a_rounding_to_one_use_closed_form(self, tmp_path, capsys):
@@ -913,6 +924,14 @@ class TestSweep:
     def test_missing_values_rejected(self, cfg, capsys):
         code, cap = run(["sweep", "tr", "--config", cfg], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("values", ["", ","])
+    def test_empty_values_rejected(self, cfg, tmp_path, capsys, values):
+        out = tmp_path / "s.csv"
+        code, cap = run(["sweep", "tr", "--config", cfg, "--values", values, "--out", out], capsys)
+        assert code == 3
+        assert cap.err == "error: sweep needs at least one value\n"
+        assert not out.exists()
 
 
 

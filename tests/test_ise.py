@@ -244,6 +244,22 @@ class TestShotMap:
                 p_loop = shot_map(p_loop, shot, pe, tr, pth)
             assert iterate_shots(p0, shot, pe, tr, pth, n) == pytest.approx(p_loop, abs=1e-12)
 
+    @pytest.mark.parametrize("pth", [0.0, 0.05])
+    @pytest.mark.parametrize("duration_min, points", [(150.0, 201), (1440.0, 2001), (0.5, 11)])
+    def test_shot_curve_matches_exact_composition(self, duration_min, points, pth):
+        """n shots at the reference kinetics, from the start of each grid point, agree with
+        the exact composition of the same float epsilon and dt/tr, not only of the rounded
+        factor 1 - s; raising that factor to n ~ 1e7 shots loses up to 6e-12."""
+        period = 1e-3
+        shot = ShotModel(epsilon=epsilon_for_buildup_time(20.2, period), shot_period_s=period)
+        delta = period / (60.0 * 57.1)
+        counts = np.rint(np.linspace(0.0, duration_min, points) * 60.0 / period).tolist()
+        errors = [
+            iterate_shots(pth, shot, 0.826, 57.1, pth, n) - oracles.shots_exact(pth, shot.epsilon, delta, 0.826, pth, n)
+            for n in counts
+        ]
+        assert max(map(abs, errors)) <= 2.5e-16
+
     def test_150min_of_1khz_shots_matches_closed_form(self):
         params = KineticsParams(0.826, 20.2, 57.1)
         shot = ShotModel(epsilon=epsilon_for_buildup_time(20.2, 1e-3), shot_period_s=1e-3)
@@ -294,7 +310,9 @@ class TestShotMap:
     )
     def test_no_admissible_shot_leaves_the_closed_form(self, epsilon, delta, pe, pth):
         """For 0 < s = epsilon + dt/tr <= 1 the factor a = 1 - s lies in [0, 1] and the
-        fixed point in [-1, 1] after rounding too, so iterate_shots needs no clamp or loop."""
+        fixed point in [-1, 1] after rounding too, so n shots stay a convex combination of
+        p0 and the fixed point and need no loop; iterate_shots still clamps its result,
+        since exp and expm1 of n log1p(-s) are rounded separately."""
         s = epsilon + delta
         assume(0.0 < s <= 1.0)
         assert 0.0 <= 1.0 - s <= 1.0
