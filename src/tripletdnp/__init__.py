@@ -17,7 +17,7 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-_LAYERS = ("errors", "kinetics", "tripletspin", "ise", "curveio", "analysis", "config")
+_LAYERS = ("errors", "kinetics", "spinparams", "curveio", "analysis", "tripletspin", "ise", "config")
 
 
 def __getattr__(name: str):

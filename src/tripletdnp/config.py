@@ -23,7 +23,7 @@ from .constants import (
 from .errors import ConfigError, ValidationError
 from .ise import IseSequenceParams, hartmann_hahn_b1
 from .kinetics import KineticsParams
-from .tripletspin import MagneticFieldSetting, TripletParameters
+from .spinparams import MagneticFieldSetting, TripletParameters
 
 __all__ = ["ToolkitConfig", "parse_config", "default_config", "CONFIG_REFERENCE"]
 

@@ -131,7 +131,7 @@ def sweep_transfer_probability(params: IseSequenceParams) -> float:
     sweep_rate = gamma_ang * params.sweep_span_mt * 1e-3 / (params.microwave_width_us * 1e-6)
     if sweep_rate == 0.0:
         return 1.0 if omega1 > 0.0 else 0.0
-    p = 1.0 - math.exp(-math.pi * omega1**2 / (2.0 * abs(sweep_rate)))
+    p = 1.0 - math.exp(-math.pi * omega1 * omega1 / (2.0 * abs(sweep_rate)))
     return min(1.0, max(0.0, p))
 
 

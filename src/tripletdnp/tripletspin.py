@@ -12,10 +12,11 @@ spin polarization available for transfer.
 All functions are pure and all value types are immutable after
 construction, so they are safe to share between threads. Every value type
 rejects non-finite numbers (NaN or infinity) with ValidationError. The
-per-orientation checks and projections run on Python numbers taken from one
-tolist() of each 3x3 array, once per array: at this size numpy's per-call
-dispatch costs more than the arithmetic. So an EigenSystem keeps the columns
-it checked, and a MagneticFieldSetting computes its axis at construction.
+inputs TripletParameters and MagneticFieldSetting come from the numpy-free
+`spinparams`, so the config layer loads neither this module nor numpy. The
+per-orientation checks and projections run on Python numbers from one
+tolist() of each 3x3 array: at this size numpy's per-call dispatch costs
+more than the arithmetic. So an EigenSystem keeps the columns it checked.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ import numpy as np
 from .constants import GAMMA_E_MHZ_PER_T
 from .errors import ValidationError
 from .kinetics import ByValue
+from .spinparams import MagneticFieldSetting, TripletParameters
 
 __all__ = [
-    "TripletParameters",
-    "MagneticFieldSetting",
     "SpinHamiltonian",
     "EigenSystem",
     "FieldPopulations",
@@ -42,7 +42,6 @@ __all__ = [
     "transition_frequencies",
 ]
 
-_POPULATION_SUM_TOL = 1e-12
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _UNITARY_TOL = 1e-10
@@ -63,67 +62,6 @@ def _spin_form(x: float, y: float, z: float, diagonal=(0.0, 0.0, 0.0)) -> list[l
         [1j * z, diagonal[1], -1j * x],
         [-1j * y, 1j * x, diagonal[2]],
     ]
-
-
-@dataclass(frozen=True)
-class TripletParameters:
-    """Zero-field splitting constants and intersystem-crossing populations.
-
-    d_mhz, e_mhz: zero-field splitting parameters, MHz.
-    zf_populations: occupations (p_x, p_y, p_z) of the zero-field states
-        (Tx, Ty, Tz) right after photoexcitation. Must be nonnegative and
-        sum to 1.
-    """
-
-    d_mhz: float
-    e_mhz: float
-    zf_populations: tuple[float, float, float]
-
-    def __post_init__(self):
-        p = self.zf_populations
-        if len(p) != 3:
-            raise ValidationError("zf_populations must have exactly three entries")
-        if not all(map(math.isfinite, (self.d_mhz, self.e_mhz, *p))):
-            raise ValidationError(
-                f"D, E and zf_populations must be finite, got D={self.d_mhz}, "
-                f"E={self.e_mhz}, populations {p}"
-            )
-        if any(v < 0.0 for v in p):
-            raise ValidationError(f"zf_populations must be nonnegative, got {p}")
-        if abs(sum(p) - 1.0) > _POPULATION_SUM_TOL:
-            raise ValidationError(
-                f"zf_populations must sum to 1 within {_POPULATION_SUM_TOL}, got sum {sum(p)!r}"
-            )
-        if abs(self.e_mhz) > abs(self.d_mhz) / 3.0 + 1e-12 * abs(self.d_mhz):
-            raise ValidationError(
-                f"|E| <= |D|/3 required by the conventional ordering, got D={self.d_mhz}, E={self.e_mhz}"
-            )
-
-
-@dataclass(frozen=True)
-class MagneticFieldSetting:
-    """Static field magnitude and orientation in the zero-field principal frame."""
-
-    magnitude_tesla: float
-    theta_rad: float = 0.0
-    phi_rad: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.magnitude_tesla < math.inf:
-            raise ValidationError(
-                f"field magnitude must be finite and >= 0, got {self.magnitude_tesla}"
-            )
-        if not 0.0 <= self.theta_rad <= math.pi:
-            raise ValidationError(f"theta must lie in [0, pi], got {self.theta_rad}")
-        if not 0.0 <= self.phi_rad < 2.0 * math.pi:
-            raise ValidationError(f"phi must lie in [0, 2*pi), got {self.phi_rad}")
-        st = math.sin(self.theta_rad)
-        object.__setattr__(self, "_axis", (st * math.cos(self.phi_rad), st * math.sin(self.phi_rad),
-                                           math.cos(self.theta_rad)))
-
-    def direction(self) -> tuple[float, float, float]:
-        """Unit vector (x, y, z) of the field axis in the principal frame."""
-        return self._axis
 
 
 @dataclass(frozen=True, eq=False)

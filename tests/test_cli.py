@@ -862,6 +862,33 @@ class TestSweep:
         assert code == 0
         assert float(out.read_text().splitlines()[1].split(",")[1]) == pytest.approx(0.05, rel=1e-12)
 
+    def test_overflowing_b1_value_is_the_adiabatic_limit(self, cfg, tmp_path, capsys):
+        # omega1 * omega1 overflows to inf (pow would raise OverflowError), so p = 1 as at b1 = 10
+        out = tmp_path / "b1.csv"
+        code, cap = run(["sweep", "b1", "--config", cfg, "--values", "10,1e150", "--out", out], capsys)
+        assert (code, cap.err) == (0, "")
+        ten, huge = (row.split(",")[1] for row in out.read_text().splitlines()[1:])
+        assert huge == ten
+
+    @pytest.mark.parametrize("parameter, value", [("b1", "10"), ("sweep_span", "3"), ("repetition_rate", "1000")])
+    def test_overflowing_configured_b1_is_the_adiabatic_limit(self, cfg, tmp_path, capsys, parameter, value):
+        # the calibration's reference probability overflows the same way as a swept b1
+        big = tmp_path / "big_b1.cfg"
+        big.write_text(REFERENCE_CFG.replace("[sequence]\n", "[sequence]\nb1_amplitude_mt = 1e150\n"))
+        code, cap = run(["sweep", parameter, "--config", big, "--values", value, "--out", tmp_path / "s.csv"], capsys)
+        assert (code, cap.err) == (0, "")
+        _, ten = run(["sweep", "b1", "--config", cfg, "--values", "10", "--out", tmp_path / "ten.csv"], capsys)
+        assert cap.out.splitlines()[1].split(",")[1] == ten.out.splitlines()[1].split(",")[1]
+
+    def test_overflowing_sweep_rate_transfers_nothing(self, tmp_path, capsys):
+        # gamma_e * span / width overflows to inf: p = 0, td is infinite and the floor pth remains
+        cfg = tmp_path / "pth.cfg"
+        cfg.write_text(REFERENCE_CFG + "pth = 0.05\n")
+        out = tmp_path / "span.csv"
+        code, cap = run(["sweep", "sweep_span", "--config", cfg, "--values", "1e300", "--out", out], capsys)
+        assert (code, cap.err) == (0, "")
+        assert float(out.read_text().splitlines()[1].split(",")[1]) == pytest.approx(0.05, rel=1e-12)
+
     @pytest.mark.parametrize("parameter", ["repetition_rate", "b1", "sweep_span"])
     def test_calibration_fails_before_any_value(self, tmp_path, capsys, parameter):
         # the reference calibration is made once, before the NaN value is read

@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tripletdnp
+from test_readme import COMMANDS, REFERENCE, _block, _curve_text
 
 SRC = str(Path(tripletdnp.__file__).resolve().parents[1])
 
@@ -69,3 +71,46 @@ def test_unknown_name_raises_attribute_error():
 
 def test_dir_lists_every_export_and_layer():
     assert set(tripletdnp.__all__) | {"analysis", "config", "errors", "__version__"} <= set(dir(tripletdnp))
+
+
+@pytest.mark.parametrize("name", ["read_curve", "write_curve", "fit_buildup", "fit_decay"])
+def test_curve_and_fit_names_load_no_model_or_config(name):
+    layers = loaded_after(f"tripletdnp.{name}")["layers"]
+    assert not {"tripletdnp.tripletspin", "tripletdnp.ise", "tripletdnp.config"} & set(layers)
+
+
+@pytest.mark.parametrize("name", ["MagneticFieldSetting", "TripletParameters"])
+def test_spin_inputs_load_no_spin_chain_curve_io_or_fits(name):
+    layers = loaded_after(f"tripletdnp.{name}")["layers"]
+    assert not {"tripletdnp.tripletspin", "tripletdnp.curveio", "tripletdnp.analysis"} & set(layers)
+
+
+def test_spinparams_imports_no_numpy():
+    """The spin model's scalar inputs stay numpy-free, so config can read them."""
+    loaded = loaded_after("import tripletdnp.spinparams")
+    assert loaded == {"layers": ["tripletdnp.errors", "tripletdnp.spinparams"], "numpy": False, "probe": None}
+
+
+def test_config_loads_no_spin_chain():
+    assert "tripletdnp.tripletspin" not in loaded_after("import tripletdnp.config")["layers"]
+
+
+def test_cli_subcommands_load_no_spin_chain(tmp_path):
+    """Every command of README's command block runs through cli.main without the spin chain."""
+    (tmp_path / "run.cfg").write_text(_block("Example:", "ini"))
+    rng = np.random.default_rng(20250)
+    amplitude = tripletdnp.final_polarization(REFERENCE)
+    rate = 1.0 / REFERENCE.td_minutes + 1.0 / REFERENCE.tr_minutes
+    t = np.linspace(0.0, 150.0, 201)
+    (tmp_path / "curve.csv").write_text(_curve_text(t, -amplitude * np.expm1(-rate * t) + 0.005 * rng.normal(size=t.size)))
+    t = np.linspace(0.0, 300.0, 201)
+    decay = amplitude * np.exp(-t / REFERENCE.tr_minutes) + 0.005 * rng.normal(size=t.size)
+    (tmp_path / "decay.csv").write_text(_curve_text(t, decay))
+    loaded = loaded_after(
+        "import contextlib, io, os\nfrom tripletdnp.cli import main\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    probe = [main(argv) for argv in {COMMANDS!r}]"
+    )
+    assert loaded["probe"] == [0] * len(COMMANDS)
+    assert "tripletdnp.tripletspin" not in loaded["layers"]
+    assert "tripletdnp.spinparams" in loaded["layers"]
