@@ -12,11 +12,8 @@ relaxation constant (disentangle_buildup).
 from __future__ import annotations
 
 import math
-import operator
-import sys
 import warnings
 from dataclasses import astuple, dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -380,24 +377,15 @@ def calibrate_polarization(cal: NmrCalibration) -> float:
     P = (enhanced / reference) * spin_count_ratio * gain_ratio * reference
     thermal polarization. The sign passes through (an emissive line gives a
     negative polarization); a magnitude above 1 is unphysical and is clamped
-    with a warning. Where a partial product over- or underflows, or is
-    subnormal and so has lost precision, the magnitude comes from the sum of
-    the factors' logarithms instead.
+    with a warning. The product is formed on the inputs' mantissas and scaled
+    by their summed power of two once, so no intermediate over- or underflows.
     """
-    # the left-to-right partial products; the last one is P
-    partials = list(accumulate(
-        (cal.spin_count_ratio, cal.gain_ratio, cal.reference_thermal_polarization),
-        operator.mul,
-        initial=cal.enhanced_signal / cal.reference_signal,
-    ))
-    p = partials[-1]
-    factors = (cal.enhanced_signal, cal.spin_count_ratio, cal.gain_ratio, cal.reference_thermal_polarization)
-    if 0.0 in factors:
-        p = 0.0 if math.isnan(p) else p  # inf * 0 after an overflow; else the product's signed zero
-    elif not all(sys.float_info.min <= abs(q) < math.inf for q in partials):
-        # no factor is 0, so the sign of p is the true sign
-        log_p = math.fsum(math.log(abs(f)) for f in factors) - math.log(abs(cal.reference_signal))
-        p = math.copysign(math.exp(log_p) if log_p < 709.0 else math.inf, p)
+    (e, ke), (r, kr), (t, kt), (s, ks), (g, kg) = map(math.frexp, astuple(cal))
+    q = e / r * s * g * t
+    try:
+        p = math.ldexp(q, ke - kr + ks + kg + kt)
+    except OverflowError:  # beyond 1.8e308, which clamps below
+        p = math.copysign(math.inf, q)
     if abs(p) > 1.0:
         warnings.warn(
             f"calibrated polarization {p} exceeds unit magnitude; clamping. "

@@ -58,7 +58,8 @@ SWEEP_PARAMETERS = {
     "repetition_rate": "repetition_rate_hz", "b1": "b1_amplitude_mt", "sweep_span": "sweep_span_mt",
 }
 
-# largest simulate --points and sweep --num, checked before allocating; 10**5 take 0.6-1.6 s
+# largest simulate --points and sweep --num, checked before allocating; on a 2-CPU Xeon VM
+# 10**5 take 0.4-0.8 s per simulate mode, 0.9-1.3 s for sweep tr and 1.8-2.2 s for sweep b1
 MAX_POINTS = 100_000
 
 _TOLERANCE_RATIONALE = (

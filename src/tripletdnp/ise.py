@@ -123,16 +123,21 @@ def sweep_transfer_probability(params: IseSequenceParams) -> float:
 
     Landau-Zener for a linear sweep: p = 1 - exp(-pi w1^2 / (2 |dDelta/dt|))
     with w1 = gamma_e * b1 and dDelta/dt = gamma_e * sweep_span / width, both
-    angular. A zero sweep rate is the adiabatic limit and returns 1 (with
-    drive present), not an error.
+    angular. A zero sweep span is the adiabatic limit and returns 1, not an
+    error. The exponent is formed on the mantissas of b1, span and width and
+    scaled by their powers of two once, so no intermediate over- or underflows.
     """
+    if params.sweep_span_mt == 0.0:
+        return 1.0
+    (b1, k1), (span, ks), (width, kw) = map(
+        math.frexp, (params.b1_amplitude_mt, params.sweep_span_mt, params.microwave_width_us)
+    )
     gamma_ang = 2.0 * math.pi * GAMMA_E_MHZ_PER_T * 1e6  # rad/s/T
-    omega1 = gamma_ang * params.b1_amplitude_mt * 1e-3
-    sweep_rate = gamma_ang * params.sweep_span_mt * 1e-3 / (params.microwave_width_us * 1e-6)
-    if sweep_rate == 0.0:
-        return 1.0 if omega1 > 0.0 else 0.0
-    p = 1.0 - math.exp(-math.pi * omega1 * omega1 / (2.0 * abs(sweep_rate)))
-    return min(1.0, max(0.0, p))
+    omega1 = gamma_ang * b1 * 1e-3
+    sweep_rate = gamma_ang * span * 1e-3 / (width * 1e-6)
+    exponent = -math.pi * omega1 * omega1 / (2.0 * sweep_rate)  # between -560 and -30
+    # scaled by 2**64, or by any larger power of two, its exp is 0 and p is 1
+    return 1.0 - math.exp(math.ldexp(exponent, min(2 * k1 - ks + kw, 64)))
 
 
 def effective_buildup_time(shot: ShotModel) -> float:

@@ -43,9 +43,6 @@ __all__ = [
     "thermal_polarization",
 ]
 
-# h gamma_H / 2 kB, K/T: thermal_polarization's ratio per unit B / T
-_HALF_H_GAMMA_OVER_KB = PLANCK_J_S * GAMMA_H_MHZ_PER_T * 1e6 / (2.0 * BOLTZMANN_J_PER_K)
-
 
 class ByValue:
     """Equality and hash by value for a frozen dataclass declared with eq=False.
@@ -258,15 +255,16 @@ def thermal_polarization(field_tesla: float, temperature_kelvin: float) -> float
     """Thermal-equilibrium 1H polarization tanh(h nu / 2 kB T) at nu = gamma_H B.
 
     Takes the field magnitude only (finite, nonnegative); the sign convention
-    of the polarization axis is handled by the caller.
+    of the polarization axis is handled by the caller. The ratio is formed on
+    the mantissas of B and T and scaled by their powers of two once, so no
+    intermediate over- or underflows.
     """
     if not 0.0 <= field_tesla < math.inf:
         raise ValidationError(f"field magnitude must be finite and >= 0, got {field_tesla}")
     if not 0.0 < temperature_kelvin < math.inf:
         raise ValidationError(f"temperature must be finite and positive, got {temperature_kelvin}")
-    h_nu = PLANCK_J_S * (GAMMA_H_MHZ_PER_T * 1e6 * field_tesla)
-    two_kt = 2.0 * BOLTZMANN_J_PER_K * temperature_kelvin
-    # below about 8e-283 T or 8e-286 K, h nu or 2 kB T is subnormal or 0: divide B by T first
-    if min(h_nu, two_kt) < sys.float_info.min:
-        return math.tanh(field_tesla / temperature_kelvin * _HALF_H_GAMMA_OVER_KB)
-    return math.tanh(h_nu / two_kt)
+    (b, kb), (t, kt) = math.frexp(field_tesla), math.frexp(temperature_kelvin)
+    h_nu = PLANCK_J_S * (GAMMA_H_MHZ_PER_T * 1e6 * b)
+    two_kt = 2.0 * BOLTZMANN_J_PER_K * t
+    # h_nu / two_kt is about 1e-3; scaled by 2**64 its tanh is 1, as it is for any larger scale
+    return math.tanh(math.ldexp(h_nu / two_kt, min(kb - kt, 64)))

@@ -8,7 +8,8 @@ Schrodinger equation, curve files are read and checked one row at a time,
 and the exponential fits and the spin chain's validators and projections
 keep the plain numpy calls they were first written with, as do the
 closed-form kinetics, and shots are stepped one at a time or composed
-in exact decimal arithmetic. Agreement
+in exact decimal arithmetic, as are the calibration, thermal and
+Landau-Zener products, with tanh and 1 - exp(-x) at 50 digits. Agreement
 between these and the package is the point of the tests, so nothing below
 may import from tripletdnp except ValidationError, which the shot loop
 raises where the package does.
@@ -16,6 +17,7 @@ raises where the package does.
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,9 @@ import numpy as np
 from tripletdnp.errors import ValidationError
 
 GAMMA_E_MHZ_PER_T = 28024.9
+GAMMA_H_MHZ_PER_T = 42.577
+PLANCK_J_S = 6.62607015e-34
+BOLTZMANN_J_PER_K = 1.380649e-23
 
 
 def spin_ops_via_zeeman_basis():
@@ -300,6 +305,53 @@ def shots_exact(p0, epsilon, delta, pe, pth, n):
         fixed_point = (eps * Decimal(pe) + dlt * Decimal(pth)) / s
         an = Decimal(0) if n == math.inf else (1 - s) ** int(n)
         return float(an * Decimal(p0) + (1 - an) * fixed_point)
+
+
+# The three products below are exact: every float input and constant
+# (pi, 1e-3 and 1e-6 included) enters as the rational number it stores.
+
+
+def calibration_exact(enhanced, reference, ref_pol, spins, gain):
+    """enhanced / reference * spins * gain * ref_pol as a Fraction."""
+    return Fraction(enhanced) / Fraction(reference) * Fraction(spins) * Fraction(gain) * Fraction(ref_pol)
+
+
+def thermal_ratio_exact(field_tesla, temperature_kelvin):
+    """h nu / 2 kB T at nu = gamma_H B, as a Fraction."""
+    h_nu = Fraction(PLANCK_J_S) * Fraction(GAMMA_H_MHZ_PER_T) * 10**6 * Fraction(field_tesla)
+    return h_nu / (2 * Fraction(BOLTZMANN_J_PER_K) * Fraction(temperature_kelvin))
+
+
+def landau_zener_exponent_exact(b1_mt, span_mt, width_us):
+    """pi w1^2 / (2 dDelta/dt) with w1 = g b1 and dDelta/dt = g span / width,
+    g = 2 pi gamma_e (angular, SI units), as a Fraction."""
+    pi = Fraction(math.pi)
+    g = 2 * pi * Fraction(GAMMA_E_MHZ_PER_T) * 10**6
+    omega1 = g * Fraction(b1_mt) * Fraction(1e-3)
+    sweep_rate = g * Fraction(span_mt) * Fraction(1e-3) / (Fraction(width_us) * Fraction(1e-6))
+    return pi * omega1 * omega1 / (2 * sweep_rate)
+
+
+def _at_50_digits(x, f):
+    """f of the Fraction x >= 0, in 50-digit decimal arithmetic, as a float.
+
+    Below 1e-20 both tanh x and 1 - exp(-x) equal x to 40 digits, and the
+    subtraction in f would cancel, so x itself is returned.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(x.numerator) / Decimal(x.denominator)
+        return float(d if d < Decimal("1e-20") else f(d))
+
+
+def tanh_exact(x):
+    """tanh of the Fraction x >= 0, rounded to a float from 50 digits."""
+    return _at_50_digits(x, lambda d: (1 - (-2 * d).exp()) / (1 + (-2 * d).exp()))
+
+
+def one_minus_exp_exact(x):
+    """1 - exp(-x) of the Fraction x >= 0, rounded to a float from 50 digits."""
+    return _at_50_digits(x, lambda d: 1 - (-d).exp())
 
 
 def read_curve_by_rows(path):

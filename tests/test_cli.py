@@ -776,13 +776,21 @@ class TestCalibrate:
         assert code == 0 and cap.err == ""
         assert "\npolarization: 0.5\n" in cap.out and "\nthermal_polarization_baseline: 1.0\n" in cap.out
 
-    def test_baseline_at_a_field_whose_h_nu_is_subnormal(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "config, baseline",
+        [("[field]\nfield_tesla = 1e-300\n", "3.4633452938087046e-306"),
+         ("[field]\nfield_tesla = 3e301\n[general]\ntemperature_kelvin = 2e307\n", "1.532530292510352e-09")],
+        ids=["subnormal-h-nu", "overflowing-h-nu"],
+    )
+    def test_baseline_at_a_field_whose_h_nu_is_subnormal(self, tmp_path, capsys, config, baseline):
+        """h nu is subnormal at 1e-300 T and overflows at 3e301 T; the baseline is
+        the exact value rounded (3e301 T at 2e307 K: one ulp from it), neither 0 nor 1."""
         path = tmp_path / "f.cfg"
-        path.write_text("[field]\nfield_tesla = 1e-300\n")
+        path.write_text(config)
         code, cap = run(["calibrate", "--enhanced", 1, "--reference", 2, "--verbose",
                          "--config", path, "--out", tmp_path / "cal.txt"], capsys)
         assert code == 0 and cap.err == ""
-        assert "\nthermal_polarization_baseline: 3.463345293808704e-306\n" in cap.out
+        assert f"\nthermal_polarization_baseline: {baseline}\n" in cap.out
 
     def test_baseline_from_config_when_not_given(self, cfg, tmp_path, capsys):
         code, cap = run(
@@ -870,9 +878,13 @@ class TestSweep:
         ten, huge = (row.split(",")[1] for row in out.read_text().splitlines()[1:])
         assert huge == ten
 
-    @pytest.mark.parametrize("parameter, value", [("b1", "10"), ("sweep_span", "3"), ("repetition_rate", "1000")])
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [("b1", "10"), ("sweep_span", "3"), ("repetition_rate", "1000"), ("sweep_span", "1e300")],
+    )
     def test_overflowing_configured_b1_is_the_adiabatic_limit(self, cfg, tmp_path, capsys, parameter, value):
-        # the calibration's reference probability overflows the same way as a swept b1
+        # the calibration's reference probability overflows the same way as a swept b1;
+        # a 1e300 mT span overflows the sweep rate as well, and the exponent is still about 5e3
         big = tmp_path / "big_b1.cfg"
         big.write_text(REFERENCE_CFG.replace("[sequence]\n", "[sequence]\nb1_amplitude_mt = 1e150\n"))
         code, cap = run(["sweep", parameter, "--config", big, "--values", value, "--out", tmp_path / "s.csv"], capsys)

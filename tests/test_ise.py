@@ -1,10 +1,12 @@
 import math
+import sys
 import time
 from datetime import timedelta
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tripletdnp import (
     IseSequenceParams,
@@ -22,6 +24,7 @@ from tripletdnp import (
 from tripletdnp.constants import GAMMA_E_MHZ_PER_T, GAMMA_H_MHZ_PER_T
 
 import oracles
+from extremes import BINADES
 from oracles import shot_map
 
 GAMMA_E_ANG = 2.0 * math.pi * 28.0249e9  # rad/s/T
@@ -123,6 +126,22 @@ class TestMatchingConditions:
         assert proton_larmor(0.3) == pytest.approx(12.7731, abs=1e-9)
 
 
+@st.composite
+def moderate_passages(draw):
+    """(b1, span, width): b1 and span from 1e-300 to 1e300, and the width that
+    puts the exact Landau-Zener exponent at a drawn value in [1e-3, 40]."""
+    k1 = draw(st.integers(-997, 997))
+    ks = draw(st.integers(max(-997, 2 * k1 - 1040), min(997, 2 * k1 + 1000)))  # keeps the width a float
+    b1, span = (math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), k) for k in (k1, ks))
+    exponent = draw(st.floats(1e-3, 40.0))
+    return b1, span, float(Fraction(exponent) / oracles.landau_zener_exponent_exact(b1, span, 1.0))
+
+
+def passage(b1_mt, span_mt, width_us):
+    """A valid sequence for any finite positive width: the period leaves room for the window."""
+    return sequence(b1_mt=b1_mt, span_mt=span_mt, width_us=width_us, rep_hz=1e5 / (2.0 + width_us))
+
+
 class TestSweepTransferProbability:
     def test_vanishing_drive_gives_no_transfer(self):
         assert sweep_transfer_probability(sequence(b1_mt=1e-9)) == pytest.approx(0.0, abs=1e-12)
@@ -157,6 +176,34 @@ class TestSweepTransferProbability:
             numeric = oracles.landau_zener_numeric(omega1, rate)
             assert 0.01 < p < 0.99
             assert p == pytest.approx(numeric, abs=0.02)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(b1=BINADES, span=st.just(0.0) | BINADES, width=BINADES)
+    @example(b1=1.0, span=3.0, width=1e-320)  # width * 1e-6 underflows to 0
+    def test_a_probability_for_any_valid_inputs(self, b1, span, width):
+        assert 0.0 <= sweep_transfer_probability(passage(b1, span, width)) <= 1.0
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(moderate_passages())
+    def test_matches_the_exact_probability(self, inputs):
+        """Within 1e-12 of the exact 1 - exp(-x) wherever the exact exponent x lies
+        in [1e-3, 40], though w1^2 or the sweep rate may over- or underflow; and bit
+        for bit 1 - exp(-pi w1^2 / (2 rate)) whenever every intermediate of that is normal."""
+        exponent = oracles.landau_zener_exponent_exact(*inputs)
+        assume(Fraction(1, 1000) <= exponent <= 40)
+        exact = oracles.one_minus_exp_exact(exponent)
+        got = sweep_transfer_probability(passage(*inputs))
+        assert abs(got - exact) <= 1e-12 * exact
+        with np.errstate(all="ignore"):  # the plain formula may over- or underflow, or divide by 0
+            b1, span, width = map(np.float64, inputs)
+            gamma_ang = 2.0 * math.pi * GAMMA_E_MHZ_PER_T * 1e6
+            omega1 = gamma_ang * b1 * 1e-3
+            sweep_rate = gamma_ang * span * 1e-3 / (width * 1e-6)
+            plain = -math.pi * omega1 * omega1 / (2.0 * sweep_rate)
+            intermediates = (gamma_ang * b1, omega1, gamma_ang * span, gamma_ang * span * 1e-3, width * 1e-6,
+                             sweep_rate, -math.pi * omega1, -math.pi * omega1 * omega1, 2.0 * sweep_rate, plain)
+        if all(sys.float_info.min <= abs(q) < math.inf for q in intermediates):
+            assert got == 1.0 - math.exp(plain)
 
     def test_monotone_in_b1_and_sweep_rate(self):
         b1s = np.geomspace(1e-4, 0.1, 30)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tripletdnp import (
 )
 
 import oracles
+from extremes import BINADES
 from tripletdnp.constants import BOLTZMANN_J_PER_K, GAMMA_H_MHZ_PER_T, PLANCK_J_S
 
 REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
@@ -400,8 +402,8 @@ class TestThermalPolarization:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_subnormal_two_kt(self):
-        """Below about 8e-286 K, 2 kB T is subnormal or 0: the ratio is taken as
-        B / T times h gamma / 2 kB, which divides B by T before any product underflows."""
+        """Below about 8e-286 K, 2 kB T is subnormal or 0; the ratio is formed on the
+        mantissas of B and T, so it is B / T times h gamma / 2 kB without any underflow."""
         ratio = PLANCK_J_S * GAMMA_H_MHZ_PER_T * 1e6 / (2.0 * BOLTZMANN_J_PER_K)  # per T/K
         assert thermal_polarization(0.64, 5e-324) == 1.0
         assert thermal_polarization(5e-324, 5e-324) == pytest.approx(math.tanh(ratio), rel=1e-15, abs=0.0)
@@ -409,12 +411,34 @@ class TestThermalPolarization:
         assert thermal_polarization(0.0, 5e-324) == 0.0
 
     def test_subnormal_h_nu(self):
-        """Below about 8e-283 T, h nu is subnormal or 0 while 2 kB T is normal: the
-        ratio is again B / T times h gamma / 2 kB, a normal float down to about 6e-303 T at 295 K."""
+        """Below about 8e-283 T, h nu is subnormal or 0; formed on the mantissas, the
+        ratio B / T times h gamma / 2 kB is a normal float down to about 6e-303 T at 295 K."""
         ratio = PLANCK_J_S * GAMMA_H_MHZ_PER_T * 1e6 / (2.0 * BOLTZMANN_J_PER_K)  # per T/K
         assert thermal_polarization(1e-300, 295.0) == pytest.approx(1e-300 / 295.0 * ratio, rel=1e-15, abs=0.0)
         assert thermal_polarization(7e-283, 295.0) == pytest.approx(7e-283 / 295.0 * ratio, rel=1e-15, abs=0.0)
-        assert thermal_polarization(5e-324, 295.0) == 0.0  # B / T underflows as well
+        assert thermal_polarization(5e-324, 295.0) == 0.0  # the ratio itself underflows
+
+    def test_overflowing_h_nu(self):
+        """h nu overflows above about 4e300 T, yet the ratio at 3e301 T and 2e307 K is
+        about 1.5e-9; it is within one rounding of the exact value, not 1."""
+        exact = oracles.tanh_exact(oracles.thermal_ratio_exact(3e301, 2e307))
+        assert exact == 1.5325302925103518e-09
+        assert thermal_polarization(3e301, 2e307) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(field=st.just(0.0) | BINADES, temperature=BINADES)
+    def test_matches_the_exact_value(self, field, temperature):
+        """Bit for bit tanh(h nu / 2 kB T) whenever every intermediate of that is
+        normal; everywhere within 1e-15 of the exact value, or within one step of
+        it where that is subnormal."""
+        exact = oracles.tanh_exact(oracles.thermal_ratio_exact(field, temperature))
+        got = thermal_polarization(field, temperature)
+        assert abs(got - exact) <= max(exact * 1e-15, 5e-324)
+        normal = lambda q: sys.float_info.min <= q < math.inf
+        h_nu = PLANCK_J_S * (GAMMA_H_MHZ_PER_T * 1e6 * field)
+        two_kt = 2.0 * BOLTZMANN_J_PER_K * temperature
+        if normal(GAMMA_H_MHZ_PER_T * 1e6 * field) and normal(h_nu) and normal(two_kt) and normal(h_nu / two_kt):
+            assert got == math.tanh(h_nu / two_kt)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
