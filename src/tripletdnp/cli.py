@@ -311,12 +311,15 @@ def _sweep_final_polarizations(cfg: ToolkitConfig, parameter: str, values: list[
     # calibrated once so the configured sequence reproduces the configured td.
     seq = cfg.sequence
     p_ref = sweep_transfer_probability(seq)
+    if p_ref == 0.0:
+        raise ValidationError(f"[sequence] b1_amplitude_mt = {seq.b1_amplitude_mt!r} gives the configured "
+                              "sequence a transfer probability of 0, so no per-shot gain reproduces td")
     eps_ref = epsilon_for_buildup_time(base.td_minutes, seq.shot_period_s)
-    calibration = eps_ref / p_ref if p_ref > 0 else 0.0
     results = []
     for value in values:
         swept = dataclasses.replace(seq, **{name: value})
-        eps = min(1.0, calibration * sweep_transfer_probability(swept))
+        # p / p_ref first: eps_ref / p_ref overflows for a subnormal p_ref
+        eps = min(1.0, eps_ref * (sweep_transfer_probability(swept) / p_ref))
         # without transfer td is infinite and the floor pth remains
         td_minutes = effective_buildup_time(ShotModel(eps, swept.shot_period_s))
         results.append(steady_state_with_pth(dataclasses.replace(base, td_minutes=td_minutes)))

@@ -121,11 +121,12 @@ def proton_larmor(static_field_tesla: float) -> float:
 def sweep_transfer_probability(params: IseSequenceParams) -> float:
     """Adiabatic transfer probability of one swept-field passage.
 
-    Landau-Zener for a linear sweep: p = 1 - exp(-pi w1^2 / (2 |dDelta/dt|))
-    with w1 = gamma_e * b1 and dDelta/dt = gamma_e * sweep_span / width, both
-    angular. A zero sweep span is the adiabatic limit and returns 1, not an
-    error. The exponent is formed on the mantissas of b1, span and width and
-    scaled by their powers of two once, so no intermediate over- or underflows.
+    Landau-Zener for a linear sweep: p = -expm1(-pi w1^2 / (2 |dDelta/dt|)),
+    1 - exp free of cancellation, with w1 = gamma_e * b1 and dDelta/dt =
+    gamma_e * sweep_span / width, both angular. A zero sweep span is the
+    adiabatic limit and returns 1, not an error. The exponent is formed on the
+    mantissas of b1, span and width and scaled by their powers of two once, so
+    no intermediate over- or underflows.
     """
     if params.sweep_span_mt == 0.0:
         return 1.0
@@ -137,7 +138,7 @@ def sweep_transfer_probability(params: IseSequenceParams) -> float:
     sweep_rate = gamma_ang * span * 1e-3 / (width * 1e-6)
     exponent = -math.pi * omega1 * omega1 / (2.0 * sweep_rate)  # between -560 and -30
     # scaled by 2**64, or by any larger power of two, its exp is 0 and p is 1
-    return 1.0 - math.exp(math.ldexp(exponent, min(2 * k1 - ks + kw, 64)))
+    return -math.expm1(math.ldexp(exponent, min(2 * k1 - ks + kw, 64)))
 
 
 def effective_buildup_time(shot: ShotModel) -> float:

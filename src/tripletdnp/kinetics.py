@@ -12,7 +12,7 @@ solution is a single exponential approach to pe / (1 + td/tr):
     P(t) = pe / (1 + td/tr) * (1 - exp(-t (1/td + 1/tr)))
 
 With pth kept and P(0) = pth the approach is to the fixed point
-(pe/td + pth/tr) / (1/td + 1/tr) instead; buildup_closed_form and
+pe / (1 + td/tr) + pth / (1 + tr/td) instead; buildup_closed_form and
 buildup_ode both take include_pth to choose between the two.
 
 Times are minutes throughout this module; only a curve file with a time_s
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -163,9 +162,9 @@ def buildup_closed_form(params: KineticsParams, t_minutes, include_pth: bool = F
     """Closed-form buildup P(t) = P_inf (1 - e) + P0 e with e = exp(-t (1/td + 1/tr)).
 
     With include_pth unset the thermal floor is omitted, as in buildup_ode:
-    P0 = 0 and P_inf = final_polarization. With it set the curve starts at
-    P0 = pth and approaches steady_state_with_pth. Accepts a scalar or an
-    array of times; times must be finite and nonnegative.
+    P0 = 0 and P_inf = final_polarization (steady_state_with_pth at pth = 0);
+    with it set, P0 = pth and P_inf = steady_state_with_pth. Accepts a scalar
+    or an array of times; times must be finite and nonnegative.
     """
     p0, p_inf = (params.pth, steady_state_with_pth(params)) if include_pth else (0.0, final_polarization(params))
     return _approach(p0, p_inf, (params.td_minutes, params.tr_minutes), t_minutes, "buildup")
@@ -224,18 +223,12 @@ def final_polarization(params: KineticsParams) -> float:
 def steady_state_with_pth(params: KineticsParams) -> float:
     """Fixed point of the rate equation including the thermal floor.
 
-    (pe/td + pth/tr) / (1/td + 1/tr); reduces to final_polarization for
-    pth = 0. Where a rate 1/td or 1/tr overflows (a subnormal time constant)
-    or a sum is subnormal and so has lost precision (huge time constants),
-    the same weighted mean is taken with the ratio td/tr.
+    final_polarization plus the floor's share pth / (1 + tr/td): the weighted
+    mean (pe tr + pth td) / (td + tr), formed without a rate; at pth = 0 it is
+    final_polarization + 0.0 bit for bit. A ratio that overflows to inf (a
+    subnormal, huge or infinite td or tr) gives its term's limit 0.
     """
-    num = params.pe / params.td_minutes + params.pth / params.tr_minutes
-    den = 1.0 / params.td_minutes + 1.0 / params.tr_minutes
-    p = num / den
-    if not (abs(num) >= sys.float_info.min and sys.float_info.min <= den < math.inf):
-        x = params.td_minutes / params.tr_minutes
-        p = (params.pe + params.pth * x) / (1.0 + x) if x <= 1.0 else (params.pe / x + params.pth) / (1.0 / x + 1.0)
-    return p
+    return final_polarization(params) + params.pth / (1.0 + params.tr_minutes / params.td_minutes)
 
 
 def relaxation_decay(p0: float, t_const_minutes: float, t_minutes, pth: float = 0.0):

@@ -9,7 +9,8 @@ and the exponential fits and the spin chain's validators and projections
 keep the plain numpy calls they were first written with, as do the
 closed-form kinetics, and shots are stepped one at a time or composed
 in exact decimal arithmetic, as are the calibration, thermal and
-Landau-Zener products, with tanh and 1 - exp(-x) at 50 digits. Agreement
+Landau-Zener products, with tanh and 1 - exp(-x) at 50 digits, and the
+steady state is an exact rational weighted mean. Agreement
 between these and the package is the point of the tests, so nothing below
 may import from tripletdnp except ValidationError, which the shot loop
 raises where the package does.
@@ -248,8 +249,9 @@ def rk4_rate_equation(pe, td_minutes, tr_minutes, pth, grid, include_pth):
 
 
 # The closed-form kinetics as written before the buildup and the decay shared
-# one approach step, without their input checks. final_polarization and
-# steady_state_with_pth did not change, so the caller passes the asymptote.
+# one approach step, without their input checks. The caller passes the
+# asymptote, final_polarization or steady_state_with_pth; steady_state_exact
+# below checks those on their own.
 
 
 def buildup_closed_form(params, t_minutes, include_pth, p_inf):
@@ -267,6 +269,20 @@ def relaxation_decay(p0, t_const_minutes, t_minutes, pth=0.0):
     t = np.asarray(t_minutes, dtype=float)
     out = pth + (p0 - pth) * np.exp(-t / t_const_minutes)
     return float(out) if np.ndim(t_minutes) == 0 else out
+
+
+def steady_state_exact(pe, td_minutes, tr_minutes, pth=0.0):
+    """Fixed point (pe tr + pth td) / (td + tr) of the rate equation as a Fraction.
+
+    An infinite td (no buildup) leaves pth and an infinite tr (no relaxation)
+    leaves pe; td and tr may not both be infinite.
+    """
+    if td_minutes == math.inf:
+        return Fraction(pth)
+    if tr_minutes == math.inf:
+        return Fraction(pe)
+    td, tr = Fraction(td_minutes), Fraction(tr_minutes)
+    return (Fraction(pe) * tr + Fraction(pth) * td) / (td + tr)
 
 
 def shot_map(p_now, shot, pe, tr_minutes, pth=0.0):

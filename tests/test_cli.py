@@ -28,7 +28,7 @@ from tripletdnp import cli
 from tripletdnp.cli import SWEEP_PARAMETERS, main
 
 from extremes import FLOAT_EXTREMES
-from oracles import shot_map
+from oracles import shot_map, steady_state_exact
 
 REFERENCE_CFG = """
 [field]
@@ -163,6 +163,19 @@ class TestSimulate:
         assert code == 0 and cap.err == ""
         want = steady_state_with_pth(KineticsParams(0.826, 20.2, 57.1, pth=0.3 * include_pth))
         assert read_curve(out).values[-1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["closed_form", "ode"])
+    def test_steady_state_row_is_the_limit_of_the_curve(self, tmp_path, capsys, mode):
+        # at pth = 0 the steady state is final_polarization, the curve's limit, bit for bit;
+        # shots settle at the ISE map's own fixed point instead
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[kinetics]\npe = 0.433\ntd_minutes = 48.4\ntr_minutes = 109.3\n")
+        code, cap = run(["simulate", "--config", cfg, "--duration-min", "1e6", "--mode", mode,
+                         "--out", tmp_path / "k.csv"], capsys)
+        assert (code, cap.err) == (0, "")
+        rows = dict(line.split(": ", 1) for line in cap.out.splitlines())
+        exact = repr(float(steady_state_exact(0.433, 48.4, 109.3)))
+        assert rows["steady_state_polarization"] == rows["final_polarization"] == exact == "0.30010716550412175"
 
     @pytest.mark.parametrize("td", ["5e-324", "1e-310"])
     def test_subnormal_td_ode_rejected(self, tmp_path, capsys, td):
@@ -900,6 +913,31 @@ class TestSweep:
         code, cap = run(["sweep", "sweep_span", "--config", cfg, "--values", "1e300", "--out", out], capsys)
         assert (code, cap.err) == (0, "")
         assert float(out.read_text().splitlines()[1].split(",")[1]) == pytest.approx(0.05, rel=1e-12)
+
+    @pytest.mark.parametrize("b1", ["1e-10", "1e-160", "0.972"])
+    @pytest.mark.parametrize("parameter", ["b1", "sweep_span", "repetition_rate"])
+    def test_configured_sequence_reproduces_the_configured_td(self, tmp_path, capsys, b1, parameter):
+        # the transfer probability is 1.8e-17 at 1e-10 mT and subnormal at 1e-160 mT
+        cfg = tmp_path / "weak.cfg"
+        cfg.write_text(REFERENCE_CFG.replace("[sequence]\n", f"[sequence]\nb1_amplitude_mt = {b1}\n") + "pth = 0.05\n")
+        configured = {"b1": b1, "sweep_span": "3", "repetition_rate": "1000"}[parameter]
+        code, cap = run(["sweep", parameter, "--config", cfg, "--values", configured,
+                         "--out", tmp_path / "s.csv"], capsys)
+        assert (code, cap.err) == (0, "")
+        _, td = run(["sweep", "td", "--config", cfg, "--values", "20.2", "--out", tmp_path / "td.csv"], capsys)
+        row, want = (float(out.splitlines()[1].split(",")[1]) for out in (cap.out, td.out))
+        assert row == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("parameter", ["b1", "sweep_span", "repetition_rate"])
+    def test_configured_sequence_without_transfer_rejected(self, tmp_path, capsys, parameter):
+        # the Landau-Zener exponent underflows to 0 below about 4e-164 mT
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text(REFERENCE_CFG.replace("[sequence]\n", "[sequence]\nb1_amplitude_mt = 1e-170\n"))
+        out = tmp_path / "s.csv"
+        code, cap = run(["sweep", parameter, "--config", cfg, "--values", "1", "--out", out], capsys)
+        assert code == 3
+        assert cap.err.startswith("error: [sequence] b1_amplitude_mt = 1e-170 ") and cap.err.count("\n") == 1
+        assert cap.out == "" and not out.exists()
 
     @pytest.mark.parametrize("parameter", ["repetition_rate", "b1", "sweep_span"])
     def test_calibration_fails_before_any_value(self, tmp_path, capsys, parameter):

@@ -129,11 +129,12 @@ class TestMatchingConditions:
 @st.composite
 def moderate_passages(draw):
     """(b1, span, width): b1 and span from 1e-300 to 1e300, and the width that
-    puts the exact Landau-Zener exponent at a drawn value in [1e-3, 40]."""
-    k1 = draw(st.integers(-997, 997))
-    ks = draw(st.integers(max(-997, 2 * k1 - 1040), min(997, 2 * k1 + 1000)))  # keeps the width a float
+    puts the exact Landau-Zener exponent at a drawn value in [1e-300, 40]."""
+    exponent = draw(st.floats(1e-3, 40.0) | BINADES.filter(lambda x: 1e-300 <= x < 1e-3))
+    kx = math.frexp(exponent)[1]
+    k1 = draw(st.integers(max(-997, (kx - 2002) // 2), min(997, (kx + 2046) // 2)))
+    ks = draw(st.integers(max(-997, 2 * k1 - kx - 1049), min(997, 2 * k1 - kx + 1006)))  # keeps the width a float
     b1, span = (math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), k) for k in (k1, ks))
-    exponent = draw(st.floats(1e-3, 40.0))
     return b1, span, float(Fraction(exponent) / oracles.landau_zener_exponent_exact(b1, span, 1.0))
 
 
@@ -187,10 +188,10 @@ class TestSweepTransferProbability:
     @given(moderate_passages())
     def test_matches_the_exact_probability(self, inputs):
         """Within 1e-12 of the exact 1 - exp(-x) wherever the exact exponent x lies
-        in [1e-3, 40], though w1^2 or the sweep rate may over- or underflow; and bit
-        for bit 1 - exp(-pi w1^2 / (2 rate)) whenever every intermediate of that is normal."""
+        in [1e-300, 40], though w1^2 or the sweep rate may over- or underflow; and bit
+        for bit -expm1(-pi w1^2 / (2 rate)) whenever every intermediate of that is normal."""
         exponent = oracles.landau_zener_exponent_exact(*inputs)
-        assume(Fraction(1, 1000) <= exponent <= 40)
+        assume(Fraction(1e-300) <= exponent <= 40)
         exact = oracles.one_minus_exp_exact(exponent)
         got = sweep_transfer_probability(passage(*inputs))
         assert abs(got - exact) <= 1e-12 * exact
@@ -203,7 +204,7 @@ class TestSweepTransferProbability:
             intermediates = (gamma_ang * b1, omega1, gamma_ang * span, gamma_ang * span * 1e-3, width * 1e-6,
                              sweep_rate, -math.pi * omega1, -math.pi * omega1 * omega1, 2.0 * sweep_rate, plain)
         if all(sys.float_info.min <= abs(q) < math.inf for q in intermediates):
-            assert got == 1.0 - math.exp(plain)
+            assert got == -math.expm1(plain)
 
     def test_monotone_in_b1_and_sweep_rate(self):
         b1s = np.geomspace(1e-4, 0.1, 30)

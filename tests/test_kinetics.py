@@ -1,9 +1,10 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tripletdnp import (
     BuildupCurve,
@@ -24,6 +25,9 @@ from tripletdnp.constants import BOLTZMANN_J_PER_K, GAMMA_H_MHZ_PER_T, PLANCK_J_
 
 REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+UNIT = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]) | st.floats(-1.0, 1.0)
+TIME_CONSTANTS = st.sampled_from([5e-324, 1e-308, 1e-300, 57.1, 1e308, math.inf]) | st.floats(1e-3, 1e4)
+TIMES = st.sampled_from([0.0, 5e-324, 1.0, 150.0, 1e10, 1e308, 1.7976931348623157e308]) | st.floats(0.0, 1e4)
 
 
 class TestKineticsParams:
@@ -290,8 +294,27 @@ class TestSteadyStates:
         params = KineticsParams(0.8, 1e-6, 1e3)
         assert final_polarization(params) == pytest.approx(0.8, rel=1e-8)
 
-    def test_steady_state_reduces_to_final_polarization(self):
-        assert steady_state_with_pth(REFERENCE) == final_polarization(REFERENCE)
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(UNIT, TIME_CONSTANTS, TIME_CONSTANTS)
+    @example(0.433, 48.4, 109.3)
+    def test_steady_state_reduces_to_final_polarization(self, pe, td, tr):
+        """At pth = 0 the fixed point is final_polarization bit for bit, but for
+        a -0.0 that adding the floor's share 0.0 turns into 0.0."""
+        assume(not td == tr == math.inf)
+        params = KineticsParams(pe, td, tr)
+        assert steady_state_with_pth(params).hex() == (final_polarization(params) + 0.0).hex()
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(UNIT | BINADES.filter(lambda x: x <= 1.0), TIME_CONSTANTS | BINADES,
+           TIME_CONSTANTS | BINADES, UNIT | BINADES.filter(lambda x: x <= 1.0))
+    @example(-2.5224585199481752e-99, 2.4359174980989165e+243, 3.6053500816935937e+239, 1.035111967528146e-53)
+    def test_steady_state_matches_the_exact_weighted_mean(self, pe, td, tr, pth):
+        """Within 2 ulps of max(|pe|, |pth|) of (pe tr + pth td) / (td + tr) for
+        any valid kinetics, huge, subnormal and infinite time constants included."""
+        assume(not td == tr == math.inf)
+        got = steady_state_with_pth(KineticsParams(pe, td, tr, pth))
+        exact = oracles.steady_state_exact(pe, td, tr, pth)
+        assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(max(abs(pe), abs(pth))))
 
     def test_uniform_fixed_point(self):
         params = KineticsParams(0.25, 20.0, 50.0, pth=0.25)
@@ -351,11 +374,6 @@ class TestRelaxationDecay:
         decay starts at p0 and is at pth from the first step on, with no RuntimeWarning."""
         assert relaxation_decay(0.61, t_const, t, pth) == pth
         assert relaxation_decay(0.61, t_const, [0.0, t], pth).tolist() == [0.61, pth]
-
-
-UNIT = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]) | st.floats(-1.0, 1.0)
-TIME_CONSTANTS = st.sampled_from([5e-324, 1e-308, 1e-300, 57.1, 1e308, math.inf]) | st.floats(1e-3, 1e4)
-TIMES = st.sampled_from([0.0, 5e-324, 1.0, 150.0, 1e10, 1e308, 1.7976931348623157e308]) | st.floats(0.0, 1e4)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
