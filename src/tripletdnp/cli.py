@@ -118,17 +118,14 @@ def _simulate_grid(duration_min: float, points: int) -> np.ndarray:
     return grid
 
 
-def _simulate_shots(
-    params: KineticsParams, grid: np.ndarray, sequence: IseSequenceParams, include_pth: bool
-) -> BuildupCurve:
+def _simulate_shots(params: KineticsParams, grid: np.ndarray, sequence: IseSequenceParams) -> BuildupCurve:
     period, repetition_rate_hz = sequence.shot_period_s, sequence.repetition_rate_hz
     shot = ShotModel(epsilon_for_buildup_time(params.td_minutes, period), period)
-    pth = params.pth if include_pth else 0.0
     # each point's shot count from t = 0 as a float, whole past 2^53; an inf count gives the fixed point
     with np.errstate(over="ignore"):
         counts = np.rint(grid * SECONDS_PER_MINUTE * repetition_rate_hz).tolist()
     try:  # t = 0 holds 0 shots, so overshooting kinetics are rejected at any duration
-        values = [iterate_shots(pth, shot, params.pe, params.tr_minutes, pth, n) for n in counts]
+        values = [iterate_shots(params.pth, shot, params.pe, params.tr_minutes, params.pth, n) for n in counts]
     except ValidationError as exc:
         raise ValidationError(
             f"td {params.td_minutes:g} min and tr {params.tr_minutes:g} min at {repetition_rate_hz:g} Hz: {exc}"
@@ -137,16 +134,16 @@ def _simulate_shots(
 
 
 def cmd_simulate(args, cfg: ToolkitConfig) -> int:
-    params = cfg.kinetics
+    # the one place the thermal floor is decided: without --include-pth it is 0 in every mode and row
+    params = cfg.kinetics if args.include_pth else dataclasses.replace(cfg.kinetics, pth=0.0)
     grid = _simulate_grid(args.duration_min, args.points)
 
     if args.mode == "closed_form":
-        values = buildup_closed_form(params, grid, include_pth=args.include_pth)
-        curve = BuildupCurve(grid, values, ValueKind.POLARIZATION)
+        curve = BuildupCurve(grid, buildup_closed_form(params, grid, include_pth=True), ValueKind.POLARIZATION)
     elif args.mode == "ode":
-        curve = buildup_ode(params, grid, include_pth=args.include_pth)
+        curve = buildup_ode(params, grid, include_pth=True)
     else:
-        curve = _simulate_shots(params, grid, cfg.sequence, args.include_pth)
+        curve = _simulate_shots(params, grid, cfg.sequence)
 
     out = _out_path(args, cfg, f"buildup_{args.mode}.csv")
     write_curve(out, curve)

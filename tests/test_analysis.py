@@ -22,6 +22,7 @@ from tripletdnp import (
     fit_decay,
     relaxation_decay,
 )
+from tripletdnp import analysis
 from tripletdnp.analysis import MAX_ITERATIONS, FitResult, RelaxationDecomposition, _rate_scan
 
 import oracles
@@ -161,6 +162,14 @@ class TestFitBuildup:
             if fit.converged:
                 scale = max(1.0, fit.residual_norm * t.size)
                 assert fit.gradient_norm < 1e-6 * scale
+
+    def test_iteration_cap_stops_the_rate_search(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_ITERATIONS", 0)
+        t = np.linspace(0.0, 150.0, 20)
+        fit = fit_buildup(buildup_curve(REFERENCE, t, noise=0.003, rng=np.random.default_rng(55)))
+        assert not fit.converged
+        assert fit.iterations == 0
+        assert fit.notes[0] == "rate search did not converge in 0 steps"
 
     def test_uncertainties_shrink_with_replication(self):
         # 4-fold replicated data should roughly halve the rate uncertainty

@@ -24,7 +24,7 @@ from tripletdnp import (
     steady_state_with_pth,
     write_curve,
 )
-from tripletdnp import cli
+from tripletdnp import analysis, cli
 from tripletdnp.cli import SWEEP_PARAMETERS, main
 
 from extremes import FLOAT_EXTREMES
@@ -176,6 +176,28 @@ class TestSimulate:
         rows = dict(line.split(": ", 1) for line in cap.out.splitlines())
         exact = repr(float(steady_state_exact(0.433, 48.4, 109.3)))
         assert rows["steady_state_polarization"] == rows["final_polarization"] == exact == "0.30010716550412175"
+
+    @pytest.mark.parametrize("mode", ["closed_form", "ode", "shots"])
+    def test_without_include_pth_every_row_reads_a_zero_floor(self, tmp_path, capsys, mode):
+        # [kinetics] pth is set, but without --include-pth the curve relaxes toward 0,
+        # so the pth and steady-state rows describe that curve, not the configured floor
+        cfg = tmp_path / "pth.cfg"
+        cfg.write_text(REFERENCE_CFG + "pth = 0.05\n")  # appended to [kinetics]
+        out = tmp_path / "c.csv"
+        code, cap = run(["simulate", "--config", cfg, "--duration-min", "1e6", "--mode", mode,
+                         "--out", out], capsys)
+        assert (code, cap.err) == (0, "")
+        rows = dict(line.split(": ", 1) for line in cap.out.splitlines())
+        assert rows["pth"] == "0.0"
+        assert rows["steady_state_polarization"] == "0.610150064683053"
+        if mode != "shots":  # shots settle at the ISE map's own fixed point
+            assert rows["final_polarization"] == rows["steady_state_polarization"]
+            # the curve is the library's with the floor left out, byte for byte
+            grid = np.linspace(0.0, 1e6, 201)
+            params = KineticsParams(0.826, 20.2, 57.1, pth=0.05)
+            values = buildup_closed_form(params, grid) if mode == "closed_form" else buildup_ode(params, grid).values
+            write_curve(tmp_path / "lib.csv", BuildupCurve(grid, values))
+            assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
     @pytest.mark.parametrize("td", ["5e-324", "1e-310"])
     def test_subnormal_td_ode_rejected(self, tmp_path, capsys, td):
@@ -375,6 +397,18 @@ class TestFit:
         assert code == 4
         assert "converged: false" in cap.out
         assert "note: smallest SSR at the edge of the scanned rates" in cap.out
+
+    def test_iteration_cap_exits_4_with_its_note_first(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_ITERATIONS", 0)
+        t = np.linspace(0.0, 150.0, 20)
+        values = buildup_closed_form(KineticsParams(0.826, 20.2, 57.1), t)
+        curve = tmp_path / "noisy.csv"
+        write_curve(curve, BuildupCurve(t, values + np.random.default_rng(55).normal(0.0, 0.003, t.size)))
+        code, cap = run(["fit", curve, "--model", "buildup", "--out", tmp_path / "r.txt"], capsys)
+        assert code == 4
+        assert "converged: false" in cap.out
+        notes = [line for line in cap.out.splitlines() if line.startswith("note: ")]
+        assert notes[0] == "note: rate search did not converge in 0 steps"
 
     def test_empty_file_parse_error(self, tmp_path, capsys):
         curve = tmp_path / "empty.csv"
@@ -980,6 +1014,13 @@ class TestSweep:
         code, _ = run(["sweep", parameter, "--config", cfg, "--values", "nan", "--out", out], capsys)
         assert code == 3
         assert not out.exists()
+
+    def test_non_numeric_values_rejected(self, cfg, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code, cap = run(["sweep", "tr", "--config", cfg, "--values", "abc", "--out", out], capsys)
+        assert code == 3
+        assert cap.err == "error: --values must be a comma-separated number list, got 'abc'\n"
+        assert cap.out == "" and not out.exists()
 
     @pytest.mark.parametrize("range_flags", [
         ["--start", "1", "--stop", "2", "--num", "3"], ["--num", "11"], ["--start", "1"], ["--stop", "2"],

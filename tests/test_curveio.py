@@ -36,22 +36,25 @@ def test_value_kind_comment(tmp_path):
 def test_unknown_value_kind_rejected(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("# value_kind: bogus\ntime_min,value\n0,1.0\n")
-    with pytest.raises(CurveParseError, match="row 1"):
+    with pytest.raises(CurveParseError, match="row 1") as exc:
         read_curve(p)
+    assert exc.value.row == 1
 
 
 def test_missing_header(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("0.0,0.1\n1.0,0.2\n")
-    with pytest.raises(CurveParseError, match="header"):
+    with pytest.raises(CurveParseError, match="header") as exc:
         read_curve(p)
+    assert exc.value.row == 1
 
 
 def test_non_numeric_cell_names_row(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("time_min,value\n0.0,0.1\n1.0,abc\n")
-    with pytest.raises(CurveParseError, match="row 3"):
+    with pytest.raises(CurveParseError, match="row 3") as exc:
         read_curve(p)
+    assert exc.value.row == 3
 
 
 @pytest.mark.parametrize(
@@ -60,36 +63,41 @@ def test_non_numeric_cell_names_row(tmp_path):
 def test_non_finite_cell_names_row(tmp_path, row):
     p = tmp_path / "c.csv"
     p.write_text(f"time_min,value\n0.0,0.1\n{row}\n2.0,0.3\n")
-    with pytest.raises(CurveParseError, match="row 3: non-finite"):
+    with pytest.raises(CurveParseError, match="row 3: non-finite") as exc:
         read_curve(p)
+    assert exc.value.row == 3
 
 
 def test_duplicate_timestamp_names_row(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("time_min,value\n0.0,0.1\n1.0,0.2\n1.0,0.3\n")
-    with pytest.raises(CurveParseError, match="row 4"):
+    with pytest.raises(CurveParseError, match="row 4") as exc:
         read_curve(p)
+    assert exc.value.row == 4
 
 
 def test_decreasing_time_rejected(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("time_min,value\n0.0,0.1\n2.0,0.2\n1.0,0.3\n")
-    with pytest.raises(CurveParseError, match="row 4"):
+    with pytest.raises(CurveParseError, match="row 4") as exc:
         read_curve(p)
+    assert exc.value.row == 4
 
 
 def test_empty_file_rejected(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("")
-    with pytest.raises(CurveParseError, match="header"):
+    with pytest.raises(CurveParseError, match="header") as exc:
         read_curve(p)
+    assert exc.value.row == 1
 
 
 def test_header_only_rejected(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("time_min,value\n")
-    with pytest.raises(CurveParseError, match="data"):
+    with pytest.raises(CurveParseError, match="data") as exc:
         read_curve(p)
+    assert exc.value.row == 1
 
 
 def test_roundtrip_exact(tmp_path):
@@ -190,24 +198,29 @@ def test_reader_matches_row_by_row_oracle(tmp_path, text):
 def test_first_bad_row_in_file_order(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("time_min,value\n0,1\n1,abc\n# value_kind: bogus\n2\n")
-    with pytest.raises(CurveParseError, match=r"^row 3: non-numeric cell in '1,abc'$"):
+    with pytest.raises(CurveParseError, match=r"^row 3: non-numeric cell in '1,abc'$") as exc:
         read_curve(p)
+    assert exc.value.row == 3
     p.write_text("time_min,value\n0,1\n# value_kind: bogus\n1,abc\n")
-    with pytest.raises(CurveParseError, match=r"^row 3: unknown value_kind 'bogus'"):
+    with pytest.raises(CurveParseError, match=r"^row 3: unknown value_kind 'bogus'") as exc:
         read_curve(p)
+    assert exc.value.row == 3
     p.write_text("time_min,value\n0,1\n5\n1,2,3\n")  # cell counts that balance out
-    with pytest.raises(CurveParseError, match=r"^row 3: expected two comma-separated cells"):
+    with pytest.raises(CurveParseError, match=r"^row 3: expected two comma-separated cells") as exc:
         read_curve(p)
+    assert exc.value.row == 3
 
 
 def test_non_utf8_byte_names_its_row(tmp_path):
     p = tmp_path / "c.csv"
     p.write_bytes(b"time_min,value\r\n0,1\r\n1,caf\xc3\xa9\r\n2,\xff\n")
-    with pytest.raises(CurveParseError, match=r"^row 4: not UTF-8 text: byte 0xff$"):
+    with pytest.raises(CurveParseError, match=r"^row 4: not UTF-8 text: byte 0xff$") as exc:
         read_curve(p)
+    assert exc.value.row == 4
     p.write_bytes(b"\xfftime_min,value\n")
-    with pytest.raises(CurveParseError, match=r"^row 1: "):
+    with pytest.raises(CurveParseError, match=r"^row 1: ") as exc:
         read_curve(p)
+    assert exc.value.row == 1
 
 
 def test_roundtrip_exact_5000_rows(tmp_path):

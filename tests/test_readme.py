@@ -3,7 +3,8 @@
 Every `tripletdnp ...` line of the first shell block under "## Command line"
 (with `\\` continuations joined) runs through `cli.main` in a scratch
 directory that holds README's example config as `run.cfg` and seeded noisy
-curves at the reference kinetics as `curve.csv` and `decay.csv`.
+curves at the reference kinetics as `curve.csv` and `decay.csv`. README's
+config table lists the keys and defaults of `config.CONFIG_REFERENCE`, in order.
 """
 
 import re
@@ -15,6 +16,7 @@ import pytest
 
 from tripletdnp import KineticsParams, final_polarization
 from tripletdnp.cli import main
+from tripletdnp.config import CONFIG_REFERENCE
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
@@ -56,3 +58,28 @@ def test_readme_command_runs(tmp_path, monkeypatch, capsys, argv):
     Path("decay.csv").write_text(_curve_text(t, decay))
     code = main(argv)
     assert (code, capsys.readouterr().err) == (0, "")
+
+
+def _config_table() -> list[tuple[str, str, str]]:
+    """(section, key, default) for each key of README's config table, shared rows expanded:
+    `population_x/y/z` and `theta_rad, phi_rad` name several keys, `0.76 / 0.16 / 0.08` several defaults."""
+    table = README.split("\n## Config reference\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        if not line.startswith("| ") or line.startswith(("| Section ", "| --- ")):
+            continue
+        section, key, default = (cell.strip() for cell in line.strip("|").split("|")[:3])
+        stem, _, suffixes = key.rpartition("_")
+        keys = [f"{stem}_{suffix}" for suffix in suffixes.split("/")] if "/" in key else key.split(", ")
+        defaults = default.split(" / ")
+        if len(defaults) == 1:
+            defaults *= len(keys)
+        rows += [(section, k, d) for k, d in zip(keys, defaults, strict=True)]
+    return rows
+
+
+def test_config_table_follows_config_reference():
+    # `computed` stands for the None default of a key derived from other keys
+    want = [(section, key, "computed" if default is None else str(default))
+            for (section, key), (default, _) in CONFIG_REFERENCE.items()]
+    assert _config_table() == want

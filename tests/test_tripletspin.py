@@ -363,6 +363,15 @@ class TestNonFiniteRejected:
         with pytest.raises(ValidationError, match="finite"):
             SpinHamiltonian(m)
 
+    def test_hamiltonian_whose_entry_modulus_overflows(self):
+        # every part is finite, but |1.7e308 + 1.7e308j| is not: Python's abs raises OverflowError
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 1] = complex(1.7e308, 1.7e308)
+        m[1, 0] = m[0, 1].conjugate()
+        assert np.isfinite(m).all()
+        with pytest.raises(ValidationError, match="^Hamiltonian entries must be finite$"):
+            SpinHamiltonian(m)
+
 
 def _error(make, *args):
     """The ValidationError message make(*args) raises, or None."""
