@@ -124,17 +124,35 @@ def _rate_scan(t: np.ndarray) -> np.ndarray:
     return rates
 
 
-def _varpro(names, rates, scan_ssr, solve, jacobian, notes=()) -> FitResult:
-    """Fit the one nonlinear rate by variable projection.
+def _varpro(curve, model, names, flat, scan_ssr, solve, jacobian, notes=()) -> FitResult:
+    """Fit a model's one nonlinear rate to curve by variable projection.
 
-    scan_ssr(rates) is the SSR, up to a constant, with the linear parameters
-    solved at each trial rate; solve(k) returns (parameters, residual, g)
-    with g of the sign of dSSR/dk. The smallest scanned SSR and its downhill
-    neighbour bracket a root of g, which Illinois regula falsi pins down
-    until the bracket closes to adjacent floats; the linear parameters are
-    exact at every trial rate, so that point is the fit. Returns the
-    FitResult, with notes appended to its own.
+    model names the fit in the sample-count error. names lists the
+    parameters, the rate's at names[1]. flat is (parameters, converged,
+    note), the result for a constant curve: the rate is unidentifiable
+    there, so its sigma is inf and every other sigma 0. scan_ssr(rates) is
+    the SSR, up to a constant, with the linear parameters solved at each
+    trial rate; solve(k) returns (parameters, residual, g) with g of the
+    sign of dSSR/dk. The smallest scanned SSR and its downhill neighbour
+    bracket a root of g, which Illinois regula falsi pins down until the
+    bracket closes to adjacent floats; the linear parameters are exact at
+    every trial rate, so that point is the fit. Returns the FitResult, with
+    notes appended to its own.
     """
+    if len(curve) < _MIN_SAMPLES:
+        raise ValidationError(f"{model} fit needs at least {_MIN_SAMPLES} samples, got {len(curve)}")
+    y = curve.values
+    if y.max() == y.min():
+        parameters, converged, note = flat
+        return FitResult(
+            parameters=dict(zip(names, parameters)),
+            uncertainties={**dict.fromkeys(names, 0.0), names[1]: math.inf},
+            residual_norm=0.0,
+            converged=converged,
+            iterations=0,
+            notes=(note, *notes),
+        )
+    rates = _rate_scan(curve.times_min)
     i = int(scan_ssr(rates).argmin())
     k = rates[i]
     x, r, g = solve(k)
@@ -226,23 +244,7 @@ def fit_decay(curve: BuildupCurve) -> FitResult:
     and comes back with converged False rather than raising, and so does a
     curve at whose scale the model overflows.
     """
-    if len(curve) < _MIN_SAMPLES:
-        raise ValidationError(f"decay fit needs at least {_MIN_SAMPLES} samples, got {len(curve)}")
-    t = curve.times_min
-    y = curve.values
-    names = ("p0", "t_const", "offset")
-
-    if y.max() == y.min():
-        c = float(y[0])
-        return FitResult(
-            parameters={"p0": c, "t_const": math.nan, "offset": c},
-            uncertainties={"p0": 0.0, "t_const": math.inf, "offset": 0.0},
-            residual_norm=0.0,
-            converged=False,
-            iterations=0,
-            notes=("degenerate curve: constant values leave t_const unidentifiable",),
-        )
-
+    t, y = curve.times_min, curve.values
     ybar = float(np.add.reduce(y)) / t.size  # bitwise y.mean(), as is e_mean below
     ym = y - ybar
 
@@ -269,7 +271,9 @@ def fit_decay(curve: BuildupCurve) -> FitResult:
         e = np.exp(-t / p[1])
         return np.column_stack([e, (p[0] - p[2]) * t / p[1] ** 2 * e, 1.0 - e])
 
-    return _varpro(names, _rate_scan(t), scan_ssr, solve, jacobian)
+    c = float(y[0])
+    flat = (c, math.nan, c), False, "degenerate curve: constant values leave t_const unidentifiable"
+    return _varpro(curve, "decay", ("p0", "t_const", "offset"), flat, scan_ssr, solve, jacobian)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -281,34 +285,7 @@ def fit_buildup(curve: BuildupCurve) -> FitResult:
     converge to zero amplitude with the rate flagged unidentifiable. A curve
     at whose scale the model overflows comes back with converged False.
     """
-    if len(curve) < _MIN_SAMPLES:
-        raise ValidationError(f"buildup fit needs at least {_MIN_SAMPLES} samples, got {len(curve)}")
-    t = curve.times_min
-    y = curve.values
-    names = ("amplitude", "rate")
-    identifiability = (
-        "amplitude and rate are the only combinations identifiable from a buildup curve; "
-        "splitting the buildup and relaxation times needs an independent relaxation measurement"
-    )
-
-    if not y.any():
-        return FitResult(
-            parameters={"amplitude": 0.0, "rate": 0.0},
-            uncertainties={"amplitude": 0.0, "rate": math.inf},
-            residual_norm=0.0,
-            converged=True,
-            iterations=0,
-            notes=("rate unidentifiable: curve amplitude is zero", identifiability),
-        )
-    if y.max() == y.min():
-        return FitResult(
-            parameters={"amplitude": float(y[0]), "rate": math.nan},
-            uncertainties={"amplitude": 0.0, "rate": math.inf},
-            residual_norm=0.0,
-            converged=False,
-            iterations=0,
-            notes=("degenerate curve: constant nonzero values", identifiability),
-        )
+    t, y = curve.times_min, curve.values
 
     def scan_ssr(rates):
         b = np.multiply.outer(-rates, t)
@@ -327,14 +304,24 @@ def fit_buildup(curve: BuildupCurve) -> FitResult:
         e = np.exp(-p[1] * t)
         return np.column_stack([1.0 - e, p[0] * t * e])
 
-    return _varpro(names, _rate_scan(t), scan_ssr, solve, jacobian, (identifiability,))
+    c = float(y[0])  # a constant curve is all zero exactly when its first value is
+    if c == 0.0:
+        flat = (0.0, 0.0), True, "rate unidentifiable: curve amplitude is zero"
+    else:
+        flat = (c, math.nan), False, "degenerate curve: constant nonzero values"
+    identifiability = (
+        "amplitude and rate are the only combinations identifiable from a buildup curve; "
+        "splitting the buildup and relaxation times needs an independent relaxation measurement"
+    )
+    return _varpro(curve, "buildup", ("amplitude", "rate"), flat, scan_ssr, solve, jacobian, (identifiability,))
 
 
 def disentangle_buildup(fit: FitResult, tr_minutes: float) -> KineticsParams:
     """Recover td and pe from a buildup fit plus a separately measured tr.
 
     1/td = rate - 1/tr and pe = amplitude (1 + td/tr). The fitted rate must
-    exceed the relaxation rate, otherwise no positive buildup time exists.
+    exceed the relaxation rate, otherwise no positive buildup time exists,
+    and the derived pe must be a polarization, |pe| <= 1.
     """
     if not tr_minutes > 0.0:
         raise ValidationError(f"tr_minutes must be positive, got {tr_minutes}")
@@ -347,6 +334,11 @@ def disentangle_buildup(fit: FitResult, tr_minutes: float) -> KineticsParams:
         )
     td = 1.0 / (rate - 1.0 / tr_minutes)
     pe = amplitude * (1.0 + td / tr_minutes)
+    if not abs(pe) <= 1.0:
+        raise InconsistencyError(
+            f"fitted amplitude {amplitude} and rate {rate} per min with tr = {tr_minutes} min "
+            f"give pe = {pe}, beyond unit magnitude; the curve and tr cannot both hold"
+        )
     return KineticsParams(pe=pe, td_minutes=td, tr_minutes=tr_minutes, pth=0.0)
 
 

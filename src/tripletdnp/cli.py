@@ -58,8 +58,9 @@ SWEEP_PARAMETERS = {
     "repetition_rate": "repetition_rate_hz", "b1": "b1_amplitude_mt", "sweep_span": "sweep_span_mt",
 }
 
-# largest simulate --points and sweep --num, checked before allocating; on a 2-CPU Xeon VM
-# 10**5 take 0.4-0.8 s per simulate mode, 0.9-1.3 s for sweep tr and 1.8-2.2 s for sweep b1
+# largest simulate --points and sweep --num, checked before allocating. 10**5 points through
+# cli.main in process (best of 3, two runs, 2-CPU Xeon VM, Python 3.11, numpy 2.4) take
+# 0.15-0.21 s per simulate mode (shots 0.23 s), 0.6-0.7 s for sweep tr and 1.4-1.5 s for sweep b1
 MAX_POINTS = 100_000
 
 _TOLERANCE_RATIONALE = (

@@ -86,14 +86,17 @@ def default_config(*, echo=None) -> ToolkitConfig:
 def parse_config(path, *, echo=None) -> ToolkitConfig:
     """Read and validate a config file.
 
-    Unknown sections or keys are rejected (they are usually typos). When
+    Values are read as written. Unknown sections or keys, [DEFAULT] among
+    them, are rejected (they are usually typos). When
     echo is given (print, say), it receives one line per key that fell back
     to its default, with its provenance note; None is silent.
     """
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # values are read as written (no % interpolation), and the defaults section is
+    # named "", which no [header] can spell, so [DEFAULT] is one more unknown section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None, default_section="")
     try:
         parser.read_string(p.read_text(encoding="utf-8"), source=str(p))
     except configparser.Error as exc:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -104,7 +105,7 @@ class TestFitDecay:
         assert any("degenerate" in n for n in fit.notes)
 
     def test_sample_count_precondition(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="decay fit needs at least 4 samples, got 3"):
             fit_decay(BuildupCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.3])))
 
     def test_raw_signal_kind_accepted(self):
@@ -135,7 +136,7 @@ class TestFitBuildup:
         assert any("unidentifiable" in n for n in fit.notes)
 
     def test_two_point_curve_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="buildup fit needs at least 4 samples, got 2"):
             fit_buildup(BuildupCurve(np.array([0.0, 1.0]), np.array([0.0, 0.5])))
 
     def test_scale_consistency(self):
@@ -215,6 +216,16 @@ class TestDisentangleBuildup:
             disentangle_buildup(self._fit(0.3, 1.0 / 57.1), 57.1)
         with pytest.raises(ValidationError, match="uncertainty for rate must be nonnegative"):
             dataclasses.replace(self._fit(0.3, 0.06701), uncertainties={"amplitude": 0.0, "rate": -1e-3})
+
+    @pytest.mark.parametrize("amplitude, rate, tr", [(0.8, 0.02, 57.1), (-0.8, 0.02, 57.1), (0.5, 1e-309, math.inf)])
+    def test_pe_beyond_unit_magnitude_names_the_fit_and_tr(self, amplitude, rate, tr):
+        """A tr close to 1/rate derives |pe| > 1; a subnormal rate overflows td, and pe is NaN."""
+        td = 1.0 / (rate - 1.0 / tr)
+        pe = amplitude * (1.0 + td / tr)
+        message = (f"fitted amplitude {amplitude} and rate {rate} per min with tr = {tr} min "
+                   f"give pe = {pe}, beyond unit magnitude")
+        with pytest.raises(InconsistencyError, match=re.escape(message)):
+            disentangle_buildup(self._fit(amplitude, rate), tr)
 
     @pytest.mark.parametrize("tr", [math.nan, 0.0, -57.1, -math.inf])
     def test_nonpositive_or_nan_tr_rejected(self, tr):

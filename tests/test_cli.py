@@ -496,6 +496,28 @@ class TestFit:
         code, cap = run(["fit", curve, "--model", "buildup", "--out", out], capsys)
         assert code == 0 and "amplitude: 166" in cap.out
 
+    def test_tr_minutes_that_derives_pe_beyond_one_names_the_fit(self, tmp_path, capsys):
+        t = np.linspace(0.0, 300.0, 101)
+        curve, out = tmp_path / "curve.csv", tmp_path / "r.txt"
+        write_curve(curve, BuildupCurve(t, 0.8 * -np.expm1(-0.02 * t)))
+        code, cap = run(["fit", curve, "--model", "buildup", "--tr-minutes", 57.1, "--out", out], capsys)
+        assert code == 3
+        assert re.fullmatch(
+            r"error: fitted amplitude 0\.8\d* and rate 0\.0(2|19999)\d* per min with tr = 57\.1 min "
+            r"give pe = 6\.43\d*, beyond unit magnitude; the curve and tr cannot both hold\n",
+            cap.err,
+        )
+        assert cap.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("model", ["buildup", "decay"])
+    def test_three_sample_curve_rejected(self, tmp_path, capsys, model):
+        curve, out = tmp_path / "short.csv", tmp_path / "r.txt"
+        curve.write_text("time_min,value\n0.0,0.1\n1.0,0.2\n2.0,0.25\n")
+        code, cap = run(["fit", curve, "--model", model, "--out", out], capsys)
+        assert code == 3
+        assert cap.err == f"error: {model} fit needs at least 4 samples, got 3\n"
+        assert cap.out == "" and not out.exists()
+
     @pytest.mark.parametrize("tr", ["nan", "0", "-57.1"])
     def test_nonpositive_or_nan_tr_minutes_rejected_before_fitting(self, cfg, tmp_path, capsys, tr):
         curve = tmp_path / "curve.csv"

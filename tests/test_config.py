@@ -1,9 +1,20 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tripletdnp import ConfigError, parse_config
 from tripletdnp.config import CONFIG_REFERENCE, default_config
 
 NUMERIC_KEYS = [k for k, (default, _) in CONFIG_REFERENCE.items() if not isinstance(default, str)]
+
+# one line of text (no control or line-separator characters), rich in the characters
+# that configparser's interpolation would read, or any float spelled as Python prints it
+ONE_LINE_VALUES = st.one_of(
+    st.text(st.one_of(st.sampled_from("%()$s{}:;#=[]"), st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")))),
+    st.floats().map(repr),
+)
 
 
 def write_cfg(tmp_path, text):
@@ -125,3 +136,44 @@ def test_every_key_set_to_its_default_matches_default_config(tmp_path):
         for s in sections
     )
     assert parse_config(write_cfg(tmp_path, text)) == cfg
+
+
+def test_percent_is_read_as_written(tmp_path):
+    with pytest.raises(ConfigError, match=r"^\[kinetics\] pe: expected a number, got '5%'$"):
+        parse_config(write_cfg(tmp_path, "[kinetics]\npe = 5%\n"))
+    cfg = parse_config(write_cfg(tmp_path, "[general]\noutput_dir = a%%b/%(pe)s\n"))
+    assert cfg.output_dir == Path("a%%b/%(pe)s")
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\npe = 0.5\n", "[kinetics]\ntd_minutes = 20\n[DEFAULT]\npe = 0.5\n"])
+def test_default_section_is_an_unknown_section(tmp_path, text):
+    with pytest.raises(ConfigError, match=r"^unknown config key \[DEFAULT\] pe$"):
+        parse_config(write_cfg(tmp_path, text))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(
+        st.one_of(
+            st.sampled_from(list(CONFIG_REFERENCE)),
+            st.sampled_from([key for _, key in CONFIG_REFERENCE]).map(lambda key: ("DEFAULT", key)),
+        ),
+        ONE_LINE_VALUES,
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_any_value_gives_a_config_or_a_config_error(entries):
+    """Any key of the table, or the same key under [DEFAULT], set to any one-line
+    value: parse_config returns a config or raises ConfigError, nothing else."""
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    text = "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "toolkit.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            parse_config(path)
+        except ConfigError:
+            pass
