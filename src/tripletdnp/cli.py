@@ -1,18 +1,27 @@
 """Command-line surface: simulate, fit, decompose, calibrate, sweep.
 
-Exit codes: 0 success, 2 usage, 3 parse/validation failure, 4 fit
-non-convergence, 5 I/O failure. Outputs are deterministic: the same config
-and seed give byte-identical files.
+Exit codes: 0 success, 2 usage, 3 parse/validation failure (an empty
+`--config` or `--out` among them), 4 fit non-convergence, 5 I/O failure (a
+stdout that cannot be written among them). Outputs are deterministic: the same
+config and seed give byte-identical files.
+
+`main(argv)` returns the exit code and never ends the process. `run()`, which
+`python -m tripletdnp.cli` and the installed `tripletdnp` script call, ends it
+with `os._exit` once stdout and stderr are flushed, skipping interpreter
+teardown, so `atexit` hooks (such as those of `coverage run`) do not fire.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -78,13 +87,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _load_config(args) -> ToolkitConfig:
     echo = print if args.verbose else None
-    if args.config:
+    if args.config is not None:
         return parse_config(args.config, echo=echo)
     return default_config(echo=echo)
 
 
 def _out_path(args, cfg: ToolkitConfig, default_name: str) -> Path:
-    out = Path(args.out) if args.out else cfg.output_dir / default_name
+    out = Path(args.out) if args.out is not None else cfg.output_dir / default_name
     out.parent.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -402,6 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, value in (("--config", args.config), ("--out", args.out)):
+            if value == "":  # as from an unset shell variable; never fall back to the default
+                raise ValidationError(f"{flag} is empty; give a path or omit the flag")
         return args.func(args, _load_config(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -411,5 +423,23 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def run(argv=None) -> NoReturn:
+    """Run main(argv), flush stdout and then stderr, and end the process with
+    os._exit, skipping the interpreter's teardown (module clearing, garbage
+    collection, atexit hooks). A stdout that cannot be flushed is reported as
+    one `i/o error:` line and turns exit 0 into 5; any other code stays.
+    argparse's SystemExit and unexpected exceptions propagate as usual."""
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = code or EXIT_IO
+        with contextlib.suppress(OSError):  # a stderr that cannot be written leaves the code to report
+            print(f"i/o error: {exc}", file=sys.stderr)
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

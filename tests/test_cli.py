@@ -1139,6 +1139,26 @@ class TestOutputFiles:
         assert code == 5
         assert cap.err.startswith("i/o error: ") and cap.err.count("\n") == 1
 
+
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--duration-min", 10], ["fit", "decay.csv", "--model", "decay"], ["decompose", 132, 57.1],
+     ["calibrate", "--enhanced", 2, "--reference", 1], ["sweep", "tr", "--values", "57.1"]],
+    ids=["simulate", "fit", "decompose", "calibrate", "sweep"],
+)
+def test_empty_config_or_out_exits_3_before_anything_is_read_or_written(
+        tmp_path, monkeypatch, capsys, flag, argv):
+    """An empty path, as from an unset shell variable, never falls back to the default."""
+    monkeypatch.chdir(tmp_path)
+    Path("decay.csv").write_text("time_min,value\n" + "".join(f"{float(i)!r},{0.61 * 0.9 ** i!r}\n"
+                                                              for i in range(8)))
+    code, cap = run([*argv, "--verbose", flag, ""], capsys)
+    assert (code, cap.out) == (3, "")
+    assert cap.err == f"error: {flag} is empty; give a path or omit the flag\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["decay.csv"]
+
+
 def test_usage_error_on_no_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
