@@ -101,15 +101,14 @@ def _out_path(args, cfg: ToolkitConfig, default_name: str) -> Path:
 def _report(args, out_path: Path, rows: list[tuple[str, str]], notes=()) -> None:
     """Write rows (plus the seed) as `key: value` text and as a CSV twin; note lines
     follow the text, which is also echoed."""
-    twin = out_path.with_suffix(".csv")
-    if twin == out_path:
+    if out_path.suffix == ".csv":
         raise ValidationError(f"--out {out_path} would be overwritten by the report's CSV twin; "
                               "give the report another suffix, such as .txt")
     if args.seed is not None:
         rows = rows + [("seed", str(args.seed))]
     lines = [f"{k}: {v}" for k, v in rows] + [f"note: {note}" for note in notes]
     write_text(out_path, "\n".join(lines) + "\n")
-    write_text(twin, "\n".join(f"{k},{v}" for k, v in rows) + "\n")
+    write_text(out_path.with_suffix(".csv"), "\n".join(f"{k},{v}" for k, v in rows) + "\n")
     print("\n".join(lines))
 
 
@@ -253,9 +252,9 @@ def _thermal_baseline(cfg: ToolkitConfig) -> float:
 
 
 def cmd_calibrate(args, cfg: ToolkitConfig) -> int:
-    ref_pol = args.reference_thermal_polarization
-    if ref_pol is None:
-        ref_pol = _thermal_baseline(cfg)
+    given = args.reference_thermal_polarization
+    baseline = _thermal_baseline(cfg) if given is None or args.verbose else None
+    ref_pol = baseline if given is None else given
     cal = NmrCalibration(
         enhanced_signal=args.enhanced,
         reference_signal=args.reference,
@@ -276,7 +275,6 @@ def cmd_calibrate(args, cfg: ToolkitConfig) -> int:
         ("polarization", repr(polarization)),
     ]
     if args.verbose:
-        baseline = ref_pol if args.reference_thermal_polarization is None else _thermal_baseline(cfg)
         rows.append(("thermal_polarization_baseline", repr(baseline)))
         rows.append(("enhancement_factor", repr(polarization / baseline)))
     notes = [str(w.message) for w in clamped]

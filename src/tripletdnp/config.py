@@ -14,12 +14,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constants import (
-    DEFAULT_TEMPERATURE_K,
-    PENTACENE_D_MHZ,
-    PENTACENE_E_MHZ,
-    PENTACENE_ZF_POPULATIONS,
-)
 from .errors import ConfigError, ValidationError
 from .ise import IseSequenceParams, hartmann_hahn_b1
 from .kinetics import KineticsParams
@@ -30,17 +24,17 @@ __all__ = ["ToolkitConfig", "parse_config", "default_config", "CONFIG_REFERENCE"
 _LITERATURE = "pentacene literature value, not setup-specific"
 
 # (section, key) -> (default, provenance note). This table is the only
-# declaration of a key: assembly walks it section by section in row order,
-# which is also the echo order; the [triplet] and [field] rows follow
-# the positional fields of their types. A None default marks a key computed
-# from other keys; a string default is a path. The provenance strings are
-# echoed verbatim for every key the file does not set.
+# declaration of a key and of its default: assembly walks it section by
+# section in row order, which is also the echo order; the [triplet] and
+# [field] rows follow the positional fields of their types. A None default
+# marks a key computed from other keys; a string default is a path. The
+# provenance strings are echoed verbatim for every key the file does not set.
 CONFIG_REFERENCE: dict[tuple[str, str], tuple[object, str]] = {
-    ("triplet", "d_mhz"): (PENTACENE_D_MHZ, _LITERATURE),
-    ("triplet", "e_mhz"): (PENTACENE_E_MHZ, _LITERATURE),
-    ("triplet", "population_x"): (PENTACENE_ZF_POPULATIONS[0], _LITERATURE),
-    ("triplet", "population_y"): (PENTACENE_ZF_POPULATIONS[1], _LITERATURE),
-    ("triplet", "population_z"): (PENTACENE_ZF_POPULATIONS[2], _LITERATURE),
+    ("triplet", "d_mhz"): (1395.0, _LITERATURE),
+    ("triplet", "e_mhz"): (-50.0, _LITERATURE),
+    ("triplet", "population_x"): (0.76, _LITERATURE),
+    ("triplet", "population_y"): (0.16, _LITERATURE),
+    ("triplet", "population_z"): (0.08, _LITERATURE),
     ("field", "field_tesla"): (0.64, "reference setup default"),
     ("field", "theta_rad"): (0.0, "free orientation parameter, default along the splitting z axis"),
     ("field", "phi_rad"): (0.0, "free orientation parameter"),
@@ -56,7 +50,7 @@ CONFIG_REFERENCE: dict[tuple[str, str], tuple[object, str]] = {
     ("kinetics", "tr_minutes"): (57.1, "reference fit default"),
     ("kinetics", "pth"): (0.0, "thermal floor negligible at the reference conditions"),
     ("general", "output_dir"): (".", "current directory"),
-    ("general", "temperature_kelvin"): (DEFAULT_TEMPERATURE_K, "nominal room temperature"),
+    ("general", "temperature_kelvin"): (295.0, "nominal room temperature"),
 }
 
 

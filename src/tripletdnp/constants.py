@@ -1,4 +1,4 @@
-"""Physical constants and documented parameter defaults.
+"""Physical constants.
 
 Gyromagnetic ratios are linear frequencies (gamma / 2 pi), so Hamiltonians
 and transition frequencies in this package carry plain frequency units
@@ -15,14 +15,3 @@ PLANCK_J_S = 6.62607015e-34
 BOLTZMANN_J_PER_K = 1.380649e-23
 
 SECONDS_PER_MINUTE = 60.0
-
-# Pentacene triplet defaults: zero-field splitting and intersystem-crossing
-# populations of (Tx, Ty, Tz). Literature values for the standard polarizing
-# agent, not sample-specific measurements; override in the config file when
-# modeling a different system.
-PENTACENE_D_MHZ = 1395.0
-PENTACENE_E_MHZ = -50.0
-PENTACENE_ZF_POPULATIONS = (0.76, 0.16, 0.08)
-
-# Nominal room temperature, K. Configurable.
-DEFAULT_TEMPERATURE_K = 295.0

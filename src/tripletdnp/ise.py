@@ -16,7 +16,7 @@ the two-level Schrodinger equation across the sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .constants import GAMMA_E_MHZ_PER_T, GAMMA_H_MHZ_PER_T, SECONDS_PER_MINUTE
 from .errors import ValidationError
@@ -52,15 +52,7 @@ class IseSequenceParams:
     microwave_delay_us: float = 2.0
 
     def __post_init__(self):
-        for name in (
-            "microwave_frequency_ghz",
-            "microwave_width_us",
-            "laser_width_us",
-            "repetition_rate_hz",
-            "b1_amplitude_mt",
-            "static_field_tesla",
-            "microwave_delay_us",
-        ):
+        for name in _POSITIVE_FIELDS:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not self.shot_period_s < math.inf:
@@ -86,6 +78,11 @@ class IseSequenceParams:
     @property
     def shot_period_s(self) -> float:
         return 1.0 / self.repetition_rate_hz
+
+
+# every field but sweep_span_mt, which may be 0, must be finite and positive; built at
+# import, as calling fields() in __post_init__ would double the cost of each construction
+_POSITIVE_FIELDS = tuple(f.name for f in fields(IseSequenceParams) if f.name != "sweep_span_mt")
 
 
 @dataclass(frozen=True)

@@ -829,6 +829,19 @@ class TestCalibrate:
         assert cap.err == (f"error: the thermal polarization at [field] field_tesla = {field} T and "
                            f"[general] temperature_kelvin = {temperature} K underflows to 0\n")
 
+    @pytest.mark.parametrize(
+        "flags", [[], ["--reference-thermal-polarization", "1e-6", "--verbose"]],
+        ids=["baseline-as-reference", "verbose-with-reference"],
+    )
+    def test_zero_baseline_is_reported_before_the_signal_inputs(self, tmp_path, capsys, flags):
+        """Whenever the baseline is used it is computed first, so it is the error named
+        when the reference signal is 0 as well."""
+        path = tmp_path / "f.cfg"
+        path.write_text("[field]\nfield_tesla = 1e-320\n")
+        code, cap = run(["calibrate", "--enhanced", 1, "--reference", 0, *flags,
+                         "--config", path, "--out", tmp_path / "cal.txt"], capsys)
+        assert code == 3 and cap.err.startswith("error: the thermal polarization at [field] field_tesla = 1e-320 T")
+
     def test_unused_zero_baseline_is_not_an_error(self, tmp_path, capsys):
         path = tmp_path / "f.cfg"
         path.write_text("[field]\nfield_tesla = 1e-320\n")
@@ -1138,6 +1151,24 @@ class TestOutputFiles:
         code, cap = run([*argv, "--out", tmp_path], capsys)
         assert code == 5
         assert cap.err.startswith("i/o error: ") and cap.err.count("\n") == 1
+
+    @pytest.mark.parametrize("out", [".", ".."])
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "decay.csv", "--model", "decay"], ["decompose", 132, 57.1],
+         ["calibrate", "--enhanced", 2, "--reference", 1]],
+        ids=["fit", "decompose", "calibrate"],
+    )
+    def test_report_out_naming_a_nameless_directory_exits_5(self, tmp_path, capsys, monkeypatch, argv, out):
+        """. and .. have no name to take a suffix: the report is written to them, which fails."""
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        Path("decay.csv").write_text("time_min,value\n" + "".join(f"{float(i)!r},{0.61 * 0.9 ** i!r}\n"
+                                                                  for i in range(8)))
+        code, cap = run([*argv, "--out", out], capsys)
+        assert (code, cap.out) == (5, "")
+        assert cap.err.startswith("i/o error: ") and cap.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["decay.csv", "work"]
 
 
 @pytest.mark.parametrize("flag", ["--config", "--out"])

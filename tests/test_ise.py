@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import time
@@ -81,6 +82,16 @@ class TestSequenceParams:
     def test_non_finite_fields_rejected(self, kwargs):
         with pytest.raises(ValidationError, match="finite"):
             sequence(**kwargs)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(IseSequenceParams)])
+    def test_each_field_checked_by_name(self, name):
+        """Every field but sweep_span_mt must be finite and positive; a zero span is the adiabatic limit."""
+        if name == "sweep_span_mt":
+            assert dataclasses.replace(sequence(), sweep_span_mt=0.0).sweep_span_mt == 0.0
+            return
+        for value in (0.0, math.nan):
+            with pytest.raises(ValidationError, match=rf"^{name} must be finite and positive, got {value}$"):
+                dataclasses.replace(sequence(), **{name: value})
 
     def test_shot_period_must_be_finite(self):
         """1 / 5e-324 overflows, so such a rate has no shot period."""
