@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -78,18 +79,21 @@ _TOLERANCE_RATIONALE = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser reading a negative number in any notation (-2.77e5, -inf, -0.1,0.5) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)  # subparsers are built from type(self), so they inherit this
+        # argparse's own pattern (3.11: ^-\d+$|^-\d*\.\d+$) takes -2.77e5 for an option name
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="path to a config file; defaults apply when omitted")
     sub.add_argument("--out", help="primary output path")
-    sub.add_argument("--seed", type=int, default=None, help="seed recorded with the outputs")
+    sub.add_argument("--seed", type=int, default=None,
+                     help="seed recorded as the report's last row; sweep's all-numeric CSV records none")
     sub.add_argument("--verbose", action="store_true", help="echo defaults and extra diagnostics")
-
-
-def _load_config(args) -> ToolkitConfig:
-    echo = print if args.verbose else None
-    if args.config is not None:
-        return parse_config(args.config, echo=echo)
-    return default_config(echo=echo)
 
 
 def _out_path(args, cfg: ToolkitConfig, default_name: str) -> Path:
@@ -110,6 +114,11 @@ def _report(args, out_path: Path, rows: list[tuple[str, str]], notes=()) -> None
     write_text(out_path, "\n".join(lines) + "\n")
     write_text(out_path.with_suffix(".csv"), "\n".join(f"{k},{v}" for k, v in rows) + "\n")
     print("\n".join(lines))
+
+
+def _field_rows(value) -> list[tuple[str, str]]:
+    """One (name, repr) report row per field of a dataclass value, in declaration order."""
+    return [(f.name, repr(getattr(value, f.name))) for f in dataclasses.fields(value)]
 
 
 def _simulate_grid(duration_min: float, points: int) -> np.ndarray:
@@ -139,7 +148,7 @@ def _simulate_shots(params: KineticsParams, grid: np.ndarray, sequence: IseSeque
         raise ValidationError(
             f"td {params.td_minutes:g} min and tr {params.tr_minutes:g} min at {repetition_rate_hz:g} Hz: {exc}"
         ) from None
-    return BuildupCurve(grid, np.array(values), ValueKind.POLARIZATION)
+    return BuildupCurve(grid, np.array(values))
 
 
 def cmd_simulate(args, cfg: ToolkitConfig) -> int:
@@ -148,7 +157,7 @@ def cmd_simulate(args, cfg: ToolkitConfig) -> int:
     grid = _simulate_grid(args.duration_min, args.points)
 
     if args.mode == "closed_form":
-        curve = BuildupCurve(grid, buildup_closed_form(params, grid, include_pth=True), ValueKind.POLARIZATION)
+        curve = BuildupCurve(grid, buildup_closed_form(params, grid, include_pth=True))
     elif args.mode == "ode":
         curve = buildup_ode(params, grid, include_pth=True)
     else:
@@ -159,12 +168,9 @@ def cmd_simulate(args, cfg: ToolkitConfig) -> int:
 
     rows = [
         ("mode", args.mode),
-        ("duration_min", repr(float(args.duration_min))),
+        ("duration_min", repr(args.duration_min)),
         ("points", str(len(curve))),
-        ("pe", repr(params.pe)),
-        ("td_minutes", repr(params.td_minutes)),
-        ("tr_minutes", repr(params.tr_minutes)),
-        ("pth", repr(params.pth)),
+        *_field_rows(params),
         ("steady_state_polarization", repr(steady_state_with_pth(params))),
         ("final_time_min", repr(float(curve.times_min[-1]))),
         ("final_polarization", repr(float(curve.values[-1]))),
@@ -218,12 +224,7 @@ def cmd_decompose(args, cfg: ToolkitConfig) -> int:
         raise ValidationError(f"--tolerance-pct must be finite and >= 0, got {tolerance_pct}")
     result = decompose_relaxation(args.t1_minutes, args.tr_minutes)
     recomposed = 1.0 / (1.0 / result.t1_minutes + 1.0 / result.te_minutes)
-    rows = [
-        ("t1_minutes", repr(result.t1_minutes)),
-        ("tr_minutes", repr(result.tr_minutes)),
-        ("te_minutes", repr(result.te_minutes)),
-        ("recomposed_tr_minutes", repr(recomposed)),
-    ]
+    rows = _field_rows(result) + [("recomposed_tr_minutes", repr(recomposed))]
     notes = ()
     if args.reference_te is not None:
         rel = abs(result.te_minutes - args.reference_te) / args.reference_te
@@ -266,14 +267,7 @@ def cmd_calibrate(args, cfg: ToolkitConfig) -> int:
         warnings.simplefilter("always")
         polarization = calibrate_polarization(cal)
 
-    rows = [
-        ("enhanced_signal", repr(args.enhanced)),
-        ("reference_signal", repr(args.reference)),
-        ("reference_thermal_polarization", repr(ref_pol)),
-        ("spin_count_ratio", repr(args.spin_count_ratio)),
-        ("gain_ratio", repr(args.gain_ratio)),
-        ("polarization", repr(polarization)),
-    ]
+    rows = _field_rows(cal) + [("polarization", repr(polarization))]
     if args.verbose:
         rows.append(("thermal_polarization_baseline", repr(baseline)))
         rows.append(("enhancement_factor", repr(polarization / baseline)))
@@ -346,7 +340,7 @@ def cmd_sweep(args, cfg: ToolkitConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tripletdnp",
         description="Triplet-DNP buildup simulation and analysis toolkit",
     )
@@ -412,7 +406,9 @@ def main(argv=None) -> int:
         for flag, value in (("--config", args.config), ("--out", args.out)):
             if value == "":  # as from an unset shell variable; never fall back to the default
                 raise ValidationError(f"{flag} is empty; give a path or omit the flag")
-        return args.func(args, _load_config(args))
+        echo = print if args.verbose else None
+        cfg = default_config(echo=echo) if args.config is None else parse_config(args.config, echo=echo)
+        return args.func(args, cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -80,10 +80,10 @@ def default_config(*, echo=None) -> ToolkitConfig:
 def parse_config(path, *, echo=None) -> ToolkitConfig:
     """Read and validate a config file.
 
-    Values are read as written. Unknown sections or keys, [DEFAULT] among
-    them, are rejected (they are usually typos). When
-    echo is given (print, say), it receives one line per key that fell back
-    to its default, with its provenance note; None is silent.
+    Values are read as written, past any leading UTF-8 byte-order mark.
+    Unknown sections or keys, [DEFAULT] among them, are rejected (usually
+    typos). When echo is given (print, say), it receives one line per key
+    that fell back to its default, with its provenance note; None is silent.
     """
     p = Path(path)
     if not p.is_file():
@@ -92,7 +92,7 @@ def parse_config(path, *, echo=None) -> ToolkitConfig:
     # named "", which no [header] can spell, so [DEFAULT] is one more unknown section
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None, default_section="")
     try:
-        parser.read_string(p.read_text(encoding="utf-8"), source=str(p))
+        parser.read_string(p.read_text(encoding="utf-8-sig"), source=str(p))
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -121,6 +121,8 @@ def _assemble(raw, echo) -> ToolkitConfig:
                 value = computed if default is None else default
                 if echo is not None:
                     echo(f"# default [{sec}] {key} = {value} ({provenance})")
+            if isinstance(default, str) and not value:  # Path("") would be the working directory
+                raise ConfigError(f"[{sec}] {key} is empty; give a path or omit the key")
             try:
                 values[key] = Path(value) if isinstance(default, str) else float(value)
             except ValueError:

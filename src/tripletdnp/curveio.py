@@ -33,7 +33,7 @@ def read_curve(path) -> BuildupCurve:
     that fails are the rows walked, so CurveParseError names the first bad
     1-based row in file order, as for a bad header or a non-UTF-8 byte.
     """
-    raw = Path(path).read_bytes()
+    raw = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")  # a byte-order mark, as CSV exports write
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:  # the row is the line the bytes before the bad one end on

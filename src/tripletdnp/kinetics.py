@@ -212,7 +212,7 @@ def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = False) -> Bu
     x = h / params.td_minutes + h / params.tr_minutes
     gk = x * (1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0)
     decay = np.cumprod(np.exp(steps * np.log1p(-gk)))
-    return BuildupCurve(grid, np.concatenate(([p0], p_inf + (p0 - p_inf) * decay)), ValueKind.POLARIZATION)
+    return BuildupCurve(grid, np.concatenate(([p0], p_inf + (p0 - p_inf) * decay)))
 
 
 def final_polarization(params: KineticsParams) -> float:

@@ -1194,3 +1194,70 @@ def test_usage_error_on_no_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, twin, code",
+    [(["calibrate", "--enhanced", "-2.77e5", "--reference", "1"],
+      ["calibrate", "--enhanced=-2.77e5", "--reference", "1"], 0),
+     (["sweep", "pe", "--values", "-0.1,0.5"], ["sweep", "pe", "--values=-0.1,0.5"], 0),
+     (["sweep", "pe", "--start", "-1e-1", "--stop", "0.5", "--num", "3"],
+      ["sweep", "pe", "--start", "-0.1", "--stop", "0.5", "--num", "3"], 0),
+     (["fit", "curve.csv", "--model", "buildup", "--tr-minutes", "-1e1"],
+      ["fit", "curve.csv", "--model", "buildup", "--tr-minutes", "-10"], 3),
+     (["decompose", "-inf", "57.1"], ["decompose", "--", "-inf", "57.1"], 3)],
+    ids=["exponent", "list", "range", "fit", "inf"],
+)
+def test_negative_value_in_any_notation_is_read_as_a_value(tmp_path, monkeypatch, capsys, argv, twin, code):
+    """A negative number that argparse's own pattern would take for an option name
+    ends as its `=`-joined or plain-decimal twin does."""
+    monkeypatch.chdir(tmp_path)
+    want = run(twin, capsys)
+    assert want[0] == code
+    assert run(argv, capsys) == want
+
+
+def test_empty_output_dir_exits_3_before_anything_is_written(tmp_path, monkeypatch, capsys):
+    """`output_dir =` would be Path(''), the working directory; it is rejected like `--out ""`."""
+    monkeypatch.chdir(tmp_path)
+    Path("empty.cfg").write_text("[general]\noutput_dir =\n")
+    code, cap = run(["decompose", 132, 57.1, "--config", "empty.cfg"], capsys)
+    assert (code, cap.out) == (3, "")
+    assert cap.err == "error: [general] output_dir is empty; give a path or omit the key\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.cfg"]
+
+
+KINETICS_ROWS = ["pe", "td_minutes", "tr_minutes", "pth", "steady_state_polarization",
+                 "final_time_min", "final_polarization", "curve_file"]
+CALIBRATE_ROWS = ["enhanced_signal", "reference_signal", "reference_thermal_polarization",
+                  "spin_count_ratio", "gain_ratio", "polarization"]
+DECOMPOSE_ROWS = ["t1_minutes", "tr_minutes", "te_minutes", "recomposed_tr_minutes"]
+
+
+@pytest.mark.parametrize(
+    "argv, twin, keys",
+    [(["calibrate", "--enhanced", 2.77e5, "--reference", 1], "calibrate_report.csv", CALIBRATE_ROWS),
+     (["calibrate", "--enhanced", 2.77e5, "--reference", 1, "--verbose", "--seed", 7], "calibrate_report.csv",
+      [*CALIBRATE_ROWS, "thermal_polarization_baseline", "enhancement_factor", "seed"]),
+     (["decompose", 132, 57.1], "decompose_report.csv", DECOMPOSE_ROWS),
+     (["decompose", 132, 57.1, "--reference-te", 96.9], "decompose_report.csv",
+      [*DECOMPOSE_ROWS, "reference_te_minutes", "relative_difference", "tolerance_pct", "within_tolerance"]),
+     (["simulate", "--duration-min", 150, "--mode", "closed_form"], "buildup_closed_form.summary.csv",
+      ["mode", "duration_min", "points", *KINETICS_ROWS]),
+     (["simulate", "--duration-min", 150, "--mode", "ode"], "buildup_ode.summary.csv",
+      ["mode", "duration_min", "points", *KINETICS_ROWS]),
+     (["simulate", "--duration-min", 150, "--mode", "shots"], "buildup_shots.summary.csv",
+      ["mode", "duration_min", "points", "repetition_rate_hz", *KINETICS_ROWS]),
+     (["fit", "curve.csv", "--model", "buildup", "--tr-minutes", 57.1], "fit_report.csv",
+      ["model", "converged", "iterations", "residual_rms", "amplitude", "amplitude_sigma", "rate", "rate_sigma",
+       "tr_minutes_input", "td_minutes", "pe"])],
+    ids=["calibrate", "calibrate_verbose_seed", "decompose", "decompose_reference", "simulate_closed_form",
+         "simulate_ode", "simulate_shots", "fit_buildup_tr"],
+)
+def test_report_rows_keep_their_keys_and_order(tmp_path, monkeypatch, capsys, argv, twin, keys):
+    """Each report's CSV twin lists its keys in a fixed order, the value types' field order among them."""
+    monkeypatch.chdir(tmp_path)
+    t = np.linspace(0.0, 150.0, 61)
+    write_curve("curve.csv", BuildupCurve(t, buildup_closed_form(KineticsParams(0.826, 20.2, 57.1), t)))
+    assert run(argv, capsys)[0] == 0
+    assert [line.split(",", 1)[0] for line in Path(twin).read_text().splitlines()] == keys

@@ -177,3 +177,11 @@ def test_any_value_gives_a_config_or_a_config_error(entries):
             parse_config(path)
         except ConfigError:
             pass
+
+
+def test_leading_byte_order_mark_is_skipped(tmp_path):
+    text = "[kinetics]\npe = 0.5\n\n[general]\noutput_dir = out\n"
+    p = tmp_path / "marked.cfg"
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert parse_config(p) == parse_config(write_cfg(tmp_path, text))
+    assert parse_config(p).kinetics.pe == 0.5

@@ -290,3 +290,20 @@ def test_write_to_fifo(tmp_path):
     finally:
         os.close(reader)
     assert b"".join(chunks) == regular.read_bytes()
+
+
+def test_leading_byte_order_mark_is_skipped(tmp_path):
+    """Spreadsheet "CSV UTF-8" exports start with a byte-order mark; the curve reads as without it."""
+    text = b"# value_kind: raw_signal\r\ntime_s,value\r\n0,1\r\n60,2.5\r\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert read_curve(marked) == read_curve(plain)
+
+
+def test_non_utf8_byte_after_a_byte_order_mark_names_its_row(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_bytes(b"\xef\xbb\xbftime_min,value\n0,1\n1,caf\xc3\xa9\n2,\xff\n")
+    with pytest.raises(CurveParseError, match=r"^row 4: not UTF-8 text: byte 0xff$") as exc:
+        read_curve(p)
+    assert exc.value.row == 4
