@@ -4,14 +4,15 @@ The format is a header row `time_min,value` (or `time_s,value`, converted
 to minutes on read) preceded by optional `#` comment lines, one of which
 may declare the value kind: `# value_kind: polarization` or `raw_signal`.
 Values are written with repr, the shortest decimal that round-trips, so a
-write/read cycle reproduces a curve exactly.
+write/read cycle reproduces a curve exactly. A cell reads as float() reads
+it, stripped of whitespace. numpy's C text reader parses the cells; only what
+it rejects is read row by row with float(), which also names the first bad row.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +24,15 @@ __all__ = ["read_curve", "write_curve"]
 
 _VALUE_KIND_PREFIX = "value_kind:"
 _HEADERS = {"time_min": 1.0, "time_s": 1.0 / 60.0}
+_KIND_NAMES = tuple(k.value for k in ValueKind)
 
 
 def read_curve(path) -> BuildupCurve:
     """Parse a UTF-8 curve file into a BuildupCurve, normalizing times to minutes.
 
-    One pass over the lines takes the comments, value kind and header, one
-    float pass the data cells, and BuildupCurve checks the columns. Only if
-    that fails are the rows walked, so CurveParseError names the first bad
+    One pass over the lines takes the comments, value kind and header,
+    numpy's loadtxt the data cells, and BuildupCurve checks the columns. Only
+    if that fails are the rows walked, so CurveParseError names the first bad
     1-based row in file order, as for a bad header or a non-UTF-8 byte.
     """
     raw = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")  # a byte-order mark, as CSV exports write
@@ -49,12 +51,11 @@ def read_curve(path) -> BuildupCurve:
             comment = line.lstrip("#").strip()
             if comment.startswith(_VALUE_KIND_PREFIX):
                 kind_name = comment[len(_VALUE_KIND_PREFIX):].strip()
-                try:
-                    kind = ValueKind(kind_name)
-                except ValueError:  # data rows above it fail first
-                    kinds = " or ".join(k.value for k in ValueKind)
-                    error = CurveParseError(f"unknown value_kind {kind_name!r}; expected {kinds}", row)
-                    raise _first_bad_row(rows, data, header_scale) or error from None
+                if kind_name not in _KIND_NAMES:
+                    _read_rows(rows, data, header_scale)  # a bad data row above it fails first
+                    kinds = " or ".join(_KIND_NAMES)
+                    raise CurveParseError(f"unknown value_kind {kind_name!r}; expected {kinds}", row)
+                kind = ValueKind(kind_name)
         elif header_scale is None:
             cells = [c.strip() for c in line.split(",")]
             if len(cells) != 2 or cells[0] not in _HEADERS or cells[1] != "value":
@@ -69,34 +70,37 @@ def read_curve(path) -> BuildupCurve:
         raise CurveParseError("file has no header row", row=len(lines) or 1)
     if not data:
         raise CurveParseError("file has no data rows", row=len(lines))
-    # (time, ",", value) per row: without exactly one comma the value cell is empty or holds one
-    cells = list(chain.from_iterable(map(str.partition, data, repeat(","))))
     try:
-        times, values = np.fromiter(map(float, cells[0::3] + cells[2::3]), float).reshape(2, -1)
-        return BuildupCurve(times * header_scale, values, kind)
-    except (ValueError, ValidationError) as exc:
-        raise (_first_bad_row(rows, data, header_scale) or exc) from None
+        cells = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+        if cells.shape[1] == 2:
+            return BuildupCurve(cells[:, 0] * header_scale, cells[:, 1], kind)
+    except (ValueError, ValidationError):  # a cell numpy cannot read, or a failed column check
+        pass
+    return BuildupCurve(*_read_rows(rows, data, header_scale), kind)
 
 
-def _first_bad_row(rows, data, header_scale) -> CurveParseError | None:
-    """The error of the first data row failing: two cells, numeric, finite, increasing, nonnegative."""
-    previous = -math.inf
+def _read_rows(rows, data, header_scale) -> tuple[list, list]:
+    """Times in minutes and values of the data rows, read one row at a time with float(); raises the
+    CurveParseError of the first row failing: two cells, numeric, finite, increasing, nonnegative."""
+    times, values = [], []
     for row, line in zip(rows, data):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
-            return CurveParseError(f"expected two comma-separated cells, got {line!r}", row=row)
+            raise CurveParseError(f"expected two comma-separated cells, got {line!r}", row=row)
         try:
             t = float(cells[0]) * header_scale
             v = float(cells[1])
         except ValueError:
-            return CurveParseError(f"non-numeric cell in {line!r}", row=row)
+            raise CurveParseError(f"non-numeric cell in {line!r}", row=row) from None
         if not (math.isfinite(t) and math.isfinite(v)):
-            return CurveParseError(f"non-finite cell in {line!r}", row=row)
-        if t <= previous:
-            return CurveParseError(f"time {cells[0]} does not increase over the previous sample", row=row)
+            raise CurveParseError(f"non-finite cell in {line!r}", row=row)
+        if times and t <= times[-1]:
+            raise CurveParseError(f"time {cells[0]} does not increase over the previous sample", row=row)
         if t < 0.0:
-            return CurveParseError(f"negative time {cells[0]}", row=row)
-        previous = t
+            raise CurveParseError(f"negative time {cells[0]}", row=row)
+        times.append(t)
+        values.append(v)
+    return times, values
 
 
 def write_curve(path, curve: BuildupCurve) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tripletdnp import BuildupCurve, CurveParseError, ValueKind, read_curve, write_curve
+from tripletdnp import BuildupCurve, CurveParseError, ValueKind, curveio, read_curve, write_curve
 
 import oracles
 
@@ -138,8 +138,11 @@ def test_roundtrip_property(tmp_path_factory, pairs):
     np.testing.assert_array_equal(back.values, curve.values)
 
 
-PAD = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u2003"])
-BAD_CELLS = ["", "abc", "1,5", "nan", "NaN", "inf", "-inf", "1e400", "-1e400", "1_000", "0x10", "--1"]
+# U+001F is whitespace to str.strip (and numpy) but not to float()
+PAD = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u2003", "\x1f"])
+# "1_000", "\u0661\u0662" (Arabic-Indic 12) and "\uff11.\uff15" (fullwidth 1.5) are read by float() but not by numpy
+BAD_CELLS = ["", "abc", "1,5", "nan", "NaN", "inf", "-inf", "1e400", "-1e400", "1_000", "0x10", "--1",
+             "\u0661\u0662", "\uff11.\uff15"]
 COMMENTS = ["# note", "#", "# value_kind: polarization", "#value_kind:raw_signal",
             "## value_kind:  raw_signal ", "# value_kind: bogus", "# value_kind:"]
 HEADERS = ["time_min,value", "time_s,value", " time_s , value ", "time_h,value", "time_min,value,x",
@@ -211,6 +214,16 @@ def test_first_bad_row_in_file_order(tmp_path):
     assert exc.value.row == 3
 
 
+@pytest.mark.parametrize("cells", [3, 1])
+def test_wrong_cell_count_on_every_row_names_the_first(tmp_path, cells):
+    """numpy reads such a file as (n, 3) or (n, 1) cells; the row walk still names the first data row."""
+    p = tmp_path / "c.csv"
+    p.write_text("# note\ntime_min,value\n" + "".join(",".join([str(i)] * cells) + "\n" for i in range(5)))
+    with pytest.raises(CurveParseError, match=r"^row 3: expected two comma-separated cells, got '0") as exc:
+        read_curve(p)
+    assert exc.value.row == 3
+
+
 def test_non_utf8_byte_names_its_row(tmp_path):
     p = tmp_path / "c.csv"
     p.write_bytes(b"time_min,value\r\n0,1\r\n1,caf\xc3\xa9\r\n2,\xff\n")
@@ -234,6 +247,48 @@ def test_roundtrip_exact_5000_rows(tmp_path):
     assert back.times_min.tobytes() == curve.times_min.tobytes()
     assert back.values.tobytes() == curve.values.tobytes()
     assert back.value_kind is ValueKind.RAW_SIGNAL
+
+
+def _assert_reads_as_row_oracle(path):
+    curve = read_curve(path)
+    times, values, kind = oracles.read_curve_by_rows(path)
+    assert curve.times_min.tobytes() == times.tobytes()
+    assert curve.values.tobytes() == values.tobytes()
+    assert curve.value_kind.value == kind
+
+
+def test_large_file_reads_as_row_oracle(tmp_path):
+    """5,000 rows, as written and as a hand-edited file: padding, blank lines and comments between rows."""
+    rng = np.random.default_rng(73)
+    t = np.cumsum(rng.uniform(1e-6, 10.0, size=5000))
+    v = rng.normal(0.0, 1.0, size=5000) * 10.0 ** rng.integers(-30, 30, size=5000)
+    written, edited = tmp_path / "written.csv", tmp_path / "edited.csv"
+    write_curve(written, BuildupCurve(t, v, ValueKind.RAW_SIGNAL))
+    _assert_reads_as_row_oracle(written)
+    lines = ["time_s,value"]
+    for i, (ti, vi) in enumerate(zip(t.tolist(), v.tolist())):
+        pad = ["", "\t", "\u00a0", " \t"][i % 4]
+        lines.append(f"{pad}{ti!r}{pad},{pad[::-1]}{vi!r}\u00a0")
+        if i % 97 == 0:
+            lines += ["", f"# row {i}", "\t"]
+    edited.write_text("\r\n".join(lines) + "\r\n")
+    _assert_reads_as_row_oracle(edited)
+
+
+@pytest.mark.parametrize("kind", list(ValueKind))
+def test_well_formed_files_skip_the_row_walk(tmp_path, monkeypatch, kind):
+    """Files as write_curve writes them, and a seconds header, are read by numpy alone."""
+    def fail(*args):
+        raise AssertionError("row walk entered")
+
+    monkeypatch.setattr(curveio, "_read_rows", fail)
+    p = tmp_path / "c.csv"
+    curve = _curve(3274)
+    write_curve(p, BuildupCurve(curve.times_min, curve.values, kind))
+    back = read_curve(p)
+    assert back == BuildupCurve(curve.times_min, curve.values, kind)
+    p.write_text("time_s,value\n0,1.5\n30,-2e-3\n90,7\n")
+    np.testing.assert_array_equal(read_curve(p).times_min, [0.0, 0.5, 1.5])
 
 
 def test_write_curve_bytes_are_pinned(tmp_path):
