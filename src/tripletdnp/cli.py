@@ -38,14 +38,7 @@ from .config import ToolkitConfig, default_config, parse_config
 from .constants import SECONDS_PER_MINUTE
 from .curveio import read_curve, write_curve, write_text
 from .errors import ValidationError
-from .ise import (
-    IseSequenceParams,
-    ShotModel,
-    effective_buildup_time,
-    epsilon_for_buildup_time,
-    iterate_shots,
-    sweep_transfer_probability,
-)
+from .ise import IseSequenceParams, epsilon_for_buildup_time, iterate_shots, sweep_transfer_probability
 from .kinetics import (
     BuildupCurve,
     KineticsParams,
@@ -137,17 +130,11 @@ def _simulate_grid(duration_min: float, points: int) -> np.ndarray:
 
 
 def _simulate_shots(params: KineticsParams, grid: np.ndarray, sequence: IseSequenceParams) -> BuildupCurve:
-    period, repetition_rate_hz = sequence.shot_period_s, sequence.repetition_rate_hz
-    shot = ShotModel(epsilon_for_buildup_time(params.td_minutes, period), period)
     # each point's shot count from t = 0 as a float, whole past 2^53; an inf count gives the fixed point
     with np.errstate(over="ignore"):
-        counts = np.rint(grid * SECONDS_PER_MINUTE * repetition_rate_hz).tolist()
-    try:  # t = 0 holds 0 shots, so overshooting kinetics are rejected at any duration
-        values = [iterate_shots(params.pth, shot, params.pe, params.tr_minutes, params.pth, n) for n in counts]
-    except ValidationError as exc:
-        raise ValidationError(
-            f"td {params.td_minutes:g} min and tr {params.tr_minutes:g} min at {repetition_rate_hz:g} Hz: {exc}"
-        ) from None
+        counts = np.rint(grid * SECONDS_PER_MINUTE * sequence.repetition_rate_hz).tolist()
+    # t = 0 holds 0 shots, so overshooting kinetics are rejected at any duration
+    values = [iterate_shots(params, sequence.shot_period_s, params.pth, n_shots=n) for n in counts]
     return BuildupCurve(grid, np.array(values))
 
 
@@ -306,21 +293,22 @@ def _sweep_final_polarizations(cfg: ToolkitConfig, parameter: str, values: list[
     if hasattr(base, name):
         return [steady_state_with_pth(dataclasses.replace(base, **{name: v})) for v in values]
 
-    # ISE-side sweeps: scale the per-shot gain with the transfer probability,
-    # calibrated once so the configured sequence reproduces the configured td.
+    # ISE-side sweeps: scale the buildup rate 1/td with the transfer probability and
+    # the repetition rate, so the configured sequence reproduces the configured td.
     seq = cfg.sequence
     p_ref = sweep_transfer_probability(seq)
     if p_ref == 0.0:
         raise ValidationError(f"[sequence] b1_amplitude_mt = {seq.b1_amplitude_mt!r} gives the configured "
                               "sequence a transfer probability of 0, so no per-shot gain reproduces td")
-    eps_ref = epsilon_for_buildup_time(base.td_minutes, seq.shot_period_s)
+    epsilon_for_buildup_time(base.td_minutes, seq.shot_period_s)  # rejects a td shorter than one shot
     results = []
     for value in values:
         swept = dataclasses.replace(seq, **{name: value})
-        # p / p_ref first: eps_ref / p_ref overflows for a subnormal p_ref
-        eps = min(1.0, eps_ref * (sweep_transfer_probability(swept) / p_ref))
-        # without transfer td is infinite and the floor pth remains
-        td_minutes = effective_buildup_time(ShotModel(eps, swept.shot_period_s))
+        # p / p_ref first, so the configured sequence has a gain of exactly 1 and reproduces td
+        gain = sweep_transfer_probability(swept) / p_ref * (swept.repetition_rate_hz / seq.repetition_rate_hz)
+        # epsilon <= 1 bounds td below by one shot period, which max also keeps against the NaN of
+        # an infinite td over an overflowing gain; without transfer td is infinite and pth remains
+        td_minutes = max(swept.shot_period_s / SECONDS_PER_MINUTE, base.td_minutes / gain) if gain else math.inf
         results.append(steady_state_with_pth(dataclasses.replace(base, td_minutes=td_minutes)))
     return results
 

@@ -5,7 +5,10 @@ static field is swept; the electron Rabi frequency is matched to the 1H
 Larmor frequency (Hartmann-Hahn condition) so polarization transfers during
 the passage. The per-shot transfer toward the electron polarization is a
 small fraction epsilon; repeating shots at the sequence repetition rate
-produces the macroscopic buildup rate 1/td = epsilon / shot_period.
+produces the macroscopic buildup rate 1/td = epsilon / shot_period. The shot
+map takes the buildup and relaxation times of `KineticsParams` and derives
+epsilon from td with `epsilon_for_buildup_time`, the one conversion between
+the two.
 
 The sweep passage is modeled with the Landau-Zener adiabatic-transition
 formula for a linear sweep. That is a model choice, not a first-principles
@@ -17,17 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from .constants import GAMMA_E_MHZ_PER_T, GAMMA_H_MHZ_PER_T, SECONDS_PER_MINUTE
 from .errors import ValidationError
 
+if TYPE_CHECKING:  # kinetics imports numpy, which the shot model does without
+    from .kinetics import KineticsParams
+
 __all__ = [
     "IseSequenceParams",
-    "ShotModel",
     "hartmann_hahn_b1",
     "proton_larmor",
     "sweep_transfer_probability",
-    "effective_buildup_time",
     "epsilon_for_buildup_time",
     "iterate_shots",
 ]
@@ -85,20 +90,6 @@ class IseSequenceParams:
 _POSITIVE_FIELDS = tuple(f.name for f in fields(IseSequenceParams) if f.name != "sweep_span_mt")
 
 
-@dataclass(frozen=True)
-class ShotModel:
-    """Per-shot fractional transfer toward pe and the shot period."""
-
-    epsilon: float
-    shot_period_s: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValidationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if not 0.0 < self.shot_period_s < math.inf:
-            raise ValidationError(f"shot_period_s must be finite and positive, got {self.shot_period_s}")
-
-
 def hartmann_hahn_b1(static_field_tesla: float) -> float:
     """Microwave field amplitude B1 (mT) matching the electron Rabi frequency
     to the 1H Larmor frequency at the given static field."""
@@ -138,16 +129,6 @@ def sweep_transfer_probability(params: IseSequenceParams) -> float:
     return -math.expm1(math.ldexp(exponent, min(2 * k1 - ks + kw, 64)))
 
 
-def effective_buildup_time(shot: ShotModel) -> float:
-    """Buildup time constant in minutes implied by the shot model: td = period / epsilon.
-
-    epsilon = 0 never builds up; that returns inf instead of raising.
-    """
-    if shot.epsilon == 0.0:
-        return math.inf
-    return shot.shot_period_s / shot.epsilon / SECONDS_PER_MINUTE
-
-
 def epsilon_for_buildup_time(td_minutes: float, shot_period_s: float) -> float:
     """Per-shot transfer fraction that reproduces a measured buildup time."""
     if not td_minutes > 0.0:
@@ -162,14 +143,13 @@ def epsilon_for_buildup_time(td_minutes: float, shot_period_s: float) -> float:
     return eps
 
 
-def iterate_shots(
-    p0: float, shot: ShotModel, pe: float, tr_minutes: float, pth: float, n_shots: float
-) -> float:
-    """Polarization after n_shots shots from p0, in closed form.
+def iterate_shots(params: KineticsParams, shot_period_s: float, p0: float, n_shots: float) -> float:
+    """Polarization after n_shots shots of the given period from p0, in closed form.
 
     n_shots is a whole number of shots, or inf for the fixed point. One shot
-    gains epsilon (pe - p) and relaxes (dt/tr)(p - pth), so it is the affine
-    map p -> (1 - s) p + s f with s = epsilon + dt/tr and the fixed point
+    gains epsilon (pe - p), with epsilon = epsilon_for_buildup_time(td,
+    shot_period_s), and relaxes (dt/tr)(p - pth), so it is the affine map
+    p -> (1 - s) p + s f with s = epsilon + dt/tr and the fixed point
     f = (epsilon pe + (dt/tr) pth) / s, a convex combination of pe and pth.
     s > 1 makes every shot overshoot f and is rejected, even for n_shots = 0.
     For 0 < s <= 1 the n-fold composition is e^x p0 - expm1(x) f with
@@ -182,21 +162,19 @@ def iterate_shots(
         raise ValidationError(f"n_shots must be >= 0, got {n_shots}")
     if not abs(p0) <= 1.0:
         raise ValidationError(f"|polarization| <= 1 required, got {p0}")
-    if not (abs(pe) <= 1.0 and abs(pth) <= 1.0):
-        raise ValidationError(f"|pe| and |pth| must be finite and not exceed 1, got {pe}, {pth}")
-    if not tr_minutes > 0.0:
-        raise ValidationError(f"tr_minutes must be positive, got {tr_minutes}")
-    delta = shot.shot_period_s / (SECONDS_PER_MINUTE * tr_minutes)
+    epsilon = epsilon_for_buildup_time(params.td_minutes, shot_period_s)
+    delta = shot_period_s / (SECONDS_PER_MINUTE * params.tr_minutes)
     if not delta < math.inf:  # the overshoot check below would reject it too, without naming tr
-        raise ValidationError(f"shot period / tr overflows: tr_minutes {tr_minutes} is too small")
-    s = shot.epsilon + delta
+        raise ValidationError(f"shot period / tr overflows: tr_minutes {params.tr_minutes} is too small")
+    s = epsilon + delta
     if s > 1.0:
         raise ValidationError(
+            f"td {params.td_minutes:g} min and tr {params.tr_minutes:g} min at {1.0 / shot_period_s:g} Hz: "
             f"per-shot gain plus relaxation epsilon + dt/tr = {s:.3g} exceeds 1, "
             "so every shot overshoots its fixed point"
         )
     if n_shots == 0 or s == 0.0:
         return p0
-    fixed_point = (shot.epsilon * pe + delta * pth) / s
+    fixed_point = (epsilon * params.pe + delta * params.pth) / s
     x = n_shots * math.log1p(-s) if s < 1.0 else -math.inf  # math.log1p(-1.0) raises ValueError
     return min(1.0, max(-1.0, math.exp(x) * p0 - math.expm1(x) * fixed_point))

@@ -285,13 +285,13 @@ def steady_state_exact(pe, td_minutes, tr_minutes, pth=0.0):
     return (Fraction(pe) * tr + Fraction(pth) * td) / (td + tr)
 
 
-def shot_map(p_now, shot, pe, tr_minutes, pth=0.0):
+def shot_map(p_now, epsilon, shot_period_s, pe, tr_minutes, pth=0.0):
     """Polarization after one shot: gain epsilon (pe - p), relax (dt/tr)(p - pth).
 
     The loop oracle of iterate_shots, one shot per call. It rejects the
-    inputs iterate_shots rejects with ValidationError, except that a shot
-    that overshoots its fixed point (epsilon + dt/tr > 1) is taken and the
-    result clamped to [-1, 1].
+    inputs that iterate_shots or KineticsParams reject with ValidationError,
+    except that a shot that overshoots its fixed point (epsilon + dt/tr > 1)
+    is taken and the result clamped to [-1, 1].
     """
     if not abs(p_now) <= 1.0:
         raise ValidationError(f"|polarization| <= 1 required, got {p_now}")
@@ -299,10 +299,10 @@ def shot_map(p_now, shot, pe, tr_minutes, pth=0.0):
         raise ValidationError(f"|pe| and |pth| must be finite and not exceed 1, got {pe}, {pth}")
     if not tr_minutes > 0.0:
         raise ValidationError(f"tr_minutes must be positive, got {tr_minutes}")
-    delta = shot.shot_period_s / (60.0 * tr_minutes)
+    delta = shot_period_s / (60.0 * tr_minutes)
     if not delta < math.inf:  # inf * (p - pth) would be NaN at p = pth, which the clamp hides
         raise ValidationError(f"shot period / tr overflows: tr_minutes {tr_minutes} is too small")
-    p = p_now + shot.epsilon * (pe - p_now) - delta * (p_now - pth)
+    p = p_now + epsilon * (pe - p_now) - delta * (p_now - pth)
     return min(1.0, max(-1.0, p))
 
 

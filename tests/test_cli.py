@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from tripletdnp import (
     BuildupCurve,
     KineticsParams,
-    ShotModel,
     buildup_closed_form,
     buildup_ode,
     epsilon_for_buildup_time,
@@ -325,16 +324,16 @@ class TestSimulate:
                        *["--include-pth"] * include_pth, "--out", out], capsys)
         assert code == 0
         curve = read_curve(out)
-        shot = ShotModel(epsilon_for_buildup_time(20.2, 1e-3), 1e-3)
         pth = 0.05 if include_pth else 0.0
+        params, eps = KineticsParams(0.826, 20.2, 57.1, pth), epsilon_for_buildup_time(20.2, 1e-3)
         counts = [round(t * 60.0 * 1000.0) for t in curve.times_min]
         assert counts == [3000 * i for i in range(11)]
-        assert curve.values.tolist() == [iterate_shots(pth, shot, 0.826, 57.1, pth, n) for n in counts]
+        assert curve.values.tolist() == [iterate_shots(params, 1e-3, pth, n_shots=n) for n in counts]
         p, stepped = pth, []
         for n in range(counts[-1] + 1):
             if n in counts:
                 stepped.append(p)
-            p = shot_map(p, shot, 0.826, 57.1, pth)
+            p = shot_map(p, eps, 1e-3, 0.826, 57.1, pth)
         np.testing.assert_allclose(curve.values, stepped, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("include_pth", [False, True])
@@ -983,19 +982,32 @@ class TestSweep:
         assert (code, cap.err) == (0, "")
         assert float(out.read_text().splitlines()[1].split(",")[1]) == pytest.approx(0.05, rel=1e-12)
 
-    @pytest.mark.parametrize("b1", ["1e-10", "1e-160", "0.972"])
+    def test_infinite_td_with_an_overflowing_gain_gives_a_row(self, tmp_path, capsys):
+        # p / p_ref overflows against the subnormal p_ref at 1e-160 mT, and inf / inf is NaN
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("[sequence]\nb1_amplitude_mt = 1e-160\n[kinetics]\ntd_minutes = inf\npth = 0.05\n")
+        code, cap = run(["sweep", "b1", "--config", cfg, "--values", "1", "--out", tmp_path / "s.csv"], capsys)
+        assert (code, cap.err) == (0, "")
+        assert 0.05 <= float(cap.out.splitlines()[1].split(",")[1]) <= 0.826
+
+    @pytest.mark.parametrize("b1, td", [
+        *(pytest.param(b1, "20.2", id=b1) for b1 in ("1e-10", "1e-160", "0.972")),
+        pytest.param("0.972", "14.9", id="0.972-td14.9"),
+    ])
     @pytest.mark.parametrize("parameter", ["b1", "sweep_span", "repetition_rate"])
-    def test_configured_sequence_reproduces_the_configured_td(self, tmp_path, capsys, b1, parameter):
-        # the transfer probability is 1.8e-17 at 1e-10 mT and subnormal at 1e-160 mT
+    def test_configured_sequence_reproduces_the_configured_td(self, tmp_path, capsys, b1, td, parameter):
+        # the transfer probability is 1.8e-17 at 1e-10 mT and subnormal at 1e-160 mT; 14.9 min is
+        # a td that a round trip through epsilon = period / td moves by one ulp
         cfg = tmp_path / "weak.cfg"
-        cfg.write_text(REFERENCE_CFG.replace("[sequence]\n", f"[sequence]\nb1_amplitude_mt = {b1}\n") + "pth = 0.05\n")
+        cfg.write_text(REFERENCE_CFG.replace("[sequence]\n", f"[sequence]\nb1_amplitude_mt = {b1}\n")
+                       .replace("td_minutes = 20.2", f"td_minutes = {td}") + "pth = 0.05\n")
         configured = {"b1": b1, "sweep_span": "3", "repetition_rate": "1000"}[parameter]
         code, cap = run(["sweep", parameter, "--config", cfg, "--values", configured,
                          "--out", tmp_path / "s.csv"], capsys)
         assert (code, cap.err) == (0, "")
-        _, td = run(["sweep", "td", "--config", cfg, "--values", "20.2", "--out", tmp_path / "td.csv"], capsys)
-        row, want = (float(out.splitlines()[1].split(",")[1]) for out in (cap.out, td.out))
-        assert row == pytest.approx(want, rel=1e-12, abs=0.0)
+        _, swept_td = run(["sweep", "td", "--config", cfg, "--values", td, "--out", tmp_path / "td.csv"], capsys)
+        row, want = (float(out.splitlines()[1].split(",")[1]) for out in (cap.out, swept_td.out))
+        assert row == want
 
     @pytest.mark.parametrize("parameter", ["b1", "sweep_span", "repetition_rate"])
     def test_configured_sequence_without_transfer_rejected(self, tmp_path, capsys, parameter):

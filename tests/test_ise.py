@@ -12,10 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from tripletdnp import (
     IseSequenceParams,
     KineticsParams,
-    ShotModel,
     ValidationError,
     buildup_closed_form,
-    effective_buildup_time,
     epsilon_for_buildup_time,
     hartmann_hahn_b1,
     iterate_shots,
@@ -41,6 +39,13 @@ def extremes(*values):
 UNIT = st.floats(-1.0, 1.0) | extremes(0.0, 1.0, *TINY, *HUGE)
 IN_UNIT = st.floats(-1.0, 1.0) | extremes(0.0, 1.0, *TINY)
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False) | st.sampled_from(TINY + HUGE)
+
+
+def shot_kinetics(epsilon, period, pe, tr_minutes, pth=0.0):
+    """KineticsParams whose td is period / epsilon, and the epsilon that iterate_shots
+    derives from that td at this period, which the shot_map oracle then takes exactly."""
+    td = period / (60.0 * epsilon) if epsilon else math.inf
+    return KineticsParams(pe, td, tr_minutes, pth), epsilon_for_buildup_time(td, period)
 
 
 def sequence(b1_mt=0.972, span_mt=3.0, width_us=20.0, rep_hz=1000.0):
@@ -100,8 +105,11 @@ class TestSequenceParams:
         assert sequence(rep_hz=1e-308).shot_period_s == pytest.approx(1e308)
 
     def test_shot_model_rejects_non_finite_period(self):
-        with pytest.raises(ValidationError, match="finite"):
-            ShotModel(0.1, math.nan)
+        params = KineticsParams(0.826, 20.2, 57.1)
+        with pytest.raises(ValidationError, match="shot_period_s must be positive, got nan"):
+            iterate_shots(params, math.nan, 0.0, 1)
+        with pytest.raises(ValidationError, match="shorter than one shot period"):
+            iterate_shots(params, math.inf, 0.0, 1)
 
 
 class TestMatchingConditions:
@@ -230,20 +238,29 @@ class TestEffectiveBuildupTime:
     def test_reference_scale(self):
         # 1e-3 s / 8.25e-7 = 1212.12 s = 20.202 min, the per-shot gain
         # implied by a 20.2 min buildup at 1 kHz
-        td = effective_buildup_time(ShotModel(epsilon=8.25e-7, shot_period_s=1e-3))
+        td = 1e-3 / 8.25e-7 / 60.0
         assert td == pytest.approx(20.2020202020202, rel=1e-12)
         assert round(td, 1) == 20.2
+        eps = epsilon_for_buildup_time(td, 1e-3)
+        assert eps == pytest.approx(8.25e-7, rel=1e-15)
+        # without relaxation one shot from 0 gains epsilon pe
+        assert iterate_shots(KineticsParams(0.826, td, math.inf), 1e-3, 0.0, 1) == pytest.approx(eps * 0.826, rel=1e-12)
 
     def test_unit_epsilon(self):
-        td = effective_buildup_time(ShotModel(epsilon=1.0, shot_period_s=1.0))
-        assert td == pytest.approx(1.0 / 60.0, rel=1e-15)
+        assert epsilon_for_buildup_time(1.0 / 60.0, 1.0) == 1.0
+        # epsilon = 1 and no relaxation: one shot lands on pe
+        assert iterate_shots(KineticsParams(0.8, 1.0 / 60.0, math.inf), 1.0, 0.3, 1) == 0.8
 
     def test_zero_epsilon_returns_infinite_sentinel(self):
-        assert effective_buildup_time(ShotModel(epsilon=0.0, shot_period_s=1e-3)) == math.inf
+        assert epsilon_for_buildup_time(math.inf, 1e-3) == 0.0
+        # an infinite td only relaxes: pe drops out and p approaches pth
+        params = KineticsParams(0.9, math.inf, 10.0, pth=0.1)
+        assert iterate_shots(params, 0.06, 0.4, 1) == pytest.approx(0.4 - (0.001 / 10.0) * (0.4 - 0.1), rel=1e-12)
+        assert iterate_shots(params, 0.06, 0.4, math.inf) == pytest.approx(0.1, rel=1e-15)
 
     def test_inverse_mapping_roundtrip(self):
         eps = epsilon_for_buildup_time(20.2, 1e-3)
-        back = effective_buildup_time(ShotModel(epsilon=eps, shot_period_s=1e-3))
+        back = 1e-3 / eps / 60.0
         assert back == pytest.approx(20.2, rel=1e-15)
         with pytest.raises(ValidationError):
             epsilon_for_buildup_time(1e-9, 1.0)  # would need epsilon > 1
@@ -255,53 +272,57 @@ class TestEffectiveBuildupTime:
 
 class TestShotMap:
     def test_fixed_point(self):
-        shot = ShotModel(epsilon=1e-4, shot_period_s=1e-3)
-        assert shot_map(0.5, shot, pe=0.5, tr_minutes=57.1, pth=0.5) == pytest.approx(0.5, abs=1e-15)
+        assert shot_map(0.5, 1e-4, 1e-3, pe=0.5, tr_minutes=57.1, pth=0.5) == pytest.approx(0.5, abs=1e-15)
+        params, _ = shot_kinetics(1e-4, 1e-3, 0.5, 57.1, pth=0.5)
+        assert iterate_shots(params, 1e-3, 0.5, 1000) == pytest.approx(0.5, abs=1e-15)
 
     def test_pure_decay_step_when_epsilon_zero(self):
-        shot = ShotModel(epsilon=0.0, shot_period_s=0.06)  # 1e-3 min
-        p = shot_map(0.4, shot, pe=0.9, tr_minutes=10.0, pth=0.1)
+        p = shot_map(0.4, 0.0, 0.06, pe=0.9, tr_minutes=10.0, pth=0.1)  # 1e-3 min
         assert p == pytest.approx(0.4 - (0.001 / 10.0) * (0.4 - 0.1), rel=1e-12)
+        params, _ = shot_kinetics(0.0, 0.06, 0.9, 10.0, pth=0.1)
+        assert iterate_shots(params, 0.06, 0.4, 1) == pytest.approx(p, rel=1e-12)
 
     def test_range_validation(self):
-        shot = ShotModel(epsilon=0.1, shot_period_s=1e-3)
         with pytest.raises(ValidationError):
-            shot_map(1.5, shot, pe=0.5, tr_minutes=10.0)
+            shot_map(1.5, 0.1, 1e-3, pe=0.5, tr_minutes=10.0)
         with pytest.raises(ValidationError):
-            shot_map(0.5, shot, pe=1.5, tr_minutes=10.0)
+            shot_map(0.5, 0.1, 1e-3, pe=1.5, tr_minutes=10.0)
         with pytest.raises(ValidationError):
-            shot_map(0.5, shot, pe=0.5, tr_minutes=-1.0)
+            shot_map(0.5, 0.1, 1e-3, pe=0.5, tr_minutes=-1.0)
+        with pytest.raises(ValidationError, match=r"\|polarization\| <= 1 required, got 1.5"):
+            iterate_shots(KineticsParams(0.5, 0.01, 10.0), 1e-3, 1.5, 1)
 
     def test_nan_inputs_rejected_not_clamped(self):
-        shot = ShotModel(epsilon=1e-3, shot_period_s=1e-3)
+        params, _ = shot_kinetics(1e-3, 1e-3, 0.8, 57.1)
         with pytest.raises(ValidationError):
-            iterate_shots(0.0, shot, math.nan, 57.1, 0.0, 1000)
+            shot_kinetics(1e-3, 1e-3, math.nan, 57.1)
         with pytest.raises(ValidationError):
-            iterate_shots(0.0, shot, 0.8, math.nan, 0.0, 1000)
+            shot_kinetics(1e-3, 1e-3, 0.8, math.nan)
         with pytest.raises(ValidationError):
-            iterate_shots(math.nan, shot, 0.8, 57.1, 0.0, 1000)
+            iterate_shots(params, 1e-3, math.nan, 1000)
         with pytest.raises(ValidationError, match="n_shots must be >= 0, got nan"):
-            iterate_shots(0.0, shot, 0.8, 57.1, 0.0, math.nan)
+            iterate_shots(params, 1e-3, 0.0, math.nan)
 
     def test_infinite_count_gives_the_fixed_point(self):
-        shot = ShotModel(epsilon=1e-3, shot_period_s=1e-3)
+        params, eps = shot_kinetics(1e-3, 1e-3, 0.8, 57.1, pth=0.05)
         delta = 1e-3 / (60.0 * 57.1)
-        fixed_point = (1e-3 * 0.8 + delta * 0.05) / (1e-3 + delta)
-        assert iterate_shots(-0.5, shot, 0.8, 57.1, 0.05, math.inf) == pytest.approx(fixed_point, rel=1e-15)
+        fixed_point = (eps * 0.8 + delta * 0.05) / (eps + delta)
+        assert iterate_shots(params, 1e-3, -0.5, math.inf) == pytest.approx(fixed_point, rel=1e-15)
 
     def test_iterate_matches_explicit_stepping(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
-            shot = ShotModel(epsilon=10 ** rng.uniform(-5, -1), shot_period_s=10 ** rng.uniform(-3, 0))
+            epsilon, period = 10 ** rng.uniform(-5, -1), 10 ** rng.uniform(-3, 0)
             pe = rng.uniform(-1, 1)
             pth = rng.uniform(-0.01, 0.01)
             tr = rng.uniform(1.0, 100.0)
             p0 = rng.uniform(-1, 1)
             n = int(rng.integers(1, 2000))
+            params, eps = shot_kinetics(epsilon, period, pe, tr, pth)
             p_loop = p0
             for _ in range(n):
-                p_loop = shot_map(p_loop, shot, pe, tr, pth)
-            assert iterate_shots(p0, shot, pe, tr, pth, n) == pytest.approx(p_loop, abs=1e-12)
+                p_loop = shot_map(p_loop, eps, period, pe, tr, pth)
+            assert iterate_shots(params, period, p0, n) == pytest.approx(p_loop, abs=1e-12)
 
     @pytest.mark.parametrize("pth", [0.0, 0.05])
     @pytest.mark.parametrize("duration_min, points", [(150.0, 201), (1440.0, 2001), (0.5, 11)])
@@ -310,19 +331,19 @@ class TestShotMap:
         the exact composition of the same float epsilon and dt/tr, not only of the rounded
         factor 1 - s; raising that factor to n ~ 1e7 shots loses up to 6e-12."""
         period = 1e-3
-        shot = ShotModel(epsilon=epsilon_for_buildup_time(20.2, period), shot_period_s=period)
+        params = KineticsParams(0.826, 20.2, 57.1, pth)
+        eps = epsilon_for_buildup_time(20.2, period)
         delta = period / (60.0 * 57.1)
         counts = np.rint(np.linspace(0.0, duration_min, points) * 60.0 / period).tolist()
         errors = [
-            iterate_shots(pth, shot, 0.826, 57.1, pth, n) - oracles.shots_exact(pth, shot.epsilon, delta, 0.826, pth, n)
+            iterate_shots(params, period, pth, n) - oracles.shots_exact(pth, eps, delta, 0.826, pth, n)
             for n in counts
         ]
         assert max(map(abs, errors)) <= 2.5e-16
 
     def test_150min_of_1khz_shots_matches_closed_form(self):
         params = KineticsParams(0.826, 20.2, 57.1)
-        shot = ShotModel(epsilon=epsilon_for_buildup_time(20.2, 1e-3), shot_period_s=1e-3)
-        p = iterate_shots(0.0, shot, 0.826, 57.1, 0.0, 150 * 60 * 1000)
+        p = iterate_shots(params, 1e-3, 0.0, 150 * 60 * 1000)
         target = buildup_closed_form(params, 150.0)
         assert abs(p - target) < 1e-3 * 0.826  # 0.1% of pe
 
@@ -332,9 +353,7 @@ class TestShotMap:
         target = buildup_closed_form(params, 150.0)
         devs = []
         for rate_hz in (100.0, 1000.0, 10000.0):
-            period = 1.0 / rate_hz
-            shot = ShotModel(epsilon=epsilon_for_buildup_time(20.2, period), shot_period_s=period)
-            p = iterate_shots(0.0, shot, 0.826, 57.1, 0.0, int(150 * 60 * rate_hz))
+            p = iterate_shots(params, 1.0 / rate_hz, 0.0, int(150 * 60 * rate_hz))
             devs.append(abs(p - target))
         assert devs[0] < 1e-3 * 0.826
         assert devs[2] < devs[0]
@@ -353,12 +372,15 @@ class TestShotMap:
         """Wherever epsilon + dt/tr <= 1, the closed form is n steps of shot_map."""
         delta = relaxation_share * (1.0 - epsilon)
         tr = period / (60.0 * delta) if delta > 0.0 else math.inf
-        assume(epsilon + period / (60.0 * tr) <= 1.0)
-        shot = ShotModel(epsilon=epsilon, shot_period_s=period)
+        try:
+            params, eps = shot_kinetics(epsilon, period, pe, tr, pth)
+        except ValidationError:  # td overflows where tr is infinite too, or epsilon rounds past 1
+            assume(False)
+        assume(eps + period / (60.0 * tr) <= 1.0)
         p_loop = p0
         for _ in range(n_shots):
-            p_loop = shot_map(p_loop, shot, pe, tr, pth)
-        assert iterate_shots(p0, shot, pe, tr, pth, n_shots) == pytest.approx(p_loop, rel=0.0, abs=1e-12)
+            p_loop = shot_map(p_loop, eps, period, pe, tr, pth)
+        assert iterate_shots(params, period, p0, n_shots) == pytest.approx(p_loop, rel=0.0, abs=1e-12)
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
@@ -380,45 +402,48 @@ class TestShotMap:
     def test_outputs_stay_bounded(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
-            shot = ShotModel(epsilon=rng.uniform(0, 1), shot_period_s=10 ** rng.uniform(-3, 2))
+            epsilon, period = rng.uniform(0, 1), 10 ** rng.uniform(-3, 2)
             pe, pth = rng.uniform(-1, 1, size=2)
             tr = 10 ** rng.uniform(-3, 3)
             p = rng.uniform(-1, 1)
             for _ in range(200):
-                p = shot_map(p, shot, pe, tr, pth)
+                p = shot_map(p, epsilon, period, pe, tr, pth)
                 assert -1.0 <= p <= 1.0
 
     @pytest.mark.parametrize("n_shots", [0, 1, 1_000_001])
     def test_overshooting_shots_rejected(self, n_shots):
-        shot = ShotModel(epsilon=0.8333333333333334, shot_period_s=1e-3)  # dt/tr = 1.667 below
+        params = KineticsParams(0.826, 2e-5, 1e-5)  # epsilon = 0.833 and dt/tr = 1.667 at 1 kHz
         start = time.perf_counter()
-        with pytest.raises(ValidationError, match=r"epsilon \+ dt/tr = 2.5 exceeds 1"):
-            iterate_shots(0.0, shot, 0.826, 1e-5, 0.0, n_shots)
+        with pytest.raises(ValidationError, match=r"^td 2e-05 min and tr 1e-05 min at 1000 Hz: .*"
+                           r"epsilon \+ dt/tr = 2.5 exceeds 1"):
+            iterate_shots(params, 1e-3, 0.0, n_shots)
         assert time.perf_counter() - start < 0.1
 
     def test_unit_shot_factor_lands_on_the_fixed_point(self):
         # epsilon = dt/tr = 0.5: s = 1 is the largest admissible value, and a = 0
-        shot = ShotModel(epsilon=0.5, shot_period_s=60.0)
-        assert iterate_shots(0.3, shot, 0.8, 2.0, 0.1, 1) == 0.45
-        assert shot_map(0.3, shot, 0.8, 2.0, 0.1) == pytest.approx(0.45, rel=0.0, abs=1e-16)
-        assert iterate_shots(0.3, shot, 0.8, 2.0, 0.1, 7) == 0.45
+        params = KineticsParams(0.8, 2.0, 2.0, pth=0.1)
+        assert epsilon_for_buildup_time(2.0, 60.0) == 0.5
+        assert iterate_shots(params, 60.0, 0.3, 1) == 0.45
+        assert shot_map(0.3, 0.5, 60.0, 0.8, 2.0, 0.1) == pytest.approx(0.45, rel=0.0, abs=1e-16)
+        assert iterate_shots(params, 60.0, 0.3, 7) == 0.45
 
     def test_closed_form_when_a_rounds_to_one(self):
         # td = tr = 1e12 min at 1 kHz: s = epsilon + dt/tr = 3.3e-17, so a = 1 - s is 1.0
         period = 1e-3
-        shot = ShotModel(epsilon=epsilon_for_buildup_time(1e12, period), shot_period_s=period)
-        assert 1.0 - (shot.epsilon + period / (60.0 * 1e12)) == 1.0
+        assert 1.0 - (epsilon_for_buildup_time(1e12, period) + period / (60.0 * 1e12)) == 1.0
         params = KineticsParams(0.826, 1e12, 1e12, pth=0.05)
         for minutes in (300.0, 1e10, 1e13):
             n = int(minutes * 60.0 / period)
             assert n > 1_000_000
-            p = iterate_shots(0.05, shot, 0.826, 1e12, 0.05, n)
+            p = iterate_shots(params, period, 0.05, n)
             assert p == pytest.approx(buildup_closed_form(params, minutes, include_pth=True), rel=1e-12)
 
     def test_overflowing_relaxation_step_rejected(self):
         # dt/tr = inf, and at p = pth the update inf * 0 would be NaN, clamped to -1
         with pytest.raises(ValidationError, match="tr_minutes 5e-324"):
-            shot_map(0.0, ShotModel(0.5, 1e-3), 0.5, 5e-324, 0.0)
+            shot_map(0.0, 0.5, 1e-3, 0.5, 5e-324, 0.0)
+        with pytest.raises(ValidationError, match="tr_minutes 5e-324 is too small"):
+            iterate_shots(KineticsParams(0.5, 2.0, 5e-324), 1e-3, 0.0, 1)
 
     @settings(max_examples=100, deadline=timedelta(seconds=5), derandomize=True)
     @given(
@@ -431,9 +456,9 @@ class TestShotMap:
         n_shots=st.integers(-1, 1000) | st.sampled_from([999_999, 1_000_000, 1_000_001, 2**62]),
     )
     def test_iterate_returns_a_polarization_or_rejects(self, p0, epsilon, period, pe, pth, tr, n_shots):
-        shot = ShotModel(epsilon=epsilon, shot_period_s=period)
         try:
-            p = iterate_shots(p0, shot, pe, tr, pth, n_shots)
+            params, _ = shot_kinetics(epsilon, period, pe, tr, pth)
+            p = iterate_shots(params, period, p0, n_shots)
         except ValidationError:
             return
         assert -1.0 <= p <= 1.0

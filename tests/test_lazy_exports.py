@@ -55,7 +55,7 @@ def test_star_import_gives_every_export():
     loaded = loaded_after("ns = {}\nexec('from tripletdnp import *', ns)\n"
                           "probe = sorted(set(ns) - {'__builtins__'})")
     assert loaded["probe"] == tripletdnp.__all__
-    assert len(loaded["probe"]) == 46
+    assert len(loaded["probe"]) == 44
 
 
 def test_resolved_name_is_cached_in_the_package():

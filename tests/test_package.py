@@ -15,7 +15,7 @@ def test_every_layer_is_listed_for_lazy_export():
 
 
 def test_package_exports_union_of_module_exports():
-    assert len(tripletdnp.__all__) == len(set(tripletdnp.__all__)) == 46
+    assert len(tripletdnp.__all__) == len(set(tripletdnp.__all__)) == 44
     assert set(tripletdnp.__all__) == {name for m in MODULES for name in m.__all__}
     for m in MODULES:
         for name in m.__all__:

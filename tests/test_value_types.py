@@ -22,7 +22,6 @@ from tripletdnp import (
     IseSequenceParams,
     KineticsParams,
     MagneticFieldSetting,
-    ShotModel,
     TripletParameters,
     ValidationError,
     ValueKind,
@@ -32,6 +31,7 @@ from tripletdnp import (
     final_polarization,
     fit_buildup,
     fit_decay,
+    iterate_shots,
     steady_state_with_pth,
 )
 
@@ -50,7 +50,6 @@ SEQUENCES = st.builds(IseSequenceParams, **dict.fromkeys(SEQUENCE_FIELDS, POSITI
     POSITIVE, min_size=2, max_size=2).map(sorted).flatmap(lambda pulse: st.builds(IseSequenceParams, **{
         **dict.fromkeys(SEQUENCE_FIELDS, POSITIVE), "repetition_rate_hz": st.floats(1.0, 1e4) | POSITIVE,
         "laser_width_us": st.just(pulse[0]), "microwave_delay_us": st.just(pulse[1])}))
-SHOTS = st.builds(ShotModel, epsilon=VALUES | st.floats(0.0, 1.0), shot_period_s=POSITIVE | VALUES)
 # three extremes, or three fractions that sum to 1 up to rounding
 POPULATIONS = st.tuples(VALUES, VALUES, VALUES) | st.floats(0.0, 1.0).flatmap(
     lambda a: st.floats(0.0, 1.0 - a).map(lambda b: (a, b, 1.0 - a - b)))
@@ -112,12 +111,17 @@ def test_ise_sequence_params(seq):
 
 
 @PROPERTY
-@given(constructed(SHOTS))
-def test_shot_model(shot):
-    if shot is None:
+@given(constructed(KINETICS), POSITIVE | VALUES, VALUES | st.floats(-1.0, 1.0), VALUES | st.integers(0, 10**7))
+@example(KineticsParams(0.826, 20.2, 57.1), 1e-3, 0.0, 9_000_000)
+def test_shot_model(params, shot_period_s, p0, n_shots):
+    """The shot map over any kinetics gives a polarization or rejects its inputs."""
+    if params is None:
         return
-    assert 0.0 <= shot.epsilon <= 1.0
-    assert 0.0 < shot.shot_period_s < math.inf
+    try:
+        p = iterate_shots(params, shot_period_s, p0, n_shots=n_shots)
+    except ValidationError:
+        return
+    assert -1.0 <= p <= 1.0
 
 
 @PROPERTY
