@@ -8,16 +8,16 @@ relaxation time constants and the attainable polarization.
 `import tripletdnp` loads no layer and no numpy; the exports resolve on
 first use (PEP 562). A layer name imports that module. Any other name
 imports the layers in dependency order until one lists it in its `__all__`,
-and is then cached here, so `tripletdnp.BuildupCurve` loads only `errors`,
-`constants` and `kinetics`. Each name is declared once, in its own
-module's `__all__`; `__all__` here is their sorted union.
+and is then cached here, so an input type loads only `errors` and `params`
+(no numpy) and an ISE function no spin chain. Each name is declared once,
+in its own module's `__all__`; `__all__` here is their sorted union.
 """
 
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-_LAYERS = ("errors", "kinetics", "spinparams", "curveio", "analysis", "tripletspin", "ise", "config")
+_LAYERS = ("errors", "params", "kinetics", "curveio", "analysis", "ise", "tripletspin", "config")
 
 
 def __getattr__(name: str):

@@ -18,7 +18,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import InconsistencyError, ValidationError
-from .kinetics import BuildupCurve, ByValue, KineticsParams
+from .kinetics import BuildupCurve, ByValue
+from .params import KineticsParams
 
 __all__ = [
     "FitResult",

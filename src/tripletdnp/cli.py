@@ -38,16 +38,16 @@ from .config import ToolkitConfig, default_config, parse_config
 from .constants import SECONDS_PER_MINUTE
 from .curveio import read_curve, write_curve, write_text
 from .errors import ValidationError
-from .ise import IseSequenceParams, epsilon_for_buildup_time, iterate_shots, sweep_transfer_probability
+from .ise import epsilon_for_buildup_time, iterate_shots, sweep_transfer_probability
 from .kinetics import (
     BuildupCurve,
-    KineticsParams,
     ValueKind,
     buildup_closed_form,
     buildup_ode,
     steady_state_with_pth,
     thermal_polarization,
 )
+from .params import IseSequenceParams, KineticsParams
 
 EXIT_OK = 0
 EXIT_USAGE = 2

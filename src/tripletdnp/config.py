@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, ValidationError
-from .ise import IseSequenceParams, hartmann_hahn_b1
-from .kinetics import KineticsParams
-from .spinparams import MagneticFieldSetting, TripletParameters
+from .ise import hartmann_hahn_b1
+from .params import IseSequenceParams, KineticsParams, MagneticFieldSetting, TripletParameters
 
 __all__ = ["ToolkitConfig", "parse_config", "default_config", "CONFIG_REFERENCE"]
 

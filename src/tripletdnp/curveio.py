@@ -17,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .constants import SECONDS_PER_MINUTE
 from .errors import CurveParseError, ValidationError
 from .kinetics import BuildupCurve, ValueKind
 
 __all__ = ["read_curve", "write_curve"]
 
 _VALUE_KIND_PREFIX = "value_kind:"
-_HEADERS = {"time_min": 1.0, "time_s": 1.0 / 60.0}
+_HEADERS = {"time_min": 1.0, "time_s": 1.0 / SECONDS_PER_MINUTE}
 _KIND_NAMES = tuple(k.value for k in ValueKind)
 
 

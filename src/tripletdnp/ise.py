@@ -19,75 +19,18 @@ the two-level Schrodinger equation across the sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 from .constants import GAMMA_E_MHZ_PER_T, GAMMA_H_MHZ_PER_T, SECONDS_PER_MINUTE
 from .errors import ValidationError
-
-if TYPE_CHECKING:  # kinetics imports numpy, which the shot model does without
-    from .kinetics import KineticsParams
+from .params import IseSequenceParams, KineticsParams
 
 __all__ = [
-    "IseSequenceParams",
     "hartmann_hahn_b1",
     "proton_larmor",
     "sweep_transfer_probability",
     "epsilon_for_buildup_time",
     "iterate_shots",
 ]
-
-
-@dataclass(frozen=True)
-class IseSequenceParams:
-    """Timing and field parameters of one ISE shot.
-
-    The microwave window opens microwave_delay_us after the laser trigger,
-    so the laser pulse (laser_width_us) must fit before it, and the window
-    must close before the next shot starts.
-    """
-
-    microwave_frequency_ghz: float
-    microwave_width_us: float
-    laser_width_us: float
-    repetition_rate_hz: float
-    sweep_span_mt: float
-    b1_amplitude_mt: float
-    static_field_tesla: float
-    microwave_delay_us: float = 2.0
-
-    def __post_init__(self):
-        for name in _POSITIVE_FIELDS:
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if not self.shot_period_s < math.inf:
-            raise ValidationError(
-                f"repetition_rate_hz must give a finite shot period, got {self.repetition_rate_hz}"
-            )
-        # zero span means no sweep (adiabatic limit of the passage), so it is allowed
-        if not 0.0 <= self.sweep_span_mt < math.inf:
-            raise ValidationError(f"sweep_span_mt must be finite and >= 0, got {self.sweep_span_mt}")
-        period_us = 1e6 / self.repetition_rate_hz
-        if self.microwave_delay_us + self.microwave_width_us > period_us:
-            raise ValidationError(
-                "microwave window must fit in one shot period: "
-                f"delay {self.microwave_delay_us} us + width {self.microwave_width_us} us "
-                f"> period {period_us} us"
-            )
-        if self.laser_width_us >= self.microwave_delay_us:
-            raise ValidationError(
-                "laser pulse must end before the microwave window: "
-                f"laser width {self.laser_width_us} us >= delay {self.microwave_delay_us} us"
-            )
-
-    @property
-    def shot_period_s(self) -> float:
-        return 1.0 / self.repetition_rate_hz
-
-
-# every field but sweep_span_mt, which may be 0, must be finite and positive; built at
-# import, as calling fields() in __post_init__ would double the cost of each construction
-_POSITIVE_FIELDS = tuple(f.name for f in fields(IseSequenceParams) if f.name != "sweep_span_mt")
 
 
 def hartmann_hahn_b1(static_field_tesla: float) -> float:

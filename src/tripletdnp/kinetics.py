@@ -29,9 +29,9 @@ import numpy as np
 
 from .constants import BOLTZMANN_J_PER_K, GAMMA_H_MHZ_PER_T, PLANCK_J_S
 from .errors import ValidationError
+from .params import KineticsParams
 
 __all__ = [
-    "KineticsParams",
     "ValueKind",
     "BuildupCurve",
     "buildup_closed_form",
@@ -75,31 +75,6 @@ def _field_key(value):
     if isinstance(value, dict):
         return frozenset((k, _field_key(v)) for k, v in value.items())
     return _NAN if isinstance(value, float) and math.isnan(value) else value
-
-
-@dataclass(frozen=True)
-class KineticsParams:
-    """Rate-equation parameters: source polarization, time constants, thermal floor."""
-
-    pe: float
-    td_minutes: float
-    tr_minutes: float
-    pth: float = 0.0
-
-    def __post_init__(self):
-        # +inf is a legal time constant: no buildup (td) or no relaxation (tr)
-        if not self.td_minutes > 0.0:
-            raise ValidationError(f"td_minutes must be positive (finite or +inf), got {self.td_minutes}")
-        if not self.tr_minutes > 0.0:
-            raise ValidationError(f"tr_minutes must be positive (finite or +inf), got {self.tr_minutes}")
-        if self.td_minutes == self.tr_minutes == math.inf:
-            raise ValidationError("td_minutes and tr_minutes cannot both be infinite: no steady state")
-        if not abs(self.pe) <= 1.0:
-            raise ValidationError(f"pe must be finite with |pe| <= 1, got {self.pe}")
-        if not abs(self.pth) <= 1.0:
-            raise ValidationError(f"pth must be finite with |pth| <= 1, got {self.pth}")
-        for f in fields(self):  # a numpy scalar would warn where a float overflows silently
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
 class ValueKind(enum.Enum):

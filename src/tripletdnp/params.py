@@ -1,0 +1,154 @@
+"""Model inputs: zero-field constants, static field, ISE shot timing, kinetics constants.
+
+Each immutable value type holds Python numbers only and this module imports no numpy, so
+`config` reads every input without it; the layers that compute import their inputs from here.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, fields
+
+from .errors import ValidationError
+
+__all__ = ["TripletParameters", "MagneticFieldSetting", "KineticsParams", "IseSequenceParams"]
+
+_POPULATION_SUM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class TripletParameters:
+    """Zero-field splitting constants and intersystem-crossing populations.
+
+    d_mhz, e_mhz: zero-field splitting parameters, MHz.
+    zf_populations: occupations (p_x, p_y, p_z) of the zero-field states
+        (Tx, Ty, Tz) right after photoexcitation. Must be nonnegative and
+        sum to 1.
+    """
+
+    d_mhz: float
+    e_mhz: float
+    zf_populations: tuple[float, float, float]
+
+    def __post_init__(self):
+        p = self.zf_populations
+        if len(p) != 3:
+            raise ValidationError("zf_populations must have exactly three entries")
+        if not all(map(math.isfinite, (self.d_mhz, self.e_mhz, *p))):
+            raise ValidationError(
+                f"D, E and zf_populations must be finite, got D={self.d_mhz}, "
+                f"E={self.e_mhz}, populations {p}"
+            )
+        if any(v < 0.0 for v in p):
+            raise ValidationError(f"zf_populations must be nonnegative, got {p}")
+        if abs(sum(p) - 1.0) > _POPULATION_SUM_TOL:
+            raise ValidationError(
+                f"zf_populations must sum to 1 within {_POPULATION_SUM_TOL}, got sum {sum(p)!r}"
+            )
+        if abs(self.e_mhz) > abs(self.d_mhz) / 3.0 + 1e-12 * abs(self.d_mhz):
+            raise ValidationError(
+                f"|E| <= |D|/3 required by the conventional ordering, got D={self.d_mhz}, E={self.e_mhz}"
+            )
+
+
+@dataclass(frozen=True)
+class MagneticFieldSetting:
+    """Static field magnitude and orientation in the zero-field principal frame."""
+
+    magnitude_tesla: float
+    theta_rad: float = 0.0
+    phi_rad: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.magnitude_tesla < math.inf:
+            raise ValidationError(
+                f"field magnitude must be finite and >= 0, got {self.magnitude_tesla}"
+            )
+        if not 0.0 <= self.theta_rad <= math.pi:
+            raise ValidationError(f"theta must lie in [0, pi], got {self.theta_rad}")
+        if not 0.0 <= self.phi_rad < 2.0 * math.pi:
+            raise ValidationError(f"phi must lie in [0, 2*pi), got {self.phi_rad}")
+        st = math.sin(self.theta_rad)
+        object.__setattr__(self, "_axis", (st * math.cos(self.phi_rad), st * math.sin(self.phi_rad),
+                                           math.cos(self.theta_rad)))
+
+    def direction(self) -> tuple[float, float, float]:
+        """Unit vector (x, y, z) of the field axis in the principal frame."""
+        return self._axis
+
+
+@dataclass(frozen=True)
+class KineticsParams:
+    """Rate-equation parameters: source polarization, time constants, thermal floor."""
+
+    pe: float
+    td_minutes: float
+    tr_minutes: float
+    pth: float = 0.0
+
+    def __post_init__(self):
+        # +inf is a legal time constant: no buildup (td) or no relaxation (tr)
+        if not self.td_minutes > 0.0:
+            raise ValidationError(f"td_minutes must be positive (finite or +inf), got {self.td_minutes}")
+        if not self.tr_minutes > 0.0:
+            raise ValidationError(f"tr_minutes must be positive (finite or +inf), got {self.tr_minutes}")
+        if self.td_minutes == self.tr_minutes == math.inf:
+            raise ValidationError("td_minutes and tr_minutes cannot both be infinite: no steady state")
+        if not abs(self.pe) <= 1.0:
+            raise ValidationError(f"pe must be finite with |pe| <= 1, got {self.pe}")
+        if not abs(self.pth) <= 1.0:
+            raise ValidationError(f"pth must be finite with |pth| <= 1, got {self.pth}")
+        for f in fields(self):  # a numpy scalar would warn where a float overflows silently
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+
+
+@dataclass(frozen=True)
+class IseSequenceParams:
+    """Timing and field parameters of one ISE shot.
+
+    The microwave window opens microwave_delay_us after the laser trigger,
+    so the laser pulse (laser_width_us) must fit before it, and the window
+    must close before the next shot starts.
+    """
+
+    microwave_frequency_ghz: float
+    microwave_width_us: float
+    laser_width_us: float
+    repetition_rate_hz: float
+    sweep_span_mt: float
+    b1_amplitude_mt: float
+    static_field_tesla: float
+    microwave_delay_us: float = 2.0
+
+    def __post_init__(self):
+        for name in _POSITIVE_FIELDS:
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not self.shot_period_s < math.inf:
+            raise ValidationError(
+                f"repetition_rate_hz must give a finite shot period, got {self.repetition_rate_hz}"
+            )
+        # zero span means no sweep (adiabatic limit of the passage), so it is allowed
+        if not 0.0 <= self.sweep_span_mt < math.inf:
+            raise ValidationError(f"sweep_span_mt must be finite and >= 0, got {self.sweep_span_mt}")
+        period_us = 1e6 / self.repetition_rate_hz
+        if self.microwave_delay_us + self.microwave_width_us > period_us:
+            raise ValidationError(
+                "microwave window must fit in one shot period: "
+                f"delay {self.microwave_delay_us} us + width {self.microwave_width_us} us "
+                f"> period {period_us} us"
+            )
+        if self.laser_width_us >= self.microwave_delay_us:
+            raise ValidationError(
+                "laser pulse must end before the microwave window: "
+                f"laser width {self.laser_width_us} us >= delay {self.microwave_delay_us} us"
+            )
+
+    @property
+    def shot_period_s(self) -> float:
+        return 1.0 / self.repetition_rate_hz
+
+
+# every field but sweep_span_mt, which may be 0, must be finite and positive; built at
+# import, as calling fields() in __post_init__ would double the cost of each construction
+_POSITIVE_FIELDS = tuple(f.name for f in fields(IseSequenceParams) if f.name != "sweep_span_mt")

@@ -13,7 +13,7 @@ All functions are pure and all value types are immutable after
 construction, so they are safe to share between threads. Every value type
 rejects non-finite numbers (NaN or infinity) with ValidationError. The
 inputs TripletParameters and MagneticFieldSetting come from the numpy-free
-`spinparams`, so the config layer loads neither this module nor numpy. The
+`params`, so `config` loads neither this module nor numpy. The
 per-orientation checks and projections run on Python numbers from one
 tolist() of each 3x3 array: at this size numpy's per-call dispatch costs
 more than the arithmetic. So an EigenSystem keeps the columns it checked.
@@ -29,7 +29,7 @@ import numpy as np
 from .constants import GAMMA_E_MHZ_PER_T
 from .errors import ValidationError
 from .kinetics import ByValue
-from .spinparams import MagneticFieldSetting, TripletParameters
+from .params import MagneticFieldSetting, TripletParameters
 
 __all__ = [
     "SpinHamiltonian",
@@ -55,7 +55,7 @@ def _moduli(zs) -> list[float]:
         return [math.inf]
 
 
-def _spin_form(x: float, y: float, z: float, diagonal=(0.0, 0.0, 0.0)) -> list[list[complex]]:
+def _spin_form(x: float, y: float, z: float, diagonal: tuple[float, float, float]) -> list[list[complex]]:
     """diag(diagonal) + x Sx + y Sy + z Sz, with (S_a)_bc = -i eps_abc, as nested lists."""
     return [
         [diagonal[0], -1j * z, 1j * y],

@@ -36,7 +36,7 @@ def test_version_is_eager():
 
 def test_a_name_loads_only_the_layers_it_needs():
     loaded = loaded_after("tripletdnp.BuildupCurve")
-    assert loaded["layers"] == ["tripletdnp.constants", "tripletdnp.errors", "tripletdnp.kinetics"]
+    assert loaded["layers"] == ["tripletdnp.constants", "tripletdnp.errors", "tripletdnp.kinetics", "tripletdnp.params"]
 
 
 def test_a_layer_name_loads_that_layer():
@@ -47,7 +47,7 @@ def test_a_layer_name_loads_that_layer():
 def test_ise_imports_no_numpy():
     """The shot model stays numpy-free, so it does not share kinetics' approach step."""
     loaded = loaded_after("import tripletdnp.ise")
-    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.errors", "tripletdnp.ise"],
+    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.errors", "tripletdnp.ise", "tripletdnp.params"],
                       "numpy": False, "probe": None}
 
 
@@ -85,14 +85,30 @@ def test_spin_inputs_load_no_spin_chain_curve_io_or_fits(name):
     assert not {"tripletdnp.tripletspin", "tripletdnp.curveio", "tripletdnp.analysis"} & set(layers)
 
 
-def test_spinparams_imports_no_numpy():
-    """The spin model's scalar inputs stay numpy-free, so config can read them."""
-    loaded = loaded_after("import tripletdnp.spinparams")
-    assert loaded == {"layers": ["tripletdnp.errors", "tripletdnp.spinparams"], "numpy": False, "probe": None}
+def test_params_imports_no_numpy():
+    """The model inputs stay numpy-free, so config can read them."""
+    loaded = loaded_after("import tripletdnp.params")
+    assert loaded == {"layers": ["tripletdnp.errors", "tripletdnp.params"], "numpy": False, "probe": None}
+
+
+@pytest.mark.parametrize("name", ["TripletParameters", "MagneticFieldSetting", "KineticsParams", "IseSequenceParams"])
+def test_an_input_type_loads_only_params(name):
+    loaded = loaded_after(f"tripletdnp.{name}")
+    assert loaded == {"layers": ["tripletdnp.errors", "tripletdnp.params"], "numpy": False, "probe": None}
+
+
+def test_ise_names_load_no_spin_chain():
+    assert "tripletdnp.tripletspin" not in loaded_after("tripletdnp.hartmann_hahn_b1")["layers"]
 
 
 def test_config_loads_no_spin_chain():
     assert "tripletdnp.tripletspin" not in loaded_after("import tripletdnp.config")["layers"]
+
+
+def test_default_config_loads_no_numpy():
+    loaded = loaded_after("import tripletdnp.config\nprobe = tripletdnp.config.default_config().kinetics.td_minutes")
+    assert loaded["numpy"] is False
+    assert loaded["probe"] == 20.2
 
 
 def test_cli_subcommands_load_no_spin_chain(tmp_path):
@@ -113,4 +129,4 @@ def test_cli_subcommands_load_no_spin_chain(tmp_path):
     )
     assert loaded["probe"] == [0] * len(COMMANDS)
     assert "tripletdnp.tripletspin" not in loaded["layers"]
-    assert "tripletdnp.spinparams" in loaded["layers"]
+    assert "tripletdnp.params" in loaded["layers"]
