@@ -5,8 +5,9 @@ to minutes on read) preceded by optional `#` comment lines, one of which
 may declare the value kind: `# value_kind: polarization` or `raw_signal`.
 Values are written with repr, the shortest decimal that round-trips, so a
 write/read cycle reproduces a curve exactly. A cell reads as float() reads
-it, stripped of whitespace. numpy's C text reader parses the cells; only what
-it rejects is read row by row with float(), which also names the first bad row.
+it, stripped of whitespace. The rows below the header go to numpy's C text
+reader in one pass; only a file it rejects, or whose columns fail their
+checks, is walked row by row with float(), which names the first bad row.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ _KIND_NAMES = tuple(k.value for k in ValueKind)
 def read_curve(path) -> BuildupCurve:
     """Parse a UTF-8 curve file into a BuildupCurve, normalizing times to minutes.
 
-    One pass over the lines takes the comments, value kind and header,
-    numpy's loadtxt the data cells, and BuildupCurve checks the columns. Only
-    if that fails are the rows walked, so CurveParseError names the first bad
-    1-based row in file order, as for a bad header or a non-UTF-8 byte.
+    One walk over the lines in file order takes the comments, value kind and
+    header. At the header, numpy's loadtxt reads every line below it and
+    BuildupCurve checks the columns; if both accept, that is the curve. Else
+    the walk goes on through the rows, reading each with float() and
+    checking it, so CurveParseError names the first bad 1-based row in file
+    order, as for a bad header, an unknown value kind or a non-UTF-8 byte.
     """
     raw = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")  # a byte-order mark, as CSV exports write
     try:
@@ -44,7 +47,7 @@ def read_curve(path) -> BuildupCurve:
         raise CurveParseError(f"not UTF-8 text: byte {raw[exc.start]:#04x}", row=row) from None
     lines = text.splitlines()
     kind, header_scale = ValueKind.POLARIZATION, None
-    rows, data = [], []  # the data lines and their 1-based row numbers
+    times, values = [], []  # of the rows the walk reads; times in minutes
     for row, line in enumerate(map(str.strip, lines), start=1):
         if not line:
             continue
@@ -53,39 +56,25 @@ def read_curve(path) -> BuildupCurve:
             if comment.startswith(_VALUE_KIND_PREFIX):
                 kind_name = comment[len(_VALUE_KIND_PREFIX):].strip()
                 if kind_name not in _KIND_NAMES:
-                    _read_rows(rows, data, header_scale)  # a bad data row above it fails first
                     kinds = " or ".join(_KIND_NAMES)
                     raise CurveParseError(f"unknown value_kind {kind_name!r}; expected {kinds}", row)
                 kind = ValueKind(kind_name)
-        elif header_scale is None:
-            cells = [c.strip() for c in line.split(",")]
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if header_scale is None:
             if len(cells) != 2 or cells[0] not in _HEADERS or cells[1] != "value":
                 raise CurveParseError(
                     f"expected header 'time_min,value' or 'time_s,value', got {line!r}", row=row
                 )
             header_scale = _HEADERS[cells[0]]
-        else:
-            rows.append(row)
-            data.append(line)
-    if header_scale is None:
-        raise CurveParseError("file has no header row", row=len(lines) or 1)
-    if not data:
-        raise CurveParseError("file has no data rows", row=len(lines))
-    try:
-        cells = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-        if cells.shape[1] == 2:
-            return BuildupCurve(cells[:, 0] * header_scale, cells[:, 1], kind)
-    except (ValueError, ValidationError):  # a cell numpy cannot read, or a failed column check
-        pass
-    return BuildupCurve(*_read_rows(rows, data, header_scale), kind)
-
-
-def _read_rows(rows, data, header_scale) -> tuple[list, list]:
-    """Times in minutes and values of the data rows, read one row at a time with float(); raises the
-    CurveParseError of the first row failing: two cells, numeric, finite, increasing, nonnegative."""
-    times, values = [], []
-    for row, line in zip(rows, data):
-        cells = [c.strip() for c in line.split(",")]
+            if row < len(lines) and lines[-1]:  # on an empty body numpy warns "input contained no data"
+                try:
+                    table = np.loadtxt(lines[row:], delimiter=",", comments=None, ndmin=2)
+                    if table.shape[1] == 2:
+                        return BuildupCurve(table[:, 0] * header_scale, table[:, 1], kind)
+                except (ValueError, ValidationError):  # a comment or blank row, a bad cell or column
+                    pass
+            continue
         if len(cells) != 2:
             raise CurveParseError(f"expected two comma-separated cells, got {line!r}", row=row)
         try:
@@ -101,7 +90,11 @@ def _read_rows(rows, data, header_scale) -> tuple[list, list]:
             raise CurveParseError(f"negative time {cells[0]}", row=row)
         times.append(t)
         values.append(v)
-    return times, values
+    if header_scale is None:
+        raise CurveParseError("file has no header row", row=len(lines) or 1)
+    if not times:
+        raise CurveParseError("file has no data rows", row=len(lines))
+    return BuildupCurve(times, values, kind)
 
 
 def write_curve(path, curve: BuildupCurve) -> None:

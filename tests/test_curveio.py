@@ -1,5 +1,6 @@
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -175,7 +176,8 @@ def curve_files(draw):
     for _ in range(draw(st.integers(0, 4))):
         extra = draw(st.sampled_from(COMMENTS) | PAD | st.sampled_from(["", "\t \t"]))
         lines.insert(draw(st.integers(0, len(lines))), extra)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    # str.splitlines ends a line at each of these; numpy's reader ends one only at \n and \r
+    newline = draw(st.sampled_from(["\n", "\r\n", "\x0c", "\x1c", "\x85", "\u2028"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
@@ -277,18 +279,35 @@ def test_large_file_reads_as_row_oracle(tmp_path):
 
 @pytest.mark.parametrize("kind", list(ValueKind))
 def test_well_formed_files_skip_the_row_walk(tmp_path, monkeypatch, kind):
-    """Files as write_curve writes them, and a seconds header, are read by numpy alone."""
+    """Files as write_curve writes them, also behind a byte-order mark or with CRLF line ends, and a
+    seconds header, are read by numpy alone: only the row walk calls float() in curveio."""
     def fail(*args):
         raise AssertionError("row walk entered")
 
-    monkeypatch.setattr(curveio, "_read_rows", fail)
+    monkeypatch.setattr(curveio, "float", fail, raising=False)
     p = tmp_path / "c.csv"
     curve = _curve(3274)
-    write_curve(p, BuildupCurve(curve.times_min, curve.values, kind))
-    back = read_curve(p)
-    assert back == BuildupCurve(curve.times_min, curve.values, kind)
+    expected = BuildupCurve(curve.times_min, curve.values, kind)
+    write_curve(p, expected)
+    written = p.read_bytes()
+    assert read_curve(p) == expected
+    for text in (b"\xef\xbb\xbf" + written, written.replace(b"\n", b"\r\n")):
+        p.write_bytes(text)
+        assert read_curve(p) == expected
     p.write_text("time_s,value\n0,1.5\n30,-2e-3\n90,7\n")
     np.testing.assert_array_equal(read_curve(p).times_min, [0.0, 0.5, 1.5])
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\t\n", "\n\t\n \t\n", "\t\n\n\n", "\r\n\t\r\n"])
+def test_header_without_data_rows_names_the_last_row(tmp_path, body):
+    """An empty, blank or tab-only body gives the oracle's error, and numpy never warns of no data."""
+    p = tmp_path / "c.csv"
+    p.write_text("time_min,value\n" + body, newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CurveParseError, match="file has no data rows") as exc:
+            read_curve(p)
+    assert str(exc.value) == oracles.read_curve_by_rows(p)
 
 
 def test_write_curve_bytes_are_pinned(tmp_path):
