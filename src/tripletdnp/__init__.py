@@ -6,36 +6,45 @@ relaxation kinetics, and fits measured curves to extract the buildup and
 relaxation time constants and the attainable polarization.
 
 `import tripletdnp` loads no layer and no numpy; the exports resolve on
-first use (PEP 562). A layer name imports that module. Any other name
-imports the layers in dependency order until one lists it in its `__all__`,
-and is then cached here, so an input type loads only `errors` and `params`
-(no numpy) and an ISE function no spin chain. Each name is declared once,
-in its own module's `__all__`; `__all__` here is their sorted union.
+first use (PEP 562). `_EXPORTS` is the one declaration of the public
+surface: each layer and the names it exports. A layer name imports that
+module; an exported name imports its one layer (and what that layer
+imports) and is then cached here; any other name raises AttributeError
+without importing anything. So an input type loads only `errors` and
+`params`, an ISE or config name no numpy, and `__all__`, `dir()` and
+`hasattr()` of a missing name no layer.
 """
 
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-_LAYERS = ("errors", "params", "kinetics", "curveio", "analysis", "ise", "tripletspin", "config")
+_EXPORTS = {
+    "errors": ("TripletDnpError", "ValidationError", "ConfigError", "CurveParseError", "InconsistencyError"),
+    "params": ("TripletParameters", "MagneticFieldSetting", "KineticsParams", "IseSequenceParams"),
+    "kinetics": ("ValueKind", "BuildupCurve", "buildup_closed_form", "buildup_ode", "final_polarization",
+                 "steady_state_with_pth", "relaxation_decay", "thermal_polarization"),
+    "curveio": ("read_curve", "write_curve"),
+    "analysis": ("FitResult", "RelaxationDecomposition", "NmrCalibration", "fit_decay", "fit_buildup",
+                 "disentangle_buildup", "decompose_relaxation", "calibrate_polarization"),
+    "ise": ("hartmann_hahn_b1", "proton_larmor", "sweep_transfer_probability", "epsilon_for_buildup_time",
+            "iterate_shots"),
+    "tripletspin": ("SpinHamiltonian", "EigenSystem", "FieldPopulations", "build_hamiltonian", "eigensystem",
+                    "project_populations", "electron_polarization", "transition_frequencies"),
+    "config": ("ToolkitConfig", "parse_config", "default_config", "CONFIG_REFERENCE"),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_LAYER_OF)
 
 
 def __getattr__(name: str):
-    if name in _LAYERS:
+    if name in _EXPORTS:
         return _import_module(f"{__name__}.{name}")  # the import also binds it here
-    if name == "__all__":
-        value = sorted(n for layer in _LAYERS for n in _import_module(f"{__name__}.{layer}").__all__)
-    else:
-        for layer in _LAYERS:
-            module = _import_module(f"{__name__}.{layer}")
-            if name in module.__all__:
-                value = getattr(module, name)
-                break
-        else:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_LAYER_OF[name]}"), name)
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *__getattr__("__all__"), *_LAYERS})
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -21,17 +21,6 @@ from .errors import InconsistencyError, ValidationError
 from .kinetics import BuildupCurve, ByValue
 from .params import KineticsParams
 
-__all__ = [
-    "FitResult",
-    "RelaxationDecomposition",
-    "NmrCalibration",
-    "fit_decay",
-    "fit_buildup",
-    "disentangle_buildup",
-    "decompose_relaxation",
-    "calibrate_polarization",
-]
-
 MAX_ITERATIONS = 200
 _SCAN_POINTS = 31
 _SCAN_STEPS = np.arange(_SCAN_POINTS, dtype=float)

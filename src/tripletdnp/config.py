@@ -18,8 +18,6 @@ from .errors import ConfigError, ValidationError
 from .ise import hartmann_hahn_b1
 from .params import IseSequenceParams, KineticsParams, MagneticFieldSetting, TripletParameters
 
-__all__ = ["ToolkitConfig", "parse_config", "default_config", "CONFIG_REFERENCE"]
-
 _LITERATURE = "pentacene literature value, not setup-specific"
 
 # (section, key) -> (default, provenance note). This table is the only

@@ -22,8 +22,6 @@ from .constants import SECONDS_PER_MINUTE
 from .errors import CurveParseError, ValidationError
 from .kinetics import BuildupCurve, ValueKind
 
-__all__ = ["read_curve", "write_curve"]
-
 _VALUE_KIND_PREFIX = "value_kind:"
 _HEADERS = {"time_min": 1.0, "time_s": 1.0 / SECONDS_PER_MINUTE}
 _KIND_NAMES = tuple(k.value for k in ValueKind)

@@ -1,13 +1,5 @@
 """Exception types shared across the toolkit."""
 
-__all__ = [
-    "TripletDnpError",
-    "ValidationError",
-    "ConfigError",
-    "CurveParseError",
-    "InconsistencyError",
-]
-
 
 class TripletDnpError(Exception):
     """Base class for all toolkit errors."""
@@ -24,10 +16,8 @@ class ConfigError(ValidationError):
 class CurveParseError(ValidationError):
     """A curve file could not be parsed. Carries the offending row number."""
 
-    def __init__(self, message: str, row: int | None = None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, row: int):
+        super().__init__(f"row {row}: {message}")
         self.row = row
 
 

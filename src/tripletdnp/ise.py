@@ -24,14 +24,6 @@ from .constants import GAMMA_E_MHZ_PER_T, GAMMA_H_MHZ_PER_T, SECONDS_PER_MINUTE
 from .errors import ValidationError
 from .params import IseSequenceParams, KineticsParams
 
-__all__ = [
-    "hartmann_hahn_b1",
-    "proton_larmor",
-    "sweep_transfer_probability",
-    "epsilon_for_buildup_time",
-    "iterate_shots",
-]
-
 
 def hartmann_hahn_b1(static_field_tesla: float) -> float:
     """Microwave field amplitude B1 (mT) matching the electron Rabi frequency

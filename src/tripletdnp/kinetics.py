@@ -31,17 +31,6 @@ from .constants import BOLTZMANN_J_PER_K, GAMMA_H_MHZ_PER_T, PLANCK_J_S
 from .errors import ValidationError
 from .params import KineticsParams
 
-__all__ = [
-    "ValueKind",
-    "BuildupCurve",
-    "buildup_closed_form",
-    "buildup_ode",
-    "final_polarization",
-    "steady_state_with_pth",
-    "relaxation_decay",
-    "thermal_polarization",
-]
-
 
 class ByValue:
     """Equality and hash by value for a frozen dataclass declared with eq=False.

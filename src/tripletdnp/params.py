@@ -11,8 +11,6 @@ from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 
-__all__ = ["TripletParameters", "MagneticFieldSetting", "KineticsParams", "IseSequenceParams"]
-
 _POPULATION_SUM_TOL = 1e-12
 
 

@@ -31,17 +31,6 @@ from .errors import ValidationError
 from .kinetics import ByValue
 from .params import MagneticFieldSetting, TripletParameters
 
-__all__ = [
-    "SpinHamiltonian",
-    "EigenSystem",
-    "FieldPopulations",
-    "build_hamiltonian",
-    "eigensystem",
-    "project_populations",
-    "electron_polarization",
-    "transition_frequencies",
-]
-
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _UNITARY_TOL = 1e-10

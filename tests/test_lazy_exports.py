@@ -34,9 +34,29 @@ def test_version_is_eager():
     assert loaded_after("probe = tripletdnp.__version__")["layers"] == []
 
 
-def test_a_name_loads_only_the_layers_it_needs():
-    loaded = loaded_after("tripletdnp.BuildupCurve")
-    assert loaded["layers"] == ["tripletdnp.constants", "tripletdnp.errors", "tripletdnp.kinetics", "tripletdnp.params"]
+# one export per layer -> the layers it loads (its own and what that imports), and whether numpy comes in
+LOADS = {
+    "TripletDnpError": ("errors", False),
+    "KineticsParams": ("errors params", False),
+    "BuildupCurve": ("constants errors kinetics params", True),
+    "read_curve": ("constants curveio errors kinetics params", True),
+    "fit_buildup": ("analysis constants errors kinetics params", True),
+    "hartmann_hahn_b1": ("constants errors ise params", False),
+    "build_hamiltonian": ("constants errors kinetics params tripletspin", True),
+    "default_config": ("config constants errors ise params", False),
+}
+
+
+@pytest.mark.parametrize("name", LOADS)
+def test_a_name_loads_only_the_layers_it_needs(name):
+    layers, numpy = LOADS[name]
+    loaded = loaded_after(f"tripletdnp.{name}")
+    assert loaded == {"layers": [f"tripletdnp.{layer}" for layer in layers.split()], "numpy": numpy, "probe": None}
+
+
+@pytest.mark.parametrize("code", ["tripletdnp.__all__", "dir(tripletdnp)", "hasattr(tripletdnp, 'no_such_name')"])
+def test_listing_or_a_missing_name_loads_no_layer(code):
+    assert loaded_after(code) == {"layers": [], "numpy": False, "probe": None}
 
 
 def test_a_layer_name_loads_that_layer():
