@@ -1,4 +1,4 @@
-"""Fitting measured curves to the kinetics model and calibrating polarization.
+"""Fitting measured curves to the kinetics model and splitting the fitted constants.
 
 Both exponential models are linear in all parameters but one rate, so they
 are fitted by variable projection with a bracketed search over that rate;
@@ -6,14 +6,14 @@ no starting values are needed. Non-convergence is a reported state on the
 result, with a note naming the reason, never an exception. A buildup curve
 alone only determines the asymptote and the total rate, so separating the
 buildup time from the relaxation time requires an independently measured
-relaxation constant (disentangle_buildup).
+relaxation constant (disentangle_buildup). The NMR calibration is scalar
+arithmetic and lives in the numpy-free params.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,34 +70,6 @@ class RelaxationDecomposition:
         rhs = 1.0 / self.t1_minutes + 1.0 / self.te_minutes
         if not abs(lhs - rhs) <= 1e-9 * lhs:
             raise ValidationError("decomposition must satisfy 1/tr = 1/t1 + 1/te within 1e-9 relative")
-
-
-@dataclass(frozen=True)
-class NmrCalibration:
-    """Signal comparison against a thermally polarized reference sample.
-
-    spin_count_ratio is (reference 1H count) / (sample 1H count); gain_ratio
-    corrects for different receiver gains between the two measurements. The
-    reference's thermal polarization is a polarization, so |value| <= 1.
-    """
-
-    enhanced_signal: float
-    reference_signal: float
-    reference_thermal_polarization: float
-    spin_count_ratio: float = 1.0
-    gain_ratio: float = 1.0
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, astuple(self))):
-            raise ValidationError(f"calibration inputs must be finite, got {self}")
-        if self.reference_signal == 0.0:
-            raise ValidationError("reference_signal must be nonzero")
-        if self.spin_count_ratio <= 0.0 or self.gain_ratio <= 0.0:
-            raise ValidationError("spin_count_ratio and gain_ratio must be positive")
-        if not abs(self.reference_thermal_polarization) <= 1.0:
-            raise ValidationError(
-                f"reference_thermal_polarization must lie in [-1, 1], got {self.reference_thermal_polarization}"
-            )
 
 
 def _rate_scan(t: np.ndarray) -> np.ndarray:
@@ -351,28 +323,3 @@ def decompose_relaxation(t1_minutes: float, tr_minutes: float) -> RelaxationDeco
         raise ValidationError(f"1 / tr overflows: tr_minutes {tr_minutes} is too small")
     te = 1.0 / (1.0 / tr_minutes - 1.0 / t1_minutes)
     return RelaxationDecomposition(t1_minutes=t1_minutes, tr_minutes=tr_minutes, te_minutes=te)
-
-
-def calibrate_polarization(cal: NmrCalibration) -> float:
-    """Absolute polarization from the signal ratio against the reference.
-
-    P = (enhanced / reference) * spin_count_ratio * gain_ratio * reference
-    thermal polarization. The sign passes through (an emissive line gives a
-    negative polarization); a magnitude above 1 is unphysical and is clamped
-    with a warning. The product is formed on the inputs' mantissas and scaled
-    by their summed power of two once, so no intermediate over- or underflows.
-    """
-    (e, ke), (r, kr), (t, kt), (s, ks), (g, kg) = map(math.frexp, astuple(cal))
-    q = e / r * s * g * t
-    try:
-        p = math.ldexp(q, ke - kr + ks + kg + kt)
-    except OverflowError:  # beyond 1.8e308, which clamps below
-        p = math.copysign(math.inf, q)
-    if abs(p) > 1.0:
-        warnings.warn(
-            f"calibrated polarization {p} exceeds unit magnitude; clamping. "
-            "Check the signal integrals and correction ratios.",
-            stacklevel=2,
-        )
-        p = math.copysign(1.0, p)
-    return p

@@ -13,7 +13,10 @@ solution is a single exponential approach to pe / (1 + td/tr):
 
 With pth kept and P(0) = pth the approach is to the fixed point
 pe / (1 + td/tr) + pth / (1 + tr/td) instead; buildup_closed_form and
-buildup_ode both take include_pth to choose between the two.
+buildup_ode both take include_pth to choose between the two. Those fixed
+points (final_polarization, steady_state_with_pth) and the thermal
+polarization are scalars in the numpy-free params; this module holds the
+curves.
 
 Times are minutes throughout this module; only a curve file with a time_s
 header gives seconds, and read_curve converts those to minutes.
@@ -27,9 +30,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import BOLTZMANN_J_PER_K, GAMMA_H_MHZ_PER_T, PLANCK_J_S
 from .errors import ValidationError
-from .params import KineticsParams
+from .params import KineticsParams, final_polarization, steady_state_with_pth
 
 
 class ByValue:
@@ -179,22 +181,6 @@ def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = False) -> Bu
     return BuildupCurve(grid, np.concatenate(([p0], p_inf + (p0 - p_inf) * decay)))
 
 
-def final_polarization(params: KineticsParams) -> float:
-    """Attainable polarization pe / (1 + td/tr), the t -> infinity limit."""
-    return params.pe / (1.0 + params.td_minutes / params.tr_minutes)
-
-
-def steady_state_with_pth(params: KineticsParams) -> float:
-    """Fixed point of the rate equation including the thermal floor.
-
-    final_polarization plus the floor's share pth / (1 + tr/td): the weighted
-    mean (pe tr + pth td) / (td + tr), formed without a rate; at pth = 0 it is
-    final_polarization + 0.0 bit for bit. A ratio that overflows to inf (a
-    subnormal, huge or infinite td or tr) gives its term's limit 0.
-    """
-    return final_polarization(params) + params.pth / (1.0 + params.tr_minutes / params.td_minutes)
-
-
 def relaxation_decay(p0: float, t_const_minutes: float, t_minutes, pth: float = 0.0):
     """Exponential relaxation P(t) = pth + (p0 - pth) exp(-t / t_const).
 
@@ -206,22 +192,3 @@ def relaxation_decay(p0: float, t_const_minutes: float, t_minutes, pth: float = 
     if not (math.isfinite(p0) and math.isfinite(pth)):
         raise ValidationError(f"p0 and pth must be finite, got p0={p0}, pth={pth}")
     return _approach(p0, pth, (t_const_minutes,), t_minutes, "decay")
-
-
-def thermal_polarization(field_tesla: float, temperature_kelvin: float) -> float:
-    """Thermal-equilibrium 1H polarization tanh(h nu / 2 kB T) at nu = gamma_H B.
-
-    Takes the field magnitude only (finite, nonnegative); the sign convention
-    of the polarization axis is handled by the caller. The ratio is formed on
-    the mantissas of B and T and scaled by their powers of two once, so no
-    intermediate over- or underflows.
-    """
-    if not 0.0 <= field_tesla < math.inf:
-        raise ValidationError(f"field magnitude must be finite and >= 0, got {field_tesla}")
-    if not 0.0 < temperature_kelvin < math.inf:
-        raise ValidationError(f"temperature must be finite and positive, got {temperature_kelvin}")
-    (b, kb), (t, kt) = math.frexp(field_tesla), math.frexp(temperature_kelvin)
-    h_nu = PLANCK_J_S * (GAMMA_H_MHZ_PER_T * 1e6 * b)
-    two_kt = 2.0 * BOLTZMANN_J_PER_K * t
-    # h_nu / two_kt is about 1e-3; scaled by 2**64 its tanh is 1, as it is for any larger scale
-    return math.tanh(math.ldexp(h_nu / two_kt, min(kb - kt, 64)))

@@ -1,14 +1,18 @@
-"""Model inputs: zero-field constants, static field, ISE shot timing, kinetics constants.
+"""Model inputs and the closed-form scalars they determine, without numpy.
 
-Each immutable value type holds Python numbers only and this module imports no numpy, so
-`config` reads every input without it; the layers that compute import their inputs from here.
+Inputs: zero-field constants, static field, ISE shot timing, kinetics constants, NMR calibration.
+Scalars: the rate equation's steady states, the thermal 1H polarization, the calibrated polarization.
+Each immutable value type holds Python numbers only and this module imports no numpy, so `config`
+reads every input and a scalar result loads no array layer; the layers that compute import from here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import warnings
+from dataclasses import astuple, dataclass, fields
 
+from .constants import BOLTZMANN_J_PER_K, GAMMA_H_MHZ_PER_T, PLANCK_J_S
 from .errors import ValidationError
 
 _POPULATION_SUM_TOL = 1e-12
@@ -150,3 +154,91 @@ class IseSequenceParams:
 # every field but sweep_span_mt, which may be 0, must be finite and positive; built at
 # import, as calling fields() in __post_init__ would double the cost of each construction
 _POSITIVE_FIELDS = tuple(f.name for f in fields(IseSequenceParams) if f.name != "sweep_span_mt")
+
+
+def final_polarization(params: KineticsParams) -> float:
+    """Attainable polarization pe / (1 + td/tr), the t -> infinity limit."""
+    return params.pe / (1.0 + params.td_minutes / params.tr_minutes)
+
+
+def steady_state_with_pth(params: KineticsParams) -> float:
+    """Fixed point of the rate equation including the thermal floor.
+
+    final_polarization plus the floor's share pth / (1 + tr/td): the weighted
+    mean (pe tr + pth td) / (td + tr), formed without a rate; at pth = 0 it is
+    final_polarization + 0.0 bit for bit. A ratio that overflows to inf (a
+    subnormal, huge or infinite td or tr) gives its term's limit 0.
+    """
+    return final_polarization(params) + params.pth / (1.0 + params.tr_minutes / params.td_minutes)
+
+
+def thermal_polarization(field_tesla: float, temperature_kelvin: float) -> float:
+    """Thermal-equilibrium 1H polarization tanh(h nu / 2 kB T) at nu = gamma_H B.
+
+    Takes the field magnitude only (finite, nonnegative); the sign convention
+    of the polarization axis is handled by the caller. The ratio is formed on
+    the mantissas of B and T and scaled by their powers of two once, so no
+    intermediate over- or underflows.
+    """
+    if not 0.0 <= field_tesla < math.inf:
+        raise ValidationError(f"field magnitude must be finite and >= 0, got {field_tesla}")
+    if not 0.0 < temperature_kelvin < math.inf:
+        raise ValidationError(f"temperature must be finite and positive, got {temperature_kelvin}")
+    (b, kb), (t, kt) = math.frexp(field_tesla), math.frexp(temperature_kelvin)
+    h_nu = PLANCK_J_S * (GAMMA_H_MHZ_PER_T * 1e6 * b)
+    two_kt = 2.0 * BOLTZMANN_J_PER_K * t
+    # h_nu / two_kt is about 1e-3; scaled by 2**64 its tanh is 1, as it is for any larger scale
+    return math.tanh(math.ldexp(h_nu / two_kt, min(kb - kt, 64)))
+
+
+@dataclass(frozen=True)
+class NmrCalibration:
+    """Signal comparison against a thermally polarized reference sample.
+
+    spin_count_ratio is (reference 1H count) / (sample 1H count); gain_ratio
+    corrects for different receiver gains between the two measurements. The
+    reference's thermal polarization is a polarization, so |value| <= 1.
+    """
+
+    enhanced_signal: float
+    reference_signal: float
+    reference_thermal_polarization: float
+    spin_count_ratio: float = 1.0
+    gain_ratio: float = 1.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValidationError(f"calibration inputs must be finite, got {self}")
+        if self.reference_signal == 0.0:
+            raise ValidationError("reference_signal must be nonzero")
+        if self.spin_count_ratio <= 0.0 or self.gain_ratio <= 0.0:
+            raise ValidationError("spin_count_ratio and gain_ratio must be positive")
+        if not abs(self.reference_thermal_polarization) <= 1.0:
+            raise ValidationError(
+                f"reference_thermal_polarization must lie in [-1, 1], got {self.reference_thermal_polarization}"
+            )
+
+
+def calibrate_polarization(cal: NmrCalibration) -> float:
+    """Absolute polarization from the signal ratio against the reference.
+
+    P = (enhanced / reference) * spin_count_ratio * gain_ratio * reference
+    thermal polarization. The sign passes through (an emissive line gives a
+    negative polarization); a magnitude above 1 is unphysical and is clamped
+    with a warning. The product is formed on the inputs' mantissas and scaled
+    by their summed power of two once, so no intermediate over- or underflows.
+    """
+    (e, ke), (r, kr), (t, kt), (s, ks), (g, kg) = map(math.frexp, astuple(cal))
+    q = e / r * s * g * t
+    try:
+        p = math.ldexp(q, ke - kr + ks + kg + kt)
+    except OverflowError:  # beyond 1.8e308, which clamps below
+        p = math.copysign(math.inf, q)
+    if abs(p) > 1.0:
+        warnings.warn(
+            f"calibrated polarization {p} exceeds unit magnitude; clamping. "
+            "Check the signal integrals and correction ratios.",
+            stacklevel=2,
+        )
+        p = math.copysign(1.0, p)
+    return p

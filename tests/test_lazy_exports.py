@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import tripletdnp
+from tripletdnp.cli import main
 from test_readme import COMMANDS, REFERENCE, _block, _curve_text
 
 SRC = str(Path(tripletdnp.__file__).resolve().parents[1])
@@ -37,7 +40,9 @@ def test_version_is_eager():
 # one export per layer -> the layers it loads (its own and what that imports), and whether numpy comes in
 LOADS = {
     "TripletDnpError": ("errors", False),
-    "KineticsParams": ("errors params", False),
+    "KineticsParams": ("constants errors params", False),
+    "thermal_polarization": ("constants errors params", False),
+    "calibrate_polarization": ("constants errors params", False),
     "BuildupCurve": ("constants errors kinetics params", True),
     "read_curve": ("constants curveio errors kinetics params", True),
     "fit_buildup": ("analysis constants errors kinetics params", True),
@@ -108,13 +113,42 @@ def test_spin_inputs_load_no_spin_chain_curve_io_or_fits(name):
 def test_params_imports_no_numpy():
     """The model inputs stay numpy-free, so config can read them."""
     loaded = loaded_after("import tripletdnp.params")
-    assert loaded == {"layers": ["tripletdnp.errors", "tripletdnp.params"], "numpy": False, "probe": None}
+    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.errors", "tripletdnp.params"],
+                      "numpy": False, "probe": None}
 
 
 @pytest.mark.parametrize("name", ["TripletParameters", "MagneticFieldSetting", "KineticsParams", "IseSequenceParams"])
 def test_an_input_type_loads_only_params(name):
     loaded = loaded_after(f"tripletdnp.{name}")
-    assert loaded == {"layers": ["tripletdnp.errors", "tripletdnp.params"], "numpy": False, "probe": None}
+    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.errors", "tripletdnp.params"],
+                      "numpy": False, "probe": None}
+
+
+def test_calibration_and_steady_states_compute_without_numpy(tmp_path, monkeypatch):
+    """With numpy unimportable, the package gives the reprs `calibrate` and `sweep tr` print."""
+    loaded = loaded_after(
+        "import dataclasses\nsys.modules['numpy'] = None  # any numpy import now raises\n"
+        "cfg = tripletdnp.default_config()\n"
+        "baseline = tripletdnp.thermal_polarization(cfg.field.magnitude_tesla, cfg.temperature_kelvin)\n"
+        "probe = [repr(tripletdnp.calibrate_polarization(tripletdnp.NmrCalibration(2.77e5, 1.0, baseline)))]\n"
+        "probe += [repr(tripletdnp.steady_state_with_pth(dataclasses.replace(cfg.kinetics, tr_minutes=tr)))\n"
+        "          for tr in (57.1, 96.9, 132.0)]\n"
+        "del sys.modules['numpy']"
+    )
+    monkeypatch.chdir(tmp_path)
+
+    def stdout_lines(argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        return out.getvalue().splitlines()
+
+    calibrate = ["calibrate", "--enhanced", "2.77e5", "--reference", "1.0"]
+    report = dict(line.split(": ", 1) for line in stdout_lines(calibrate))
+    sweep = stdout_lines(["sweep", "tr", "--values", "57.1,96.9,132"])[1:]
+    printed = [report["polarization"]] + [line.split(",")[1] for line in sweep]
+    assert loaded["numpy"] is False
+    assert loaded["probe"] == printed
+    assert printed == ["0.6139818536854016", "0.610150064683053", "0.6835132365499573", "0.7163731931668856"]
 
 
 def test_ise_names_load_no_spin_chain():
