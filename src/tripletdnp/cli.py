@@ -137,9 +137,9 @@ def cmd_simulate(args, cfg: ToolkitConfig) -> int:
     grid = _simulate_grid(args.duration_min, args.points)
 
     if args.mode == "closed_form":
-        curve = BuildupCurve(grid, buildup_closed_form(params, grid, include_pth=True))
+        curve = BuildupCurve(grid, buildup_closed_form(params, grid))
     elif args.mode == "ode":
-        curve = buildup_ode(params, grid, include_pth=True)
+        curve = buildup_ode(params, grid)
     else:
         curve = _simulate_shots(params, grid, cfg.sequence)
 

@@ -6,17 +6,15 @@ total relaxation time tr:
 
     dP/dt = (pe - P) / td - (P - pth) / tr
 
-With pth omitted (it is ~1e-6 under the conditions modeled here) the
-solution is a single exponential approach to pe / (1 + td/tr):
+From P(0) = pth the solution is a single exponential approach to the
+fixed point P_inf = pe / (1 + td/tr) + pth / (1 + tr/td):
 
-    P(t) = pe / (1 + td/tr) * (1 - exp(-t (1/td + 1/tr)))
+    P(t) = P_inf (1 - exp(-t (1/td + 1/tr))) + pth exp(-t (1/td + 1/tr))
 
-With pth kept and P(0) = pth the approach is to the fixed point
-pe / (1 + td/tr) + pth / (1 + tr/td) instead; buildup_closed_form and
-buildup_ode both take include_pth to choose between the two. Those fixed
-points (final_polarization, steady_state_with_pth) and the thermal
-polarization are scalars in the numpy-free params; this module holds the
-curves.
+The floor is the params' pth; pth = 0 (it is ~1e-6 under the conditions
+modeled here) leaves P_inf = pe / (1 + td/tr). The fixed points
+(final_polarization, steady_state_with_pth) and the thermal polarization
+are scalars in the numpy-free params; this module holds the curves.
 
 Times are minutes throughout this module; only a curve file with a time_s
 header gives seconds, and read_curve converts those to minutes.
@@ -124,40 +122,37 @@ def _approach(p0: float, p_inf: float, t_consts: tuple, t_minutes, what: str):
     return float(out) if t.ndim == 0 else out
 
 
-def buildup_closed_form(params: KineticsParams, t_minutes, include_pth: bool = False):
-    """Closed-form buildup P(t) = P_inf (1 - e) + P0 e with e = exp(-t (1/td + 1/tr)).
+def buildup_closed_form(params: KineticsParams, t_minutes):
+    """Closed-form buildup P(t) = P_inf (1 - e) + pth e with e = exp(-t (1/td + 1/tr)).
 
-    With include_pth unset the thermal floor is omitted, as in buildup_ode:
-    P0 = 0 and P_inf = final_polarization (steady_state_with_pth at pth = 0);
-    with it set, P0 = pth and P_inf = steady_state_with_pth. Accepts a scalar
-    or an array of times; times must be finite and nonnegative.
+    P_inf = steady_state_with_pth (final_polarization + 0.0 at pth = 0).
+    Times, a scalar or an array, must be finite and nonnegative.
     """
-    p0, p_inf = (params.pth, steady_state_with_pth(params)) if include_pth else (0.0, final_polarization(params))
-    return _approach(p0, p_inf, (params.td_minutes, params.tr_minutes), t_minutes, "buildup")
+    t_consts = (params.td_minutes, params.tr_minutes)
+    return _approach(params.pth, steady_state_with_pth(params), t_consts, t_minutes, "buildup")
 
 
-def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = False) -> BuildupCurve:
+def buildup_ode(params: KineticsParams, t_grid, include_pth: bool = True) -> BuildupCurve:
     """Integrate the rate equation on a time grid with fixed-step RK4.
 
-    The grid must be strictly increasing and start at 0. The initial value
-    is pth when include_pth is set, else 0 with the thermal term dropped.
-    Each grid interval is cut into n = ceil(span / h_max) equal steps with
-    h_max = min(td, tr)/1000, which keeps the integrator deterministic and
-    far below the 1e-9 agreement required against the closed form. A grid
-    whose step count is not finite (a span of more than 1.8e308 h_max, or
-    h_max = 0) is rejected.
+    The grid must be strictly increasing and start at 0. The curve starts at
+    pth, as buildup_closed_form does; include_pth=False drops the thermal
+    term, as pth = 0 does. Each grid interval is cut into n = ceil(span /
+    h_max) equal steps with h_max = min(td, tr)/1000, which keeps the
+    integrator deterministic and far below the 1e-9 agreement required
+    against the closed form. A grid whose step count is not finite (a span
+    of more than 1.8e308 h_max, or h_max = 0) is rejected.
 
     For the linear equation dP/dt = c - kP the four RK4 stages collapse:
     with x = hk, k1 + 2k2 + 2k3 + k4 = k1 (6 - 3x + x^2 - x^3/4), so one
     classical step is exactly P -> P + g (c - kP) = P* + (1 - gk)(P - P*)
     with g = h (1 - x/2 + x^2/6 - x^3/24) and, whatever h, the steady state
-    P* = c/k (final_polarization, or steady_state_with_pth with the floor,
-    as in buildup_closed_form). The n steps of an interval scale P - P* by
-    (1 - gk)^n, taken as exp(n log1p(-gk)) lest the rounding of 1 - gk be
-    raised to the n-th power, and the curve is P* + (P0 - P*) times the
-    running product of the interval factors: an independent check of the
-    closed form's exp(-k t). x is h/td + h/tr, as k overflows for a
-    subnormal td or tr.
+    P* = c/k (steady_state_with_pth, or final_polarization without the
+    floor). The n steps of an interval scale P - P* by (1 - gk)^n, taken as
+    exp(n log1p(-gk)) lest the rounding of 1 - gk be raised to the n-th
+    power, and the curve is P* + (P0 - P*) times the running product of the
+    interval factors: an independent check of the closed form's exp(-k t).
+    x is h/td + h/tr, as k overflows for a subnormal td or tr.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.size == 0:

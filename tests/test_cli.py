@@ -191,9 +191,9 @@ class TestSimulate:
         assert rows["steady_state_polarization"] == "0.610150064683053"
         if mode != "shots":  # shots settle at the ISE map's own fixed point
             assert rows["final_polarization"] == rows["steady_state_polarization"]
-            # the curve is the library's with the floor left out, byte for byte
+            # the curve is the library's at pth = 0, byte for byte
             grid = np.linspace(0.0, 1e6, 201)
-            params = KineticsParams(0.826, 20.2, 57.1, pth=0.05)
+            params = KineticsParams(0.826, 20.2, 57.1, pth=0.0)
             values = buildup_closed_form(params, grid) if mode == "closed_form" else buildup_ode(params, grid).values
             write_curve(tmp_path / "lib.csv", BuildupCurve(grid, values))
             assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
@@ -346,13 +346,11 @@ class TestSimulate:
         code, _ = run(argv + (["--include-pth"] if include_pth else []), capsys)
         assert code == 0
         curve = read_curve(out)
-        params = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1, pth=0.05)
+        params = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1, pth=0.05 if include_pth else 0.0)
         grid = np.linspace(0.0, 1440.0, 2001)
         np.testing.assert_array_equal(curve.times_min, grid)
-        np.testing.assert_array_equal(curve.values, buildup_ode(params, grid, include_pth).values)
-        np.testing.assert_allclose(
-            curve.values, buildup_closed_form(params, grid, include_pth=include_pth), atol=1e-9
-        )
+        np.testing.assert_array_equal(curve.values, buildup_ode(params, grid).values)
+        np.testing.assert_allclose(curve.values, buildup_closed_form(params, grid), atol=1e-9)
 
 
 class TestFit:

@@ -436,7 +436,7 @@ class TestShotMap:
             n = int(minutes * 60.0 / period)
             assert n > 1_000_000
             p = iterate_shots(params, period, 0.05, n)
-            assert p == pytest.approx(buildup_closed_form(params, minutes, include_pth=True), rel=1e-12)
+            assert p == pytest.approx(buildup_closed_form(params, minutes), rel=1e-12)
 
     def test_overflowing_relaxation_step_rejected(self):
         # dt/tr = inf, and at p = pth the update inf * 0 would be NaN, clamped to -1

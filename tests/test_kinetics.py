@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -79,7 +80,7 @@ class TestKineticsParams:
 
     @pytest.mark.parametrize("fields", [(0.8, 5e-324, 57.1, 0.05), (0.8, 1e300, 1e-300, 0.05)])
     @pytest.mark.parametrize("function", [
-        steady_state_with_pth, final_polarization, lambda p: buildup_closed_form(p, 1e-300, include_pth=True),
+        steady_state_with_pth, final_polarization, lambda p: buildup_closed_form(p, 1e-300),
         lambda p: buildup_ode(p, [0.0, 1e-300]).values,
     ], ids=["steady_state_with_pth", "final_polarization", "buildup_closed_form", "buildup_ode"])
     def test_numpy_scalar_fields_act_as_floats(self, fields, function):
@@ -161,23 +162,23 @@ class TestClosedForm:
         assert 0.0 <= p_lo <= final_polarization(params) <= pe
 
     @pytest.mark.parametrize("td", [5e-324, 1e-308])
-    @pytest.mark.parametrize("include_pth", [False, True])
-    def test_subnormal_buildup_time_jumps_to_steady_state(self, td, include_pth):
+    @pytest.mark.parametrize("floor", [False, True])
+    def test_subnormal_buildup_time_jumps_to_steady_state(self, td, floor):
         """The rate is inf (td 5e-324) or t * rate overflows (td 1e-308): the curve
         starts at its initial value and is at the steady state from the first step
         on, with no RuntimeWarning."""
-        params = KineticsParams(0.8, td, 57.1, pth=0.05)
-        start, steady = (0.05, steady_state_with_pth(params)) if include_pth else (0.0, 0.8)
-        assert buildup_closed_form(params, 0.0, include_pth) == start
-        assert buildup_closed_form(params, [0.0, 1.0, 150.0], include_pth).tolist() == [start, steady, steady]
+        params = KineticsParams(0.8, td, 57.1, pth=0.05 if floor else 0.0)
+        start, steady = (0.05, steady_state_with_pth(params)) if floor else (0.0, 0.8)
+        assert buildup_closed_form(params, 0.0) == start
+        assert buildup_closed_form(params, [0.0, 1.0, 150.0]).tolist() == [start, steady, steady]
 
-    @pytest.mark.parametrize("include_pth", [False, True])
-    def test_overflowing_rate_at_tiny_times(self, include_pth):
+    @pytest.mark.parametrize("floor", [False, True])
+    def test_overflowing_rate_at_tiny_times(self, floor):
         """1/td overflows (td 5e-324), but t/td does not at t = td: e = exp(-1) there."""
-        params = KineticsParams(0.8, 5e-324, 57.1, pth=0.05)
-        start, steady = (0.05, steady_state_with_pth(params)) if include_pth else (0.0, 0.8)
+        params = KineticsParams(0.8, 5e-324, 57.1, pth=0.05 if floor else 0.0)
+        start, steady = (0.05, steady_state_with_pth(params)) if floor else (0.0, 0.8)
         e = math.exp(-1.0 - 5e-324 / 57.1)
-        assert buildup_closed_form(params, 5e-324, include_pth) == pytest.approx(
+        assert buildup_closed_form(params, 5e-324) == pytest.approx(
             steady * (1.0 - e) + start * e, rel=1e-15)
         assert relaxation_decay(0.0, 5e-324, 5e-324, pth=1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
 
@@ -188,17 +189,16 @@ class TestClosedForm:
 
     def test_include_pth_starts_at_pth_and_settles_at_steady_state(self):
         params = KineticsParams(0.826, 20.2, 57.1, pth=0.05)
-        assert buildup_closed_form(params, 0.0, include_pth=True) == 0.05
-        assert buildup_closed_form(params, 1e4, include_pth=True) == pytest.approx(
+        assert buildup_closed_form(params, 0.0) == 0.05
+        assert buildup_closed_form(params, 1e4) == pytest.approx(
             steady_state_with_pth(params), rel=1e-15
         )
 
-    def test_include_pth_off_ignores_pth(self):
-        grid = np.linspace(0.0, 150.0, 201)
-        with_floor = KineticsParams(0.826, 20.2, 57.1, pth=0.05)
-        np.testing.assert_array_equal(
-            buildup_closed_form(with_floor, grid), buildup_closed_form(REFERENCE, grid)
-        )
+    def test_both_curves_start_at_a_configured_floor(self):
+        """A configured pth is the floor of both curves without a switch."""
+        params = KineticsParams(0.826, 20.2, 57.1, pth=0.05)
+        assert buildup_closed_form(params, 0.0) == 0.05
+        assert buildup_ode(params, [0.0, 1e4]).values[0] == 0.05
 
     def test_include_pth_matches_ode(self):
         rng = np.random.default_rng(33)
@@ -210,10 +210,8 @@ class TestClosedForm:
                 pth=rng.uniform(-1, 1),
             )
             grid = np.linspace(0.0, min(params.td_minutes, params.tr_minutes), 7)
-            curve = buildup_ode(params, grid, include_pth=True)
-            np.testing.assert_allclose(
-                curve.values, buildup_closed_form(params, grid, include_pth=True), atol=1e-9
-            )
+            curve = buildup_ode(params, grid)
+            np.testing.assert_allclose(curve.values, buildup_closed_form(params, grid), atol=1e-9)
 
 
 class TestOde:
@@ -236,9 +234,9 @@ class TestOde:
             np.testing.assert_allclose(curve.values, buildup_closed_form(params, grid), atol=1e-9)
 
     def test_steady_state_start_stays_constant(self):
-        # pe = pth = p makes p a fixed point, and include_pth starts there
+        # pe = pth = p makes p a fixed point, and the curve starts at pth
         params = KineticsParams(pe=0.3, td_minutes=20.0, tr_minutes=50.0, pth=0.3)
-        curve = buildup_ode(params, np.linspace(0.0, 100.0, 11), include_pth=True)
+        curve = buildup_ode(params, np.linspace(0.0, 100.0, 11))
         np.testing.assert_allclose(curve.values, 0.3, atol=1e-12)
 
     def test_all_zero_sources_stay_zero(self):
@@ -378,22 +376,24 @@ class TestRelaxationDecay:
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(UNIT, TIME_CONSTANTS, TIME_CONSTANTS, UNIT, TIMES | st.lists(TIMES, min_size=1, max_size=4), st.booleans())
-def test_closed_forms_match_their_oracles(pe, td, tr, pth, times, include_pth):
-    """buildup_closed_form is its oracle bit for bit, but for a -0.0 that adding
-    0 e turns into 0.0, and where 1/td + 1/tr overflows: there the oracle's e
-    is 0 for every t > 0, while exp(-(t/td + t/tr)) is not 0 below about 746
-    min(td, tr) (test_overflowing_rate_at_tiny_times). relaxation_decay, which
-    now multiplies by 1/t_const instead of dividing, stays within 2^-50 (4
-    ulps of 1.0) of its oracle."""
+def test_closed_forms_match_their_oracles(pe, td, tr, pth, times, floor):
+    """buildup_closed_form is its oracle bit for bit: with a floor the oracle's
+    branch with pth, at pth = 0 its floor-free branch with final_polarization.
+    The exceptions are a -0.0 that adding 0 e turns into 0.0, and where 1/td +
+    1/tr overflows: there the oracle's e is 0 for every t > 0, while
+    exp(-(t/td + t/tr)) is not 0 below about 746 min(td, tr)
+    (test_overflowing_rate_at_tiny_times). relaxation_decay, which now
+    multiplies by 1/t_const instead of dividing, stays within 2^-50 (4 ulps of
+    1.0) of its oracle."""
     assume(not td == tr == math.inf)
-    params = KineticsParams(pe, td, tr, pth)
-    p_inf = steady_state_with_pth(params) if include_pth else final_polarization(params)
-    new = buildup_closed_form(params, times, include_pth)
-    old = oracles.buildup_closed_form(params, times, include_pth, p_inf)
+    params = KineticsParams(pe, td, tr, pth if floor else 0.0)
+    p_inf = steady_state_with_pth(params) if floor else final_polarization(params)
+    new = buildup_closed_form(params, times)
+    old = oracles.buildup_closed_form(params, times, floor, p_inf)
     assert type(new) is type(old)
     t = np.atleast_1d(times)
     same = (t == 0.0) | (t >= 746.0 * min(td, tr)) if 1.0 / td + 1.0 / tr == math.inf else t >= 0.0
-    assert np.atleast_1d(new)[same].tobytes() == np.atleast_1d(old if include_pth else old + 0.0)[same].tobytes()
+    assert np.atleast_1d(new)[same].tobytes() == np.atleast_1d(old if floor else old + 0.0)[same].tobytes()
     with np.errstate(over="ignore"):  # the oracle's -t / t_const may overflow
         old = oracles.relaxation_decay(pe, td, times, pth)
     new = relaxation_decay(pe, td, times, pth)
@@ -468,12 +468,13 @@ class TestThermalPolarization:
 class TestNonFiniteInputs:
     """The pure functions reject NaN and infinities instead of returning NaN."""
 
-    @given(NON_FINITE, st.booleans())
-    def test_closed_form_time(self, bad, include_pth):
+    @given(NON_FINITE, st.sampled_from([0.0, 0.05]))
+    def test_closed_form_time(self, bad, pth):
+        params = dataclasses.replace(REFERENCE, pth=pth)
         with pytest.raises(ValidationError, match="finite"):
-            buildup_closed_form(REFERENCE, bad, include_pth=include_pth)
+            buildup_closed_form(params, bad)
         with pytest.raises(ValidationError, match="finite"):
-            buildup_closed_form(REFERENCE, np.array([0.0, bad, 2.0]), include_pth=include_pth)
+            buildup_closed_form(params, np.array([0.0, bad, 2.0]))
 
     @given(NON_FINITE, st.sampled_from(["p0", "t", "pth"]), st.floats(0.0, 500.0))
     def test_relaxation_decay_values(self, bad, slot, t):
