@@ -10,10 +10,11 @@ first use (PEP 562). `_EXPORTS` is the one declaration of the public
 surface: each layer and the names it exports. A layer name imports that
 module; an exported name imports its one layer (and what that layer
 imports) and is then cached here; any other name raises AttributeError
-without importing anything. So an input type or a closed-form scalar
-(steady state, thermal polarization, calibration) loads only `constants`,
-`errors` and `params`, an ISE or config name no numpy, and `__all__`,
-`dir()` and `hasattr()` of a missing name no layer.
+without importing anything. So an exception type, an input type or a
+closed-form scalar (steady state, thermal polarization, calibration) loads
+only `constants` and `params`, the numpy-free base every layer imports, an
+ISE or config name no numpy, and `__all__`, `dir()` and `hasattr()` of a
+missing name no layer.
 """
 
 from importlib import import_module as _import_module
@@ -21,8 +22,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "errors": ("TripletDnpError", "ValidationError", "ConfigError", "CurveParseError", "InconsistencyError"),
-    "params": ("TripletParameters", "MagneticFieldSetting", "KineticsParams", "IseSequenceParams",
+    "params": ("TripletDnpError", "ValidationError", "ConfigError", "CurveParseError", "InconsistencyError",
+               "TripletParameters", "MagneticFieldSetting", "KineticsParams", "IseSequenceParams",
                "final_polarization", "steady_state_with_pth", "thermal_polarization", "NmrCalibration",
                "calibrate_polarization"),
     "kinetics": ("ValueKind", "BuildupCurve", "buildup_closed_form", "buildup_ode", "relaxation_decay"),

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistencyError, ValidationError
 from .kinetics import BuildupCurve, ByValue
-from .params import KineticsParams
+from .params import InconsistencyError, KineticsParams, ValidationError
 
 MAX_ITERATIONS = 200
 _SCAN_POINTS = 31

@@ -30,13 +30,13 @@ from .analysis import decompose_relaxation, disentangle_buildup, fit_buildup, fi
 from .config import ToolkitConfig, default_config, parse_config
 from .constants import SECONDS_PER_MINUTE
 from .curveio import read_curve, write_curve, write_text
-from .errors import ValidationError
 from .ise import epsilon_for_buildup_time, iterate_shots, sweep_transfer_probability
 from .kinetics import BuildupCurve, ValueKind, buildup_closed_form, buildup_ode
 from .params import (
     IseSequenceParams,
     KineticsParams,
     NmrCalibration,
+    ValidationError,
     calibrate_polarization,
     steady_state_with_pth,
     thermal_polarization,

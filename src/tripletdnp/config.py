@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, ValidationError
 from .ise import hartmann_hahn_b1
-from .params import IseSequenceParams, KineticsParams, MagneticFieldSetting, TripletParameters
+from .params import (ConfigError, IseSequenceParams, KineticsParams, MagneticFieldSetting, TripletParameters,
+                     ValidationError)
 
 _LITERATURE = "pentacene literature value, not setup-specific"
 

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .constants import SECONDS_PER_MINUTE
-from .errors import CurveParseError, ValidationError
 from .kinetics import BuildupCurve, ValueKind
+from .params import CurveParseError, ValidationError
 
 _VALUE_KIND_PREFIX = "value_kind:"
 _HEADERS = {"time_min": 1.0, "time_s": 1.0 / SECONDS_PER_MINUTE}

@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 
 from .constants import GAMMA_E_MHZ_PER_T, GAMMA_H_MHZ_PER_T, SECONDS_PER_MINUTE
-from .errors import ValidationError
-from .params import IseSequenceParams, KineticsParams
+from .params import IseSequenceParams, KineticsParams, ValidationError
 
 
 def hartmann_hahn_b1(static_field_tesla: float) -> float:

@@ -28,8 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
-from .params import KineticsParams, final_polarization, steady_state_with_pth
+from .params import KineticsParams, ValidationError, final_polarization, steady_state_with_pth
 
 
 class ByValue:

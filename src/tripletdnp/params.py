@@ -1,5 +1,6 @@
-"""Model inputs and the closed-form scalars they determine, without numpy.
+"""The toolkit's exception types, model inputs and the closed-form scalars they determine, without numpy.
 
+Errors: `TripletDnpError` and its subclasses, which every layer raises.
 Inputs: zero-field constants, static field, ISE shot timing, kinetics constants, NMR calibration.
 Scalars: the rate equation's steady states, the thermal 1H polarization, the calibrated polarization.
 Each immutable value type holds Python numbers only and this module imports no numpy, so `config`
@@ -13,9 +14,32 @@ import warnings
 from dataclasses import astuple, dataclass, fields
 
 from .constants import BOLTZMANN_J_PER_K, GAMMA_H_MHZ_PER_T, PLANCK_J_S
-from .errors import ValidationError
 
 _POPULATION_SUM_TOL = 1e-12
+
+
+class TripletDnpError(Exception):
+    """Base class for all toolkit errors."""
+
+
+class ValidationError(TripletDnpError):
+    """An input violates a documented invariant or precondition."""
+
+
+class ConfigError(ValidationError):
+    """A config file is missing, malformed, or violates an invariant."""
+
+
+class CurveParseError(ValidationError):
+    """A curve file could not be parsed. Carries the offending row number."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(f"row {row}: {message}")
+        self.row = row
+
+
+class InconsistencyError(ValidationError):
+    """Two user-supplied quantities are mutually inconsistent."""
 
 
 @dataclass(frozen=True)

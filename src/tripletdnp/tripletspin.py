@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E_MHZ_PER_T
-from .errors import ValidationError
 from .kinetics import ByValue
-from .params import MagneticFieldSetting, TripletParameters
+from .params import MagneticFieldSetting, TripletParameters, ValidationError
 
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-9

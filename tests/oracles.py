@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tripletdnp.errors import ValidationError
+from tripletdnp.params import ValidationError
 
 GAMMA_E_MHZ_PER_T = 28024.9
 GAMMA_H_MHZ_PER_T = 42.577

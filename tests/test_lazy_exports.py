@@ -6,12 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tripletdnp
 from tripletdnp.cli import main
-from test_readme import COMMANDS, REFERENCE, _block, _curve_text
+from test_readme import COMMANDS, write_inputs
 
 SRC = str(Path(tripletdnp.__file__).resolve().parents[1])
 
@@ -39,16 +38,16 @@ def test_version_is_eager():
 
 # one export per layer -> the layers it loads (its own and what that imports), and whether numpy comes in
 LOADS = {
-    "TripletDnpError": ("errors", False),
-    "KineticsParams": ("constants errors params", False),
-    "thermal_polarization": ("constants errors params", False),
-    "calibrate_polarization": ("constants errors params", False),
-    "BuildupCurve": ("constants errors kinetics params", True),
-    "read_curve": ("constants curveio errors kinetics params", True),
-    "fit_buildup": ("analysis constants errors kinetics params", True),
-    "hartmann_hahn_b1": ("constants errors ise params", False),
-    "build_hamiltonian": ("constants errors kinetics params tripletspin", True),
-    "default_config": ("config constants errors ise params", False),
+    "TripletDnpError": ("constants params", False),
+    "KineticsParams": ("constants params", False),
+    "thermal_polarization": ("constants params", False),
+    "calibrate_polarization": ("constants params", False),
+    "BuildupCurve": ("constants kinetics params", True),
+    "read_curve": ("constants curveio kinetics params", True),
+    "fit_buildup": ("analysis constants kinetics params", True),
+    "hartmann_hahn_b1": ("constants ise params", False),
+    "build_hamiltonian": ("constants kinetics params tripletspin", True),
+    "default_config": ("config constants ise params", False),
 }
 
 
@@ -65,14 +64,15 @@ def test_listing_or_a_missing_name_loads_no_layer(code):
 
 
 def test_a_layer_name_loads_that_layer():
-    loaded = loaded_after("probe = tripletdnp.errors.__name__")
-    assert loaded == {"layers": ["tripletdnp.errors"], "numpy": False, "probe": "tripletdnp.errors"}
+    loaded = loaded_after("probe = tripletdnp.params.__name__")
+    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.params"], "numpy": False,
+                      "probe": "tripletdnp.params"}
 
 
 def test_ise_imports_no_numpy():
     """The shot model stays numpy-free, so it does not share kinetics' approach step."""
     loaded = loaded_after("import tripletdnp.ise")
-    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.errors", "tripletdnp.ise", "tripletdnp.params"],
+    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.ise", "tripletdnp.params"],
                       "numpy": False, "probe": None}
 
 
@@ -95,7 +95,7 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_dir_lists_every_export_and_layer():
-    assert set(tripletdnp.__all__) | {"analysis", "config", "errors", "__version__"} <= set(dir(tripletdnp))
+    assert set(tripletdnp.__all__) | {"analysis", "config", "params", "__version__"} <= set(dir(tripletdnp))
 
 
 @pytest.mark.parametrize("name", ["read_curve", "write_curve", "fit_buildup", "fit_decay"])
@@ -113,14 +113,14 @@ def test_spin_inputs_load_no_spin_chain_curve_io_or_fits(name):
 def test_params_imports_no_numpy():
     """The model inputs stay numpy-free, so config can read them."""
     loaded = loaded_after("import tripletdnp.params")
-    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.errors", "tripletdnp.params"],
+    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.params"],
                       "numpy": False, "probe": None}
 
 
 @pytest.mark.parametrize("name", ["TripletParameters", "MagneticFieldSetting", "KineticsParams", "IseSequenceParams"])
 def test_an_input_type_loads_only_params(name):
     loaded = loaded_after(f"tripletdnp.{name}")
-    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.errors", "tripletdnp.params"],
+    assert loaded == {"layers": ["tripletdnp.constants", "tripletdnp.params"],
                       "numpy": False, "probe": None}
 
 
@@ -167,15 +167,7 @@ def test_default_config_loads_no_numpy():
 
 def test_cli_subcommands_load_no_spin_chain(tmp_path):
     """Every command of README's command block runs through cli.main without the spin chain."""
-    (tmp_path / "run.cfg").write_text(_block("Example:", "ini"))
-    rng = np.random.default_rng(20250)
-    amplitude = tripletdnp.final_polarization(REFERENCE)
-    rate = 1.0 / REFERENCE.td_minutes + 1.0 / REFERENCE.tr_minutes
-    t = np.linspace(0.0, 150.0, 201)
-    (tmp_path / "curve.csv").write_text(_curve_text(t, -amplitude * np.expm1(-rate * t) + 0.005 * rng.normal(size=t.size)))
-    t = np.linspace(0.0, 300.0, 201)
-    decay = amplitude * np.exp(-t / REFERENCE.tr_minutes) + 0.005 * rng.normal(size=t.size)
-    (tmp_path / "decay.csv").write_text(_curve_text(t, decay))
+    write_inputs(tmp_path)
     loaded = loaded_after(
         "import contextlib, io, os\nfrom tripletdnp.cli import main\n"
         f"os.chdir({str(tmp_path)!r})\n"

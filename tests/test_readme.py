@@ -3,8 +3,9 @@
 Every `tripletdnp ...` line of the first shell block under "## Command line"
 (with `\\` continuations joined) runs through `cli.main` in a scratch
 directory that holds README's example config as `run.cfg` and seeded noisy
-curves at the reference kinetics as `curve.csv` and `decay.csv`. README's
-config table lists the keys and defaults of `config.CONFIG_REFERENCE`, in order.
+curves at the reference kinetics as `curve.csv` and `decay.csv`, and gives
+the bytes of the golden corpus (`golden.py`). README's config table lists
+the keys and defaults of `config.CONFIG_REFERENCE`, in order.
 """
 
 import re
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 
 from tripletdnp import KineticsParams, final_polarization
-from tripletdnp.cli import main
 from tripletdnp.config import CONFIG_REFERENCE
+from golden import check, readme_name
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
@@ -44,20 +45,28 @@ def test_the_block_covers_every_subcommand():
     assert {argv[0] for argv in COMMANDS} == {"simulate", "fit", "decompose", "calibrate", "sweep"}
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])
-def test_readme_command_runs(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.chdir(tmp_path)
-    Path("run.cfg").write_text(_block("Example:", "ini"))
+def write_inputs(directory: Path) -> None:
+    """Write what the command block reads into directory: README's example config as `run.cfg`
+    and seeded noisy curves at the reference kinetics as `curve.csv` and `decay.csv`."""
+    (directory / "run.cfg").write_text(_block("Example:", "ini"))
     rng = np.random.default_rng(20250)
     amplitude = final_polarization(REFERENCE)
     rate = 1.0 / REFERENCE.td_minutes + 1.0 / REFERENCE.tr_minutes
     t = np.linspace(0.0, 150.0, 201)
-    Path("curve.csv").write_text(_curve_text(t, -amplitude * np.expm1(-rate * t) + 0.005 * rng.normal(size=t.size)))
+    buildup = -amplitude * np.expm1(-rate * t) + 0.005 * rng.normal(size=t.size)
+    (directory / "curve.csv").write_text(_curve_text(t, buildup))
     t = np.linspace(0.0, 300.0, 201)
     decay = amplitude * np.exp(-t / REFERENCE.tr_minutes) + 0.005 * rng.normal(size=t.size)
-    Path("decay.csv").write_text(_curve_text(t, decay))
-    code = main(argv)
-    assert (code, capsys.readouterr().err) == (0, "")
+    (directory / "decay.csv").write_text(_curve_text(t, decay))
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])
+def test_readme_command_runs(tmp_path, argv):
+    """The command gives the golden corpus's exit code, stdout, stderr and output files."""
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    write_inputs(workdir)
+    check(readme_name(argv), argv, workdir)
 
 
 def _config_table() -> list[tuple[str, str, str]]:
