@@ -11,10 +11,10 @@ surface: each layer and the names it exports. A layer name imports that
 module; an exported name imports its one layer (and what that layer
 imports) and is then cached here; any other name raises AttributeError
 without importing anything. So an exception type, an input type or a
-closed-form scalar (steady state, thermal polarization, calibration) loads
-only `constants` and `params`, the numpy-free base every layer imports, an
-ISE or config name no numpy, and `__all__`, `dir()` and `hasattr()` of a
-missing name no layer.
+closed-form scalar (steady state, thermal polarization, Larmor frequency,
+Hartmann-Hahn B1, calibration) loads only `constants` and `params`, the numpy-
+free base every layer imports, a config or ISE name no numpy, and `__all__`,
+`dir()` and `hasattr()` of a missing name no layer.
 """
 
 from importlib import import_module as _import_module
@@ -24,14 +24,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "params": ("TripletDnpError", "ValidationError", "ConfigError", "CurveParseError", "InconsistencyError",
                "TripletParameters", "MagneticFieldSetting", "KineticsParams", "IseSequenceParams",
-               "final_polarization", "steady_state_with_pth", "thermal_polarization", "NmrCalibration",
-               "calibrate_polarization"),
+               "final_polarization", "steady_state_with_pth", "thermal_polarization", "hartmann_hahn_b1",
+               "proton_larmor", "NmrCalibration", "calibrate_polarization"),
     "kinetics": ("ValueKind", "BuildupCurve", "buildup_closed_form", "buildup_ode", "relaxation_decay"),
     "curveio": ("read_curve", "write_curve"),
     "analysis": ("FitResult", "RelaxationDecomposition", "fit_decay", "fit_buildup", "disentangle_buildup",
                  "decompose_relaxation"),
-    "ise": ("hartmann_hahn_b1", "proton_larmor", "sweep_transfer_probability", "epsilon_for_buildup_time",
-            "iterate_shots"),
+    "ise": ("sweep_transfer_probability", "epsilon_for_buildup_time", "iterate_shots"),
     "tripletspin": ("SpinHamiltonian", "EigenSystem", "FieldPopulations", "build_hamiltonian", "eigensystem",
                     "project_populations", "electron_polarization", "transition_frequencies"),
     "config": ("ToolkitConfig", "parse_config", "default_config", "CONFIG_REFERENCE"),

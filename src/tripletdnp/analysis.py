@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinetics import BuildupCurve, ByValue
-from .params import InconsistencyError, KineticsParams, ValidationError
+from .kinetics import BuildupCurve
+from .params import ByValue, InconsistencyError, KineticsParams, ValidationError
 
 MAX_ITERATIONS = 200
 _SCAN_POINTS = 31

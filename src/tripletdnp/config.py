@@ -3,8 +3,9 @@
 The file format is INI-style with `#` comments. Every key carries its unit
 in its name (field_tesla, td_minutes, ...) to keep the minutes/seconds and
 mT/T traps out of config files. All keys have documented defaults; defaults
-that are literature values or model placeholders rather than
-setup-specific numbers are flagged as such and echoed on request.
+that are literature values or model placeholders rather than setup-specific
+numbers are flagged as such and echoed on request. The computed B1 is
+`params.hartmann_hahn_b1`: this module loads no shot model and no numpy.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ise import hartmann_hahn_b1
 from .params import (ConfigError, IseSequenceParams, KineticsParams, MagneticFieldSetting, TripletParameters,
-                     ValidationError)
+                     ValidationError, hartmann_hahn_b1)
 
 _LITERATURE = "pentacene literature value, not setup-specific"
 

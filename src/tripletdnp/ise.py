@@ -8,7 +8,7 @@ small fraction epsilon; repeating shots at the sequence repetition rate
 produces the macroscopic buildup rate 1/td = epsilon / shot_period. The shot
 map takes the buildup and relaxation times of `KineticsParams` and derives
 epsilon from td with `epsilon_for_buildup_time`, the one conversion between
-the two.
+the two. The Larmor frequency and B1 of a field are scalars in `params`.
 
 The sweep passage is modeled with the Landau-Zener adiabatic-transition
 formula for a linear sweep. That is a model choice, not a first-principles
@@ -20,24 +20,8 @@ from __future__ import annotations
 
 import math
 
-from .constants import GAMMA_E_MHZ_PER_T, GAMMA_H_MHZ_PER_T, SECONDS_PER_MINUTE
+from .constants import GAMMA_E_MHZ_PER_T, SECONDS_PER_MINUTE
 from .params import IseSequenceParams, KineticsParams, ValidationError
-
-
-def hartmann_hahn_b1(static_field_tesla: float) -> float:
-    """Microwave field amplitude B1 (mT) matching the electron Rabi frequency
-    to the 1H Larmor frequency at the given static field."""
-    b1 = proton_larmor(static_field_tesla) / GAMMA_E_MHZ_PER_T * 1e3
-    if b1 == 0.0:
-        raise ValidationError(f"static field {static_field_tesla!r} T is too small: its Hartmann-Hahn B1 is 0")
-    return b1
-
-
-def proton_larmor(static_field_tesla: float) -> float:
-    """1H Larmor frequency in MHz."""
-    if not static_field_tesla > 0.0:
-        raise ValidationError(f"static field must be positive, got {static_field_tesla}")
-    return GAMMA_H_MHZ_PER_T * static_field_tesla
 
 
 def sweep_transfer_probability(params: IseSequenceParams) -> float:

@@ -12,9 +12,9 @@ fixed point P_inf = pe / (1 + td/tr) + pth / (1 + tr/td):
     P(t) = P_inf (1 - exp(-t (1/td + 1/tr))) + pth exp(-t (1/td + 1/tr))
 
 The floor is the params' pth; pth = 0 (it is ~1e-6 under the conditions
-modeled here) leaves P_inf = pe / (1 + td/tr). The fixed points
-(final_polarization, steady_state_with_pth) and the thermal polarization
-are scalars in the numpy-free params; this module holds the curves.
+modeled here) leaves P_inf = pe / (1 + td/tr). The fixed points, the
+thermal polarization and the curves' by-value equality (ByValue) live in
+the numpy-free params; this module holds the curves.
 
 Times are minutes throughout this module; only a curve file with a time_s
 header gives seconds, and read_curve converts those to minutes.
@@ -24,45 +24,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .params import KineticsParams, ValidationError, final_polarization, steady_state_with_pth
-
-
-class ByValue:
-    """Equality and hash by value for a frozen dataclass declared with eq=False.
-
-    Values of one class compare field by field through keys: an array by
-    dtype, shape and bytes (-0.0 as 0.0), a dict by its set of items, and
-    every NaN as one marker, as NaN is unequal to itself and hashes by
-    identity. Array fields are read-only private copies: a hash cannot go stale.
-    """
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return tuple(_field_key(getattr(self, f.name)) for f in fields(self))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-_NAN = object()
-
-
-def _field_key(value):
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, (value + 0.0).tobytes()
-    if isinstance(value, dict):
-        return frozenset((k, _field_key(v)) for k, v in value.items())
-    return _NAN if isinstance(value, float) and math.isnan(value) else value
+from .params import ByValue, KineticsParams, ValidationError, final_polarization, steady_state_with_pth
 
 
 class ValueKind(enum.Enum):

@@ -1,8 +1,8 @@
-"""The toolkit's exception types, model inputs and the closed-form scalars they determine, without numpy.
+"""The toolkit's shared base, without numpy: exception types, value equality, model inputs, scalars.
 
-Errors: `TripletDnpError` and its subclasses, which every layer raises.
+Errors: `TripletDnpError` and its subclasses, which every layer raises. `ByValue`: by-value == and hash.
 Inputs: zero-field constants, static field, ISE shot timing, kinetics constants, NMR calibration.
-Scalars: the rate equation's steady states, the thermal 1H polarization, the calibrated polarization.
+Scalars: steady states, thermal 1H polarization, 1H Larmor frequency, Hartmann-Hahn B1, calibration.
 Each immutable value type holds Python numbers only and this module imports no numpy, so `config`
 reads every input and a scalar result loads no array layer; the layers that compute import from here.
 """
@@ -10,10 +10,11 @@ reads every input and a scalar result loads no array layer; the layers that comp
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import astuple, dataclass, fields
 
-from .constants import BOLTZMANN_J_PER_K, GAMMA_H_MHZ_PER_T, PLANCK_J_S
+from .constants import BOLTZMANN_J_PER_K, GAMMA_E_MHZ_PER_T, GAMMA_H_MHZ_PER_T, PLANCK_J_S
 
 _POPULATION_SUM_TOL = 1e-12
 
@@ -40,6 +41,40 @@ class CurveParseError(ValidationError):
 
 class InconsistencyError(ValidationError):
     """Two user-supplied quantities are mutually inconsistent."""
+
+
+class ByValue:
+    """Equality and hash by value for a frozen dataclass declared with eq=False.
+
+    Values of one class compare field by field through keys: an array by
+    dtype, shape and bytes (-0.0 as 0.0), a dict by its set of items, and
+    every NaN as one marker, as NaN is unequal to itself and hashes by
+    identity. Array fields are read-only private copies: a hash cannot go stale.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(_field_key(getattr(self, f.name)) for f in fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+_NAN = object()
+
+
+def _field_key(value):
+    if isinstance(value, getattr(sys.modules.get("numpy"), "ndarray", ())):  # no ndarray before numpy loads
+        return value.dtype.str, value.shape, (value + 0.0).tobytes()
+    if isinstance(value, dict):
+        return frozenset((k, _field_key(v)) for k, v in value.items())
+    return _NAN if isinstance(value, float) and math.isnan(value) else value
 
 
 @dataclass(frozen=True)
@@ -213,6 +248,22 @@ def thermal_polarization(field_tesla: float, temperature_kelvin: float) -> float
     two_kt = 2.0 * BOLTZMANN_J_PER_K * t
     # h_nu / two_kt is about 1e-3; scaled by 2**64 its tanh is 1, as it is for any larger scale
     return math.tanh(math.ldexp(h_nu / two_kt, min(kb - kt, 64)))
+
+
+def hartmann_hahn_b1(static_field_tesla: float) -> float:
+    """Microwave field amplitude B1 (mT) matching the electron Rabi frequency
+    to the 1H Larmor frequency at the given static field."""
+    b1 = proton_larmor(static_field_tesla) / GAMMA_E_MHZ_PER_T * 1e3
+    if b1 == 0.0:
+        raise ValidationError(f"static field {static_field_tesla!r} T is too small: its Hartmann-Hahn B1 is 0")
+    return b1
+
+
+def proton_larmor(static_field_tesla: float) -> float:
+    """1H Larmor frequency in MHz."""
+    if not static_field_tesla > 0.0:
+        raise ValidationError(f"static field must be positive, got {static_field_tesla}")
+    return GAMMA_H_MHZ_PER_T * static_field_tesla
 
 
 @dataclass(frozen=True)

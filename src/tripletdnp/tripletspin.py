@@ -12,11 +12,12 @@ spin polarization available for transfer.
 All functions are pure and all value types are immutable after
 construction, so they are safe to share between threads. Every value type
 rejects non-finite numbers (NaN or infinity) with ValidationError. The
-inputs TripletParameters and MagneticFieldSetting come from the numpy-free
-`params`, so `config` loads neither this module nor numpy. The
-per-orientation checks and projections run on Python numbers from one
-tolist() of each 3x3 array: at this size numpy's per-call dispatch costs
-more than the arithmetic. So an EigenSystem keeps the columns it checked.
+inputs TripletParameters and MagneticFieldSetting and ByValue come from the
+numpy-free `params`, so `config` loads neither this module nor numpy, and
+this module loads no rate-equation layer. The per-orientation checks and
+projections run on Python numbers from one tolist() of each 3x3 array: at
+this size numpy's per-call dispatch costs more than the arithmetic. So an
+EigenSystem keeps the columns it checked.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E_MHZ_PER_T
-from .kinetics import ByValue
-from .params import MagneticFieldSetting, TripletParameters, ValidationError
+from .params import ByValue, MagneticFieldSetting, TripletParameters, ValidationError
 
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-9

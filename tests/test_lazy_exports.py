@@ -45,9 +45,10 @@ LOADS = {
     "BuildupCurve": ("constants kinetics params", True),
     "read_curve": ("constants curveio kinetics params", True),
     "fit_buildup": ("analysis constants kinetics params", True),
-    "hartmann_hahn_b1": ("constants ise params", False),
-    "build_hamiltonian": ("constants kinetics params tripletspin", True),
-    "default_config": ("config constants ise params", False),
+    "hartmann_hahn_b1": ("constants params", False),
+    "proton_larmor": ("constants params", False),
+    "build_hamiltonian": ("constants params tripletspin", True),
+    "default_config": ("config constants params", False),
 }
 
 
@@ -152,7 +153,7 @@ def test_calibration_and_steady_states_compute_without_numpy(tmp_path, monkeypat
 
 
 def test_ise_names_load_no_spin_chain():
-    assert "tripletdnp.tripletspin" not in loaded_after("tripletdnp.hartmann_hahn_b1")["layers"]
+    assert "tripletdnp.tripletspin" not in loaded_after("tripletdnp.sweep_transfer_probability")["layers"]
 
 
 def test_config_loads_no_spin_chain():
@@ -160,9 +161,18 @@ def test_config_loads_no_spin_chain():
 
 
 def test_default_config_loads_no_numpy():
+    """config takes its Hartmann-Hahn B1 from params, so it loads no shot model either."""
     loaded = loaded_after("import tripletdnp.config\nprobe = tripletdnp.config.default_config().kinetics.td_minutes")
-    assert loaded["numpy"] is False
-    assert loaded["probe"] == 20.2
+    assert loaded == {"layers": ["tripletdnp.config", "tripletdnp.constants", "tripletdnp.params"],
+                      "numpy": False, "probe": 20.2}
+
+
+def test_shared_helpers_live_in_params():
+    import tripletdnp.ise
+    from tripletdnp.params import ByValue
+    moved = (ByValue, tripletdnp.hartmann_hahn_b1, tripletdnp.proton_larmor)
+    assert {obj.__module__ for obj in moved} == {"tripletdnp.params"}
+    assert not {"hartmann_hahn_b1", "proton_larmor"} & set(vars(tripletdnp.ise))
 
 
 def test_cli_subcommands_load_no_spin_chain(tmp_path):
