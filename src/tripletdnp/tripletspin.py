@@ -11,7 +11,9 @@ spin polarization available for transfer.
 
 All functions are pure and all value types are immutable after
 construction, so they are safe to share between threads. Every value type
-rejects non-finite numbers (NaN or infinity) with ValidationError. The
+rejects non-finite numbers (NaN or infinity) with ValidationError. Only
+SpinHamiltonian checks tracelessness: an EigenSystem's spectrum may have
+any sum, which the splittings and projections never read. The
 inputs TripletParameters and MagneticFieldSetting and ByValue come from the
 numpy-free `params`, so `config` loads neither this module nor numpy, and
 this module loads no rate-equation layer. The per-orientation checks and
@@ -33,7 +35,6 @@ from .params import ByValue, MagneticFieldSetting, TripletParameters, Validation
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _UNITARY_TOL = 1e-10
-_EIGSUM_TOL = 1e-9
 
 def _moduli(zs) -> list[float]:
     """abs() of each entry; [inf] where one overflows (Python raises, numpy gives inf)."""
@@ -106,8 +107,6 @@ class EigenSystem(ByValue):
                         w0.conjugate() * w0 + w1.conjugate() * w1 + w2.conjugate() * w2 - 1.0))
         if not all(x <= _UNITARY_TOL for x in gram):  # max() would drop a NaN
             raise ValidationError("eigenvector set must be unitary within 1e-10")
-        if abs(low + mid + high) > _EIGSUM_TOL:
-            raise ValidationError("eigenvalue sum must vanish within 1e-9 MHz (traceless Hamiltonian)")
         vals.setflags(write=False)
         vecs.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)

@@ -1,10 +1,10 @@
-"""The golden corpus: one SHA-256 per CLI call, over its exit code, stdout, stderr and output files.
+"""The golden corpus: for each CLI call, one SHA-256 per part: exit code, stdout, stderr and each output file.
 
 The calls are README's command block, run on the inputs `test_readme.write_inputs` builds, and the 11
 `cli_reference` calls of `perfbench/cli_reference.py` at seed 7, run on the inputs `CliReference` writes.
 Each runs in process through `cli.main` in a directory of its own; its output files are the files there
-that it created or changed. `golden.json` holds the digests. A change that means to move an output
-regenerates it with
+that it created or changed. `golden.json` holds the digests, so a mismatch names the parts that moved
+and any output file missing or extra. A change that means to move an output regenerates it with
 
     PYTHONPATH=src python tests/golden.py
 
@@ -64,9 +64,9 @@ def _files(directory: Path) -> dict[str, bytes]:
     return {p.relative_to(directory).as_posix(): p.read_bytes() for p in paths}
 
 
-def run_call(workdir: Path, argv: list[str]) -> tuple[str, dict[str, bytes]]:
-    """Run `cli.main(argv)` in workdir. Return the digest and its parts: `exit_code`, `stdout`,
-    `stderr` and each file the call created or changed, by its path under workdir."""
+def run_call(workdir: Path, argv: list[str]) -> dict[str, bytes]:
+    """Run `cli.main(argv)` in workdir. Return its parts: `exit_code`, `stdout`, `stderr` and each
+    file the call created or changed, by its path under workdir."""
     before = _files(workdir)
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
@@ -80,28 +80,32 @@ def run_call(workdir: Path, argv: list[str]) -> tuple[str, dict[str, bytes]]:
     parts = {"exit_code": str(code).encode(), "stdout": out.getvalue().encode(),
              "stderr": err.getvalue().encode()}
     parts |= {rel: data for rel, data in _files(workdir).items() if before.get(rel) != data}
-    digest = hashlib.sha256()
-    for label, data in parts.items():
-        digest.update(b"%s\0%d\0%s" % (label.encode(), len(data), data))
-    return digest.hexdigest(), parts
+    return parts
+
+
+def digests(parts: dict[str, bytes]) -> dict[str, str]:
+    return {label: hashlib.sha256(data).hexdigest() for label, data in parts.items()}
 
 
 def check(name: str, argv: list[str], workdir: Path) -> None:
-    """Assert that the call, run in workdir, gives the manifest's digest. On a mismatch its exit code,
-    stdout and stderr are left beside workdir, and its output files in workdir."""
+    """Assert that the call, run in workdir, gives the manifest's digest for each part. On a mismatch
+    its exit code, stdout and stderr are left beside workdir, and its output files in workdir."""
     manifest = json.loads(MANIFEST.read_text())
-    assert name in manifest["calls"], f"{name}: no golden digest; regenerate with `{manifest['regenerate']}`"
-    got, parts = run_call(workdir, argv)
+    assert name in manifest["calls"], f"{name}: no golden digests; regenerate with `{manifest['regenerate']}`"
+    parts = run_call(workdir, argv)
     if argv[0] in STAMPED and manifest["stamp"] != stamp():
         # another numpy build or dispatch path: the last bits may differ, but the call must still succeed
         assert (parts["exit_code"], parts["stderr"]) == (b"0", b""), f"{name}: {parts['stderr'].decode()}"
         return
-    if got != manifest["calls"][name]:
-        kept = [workdir.parent / label for label in ("exit_code", "stdout", "stderr")]
-        for path in kept:
-            path.write_bytes(parts[path.name])
-        kept += [workdir / rel for rel in list(parts)[3:]]
-        raise AssertionError(f"{name}: golden digest moved; one of these differs: {', '.join(map(str, kept))}")
+    want, got = manifest["calls"][name], digests(parts)
+    if got != want:
+        for label in ("exit_code", "stdout", "stderr"):
+            (workdir.parent / label).write_bytes(parts[label])
+        moved = [label for label in want if label in got and got[label] != want[label]]
+        missing = [label for label in want if label not in got]
+        extra = [label for label in got if label not in want]
+        raise AssertionError(f"{name}: golden parts moved: {moved}, missing: {missing}, extra: {extra}; "
+                             f"streams in {workdir.parent}, files in {workdir}")
 
 
 def regenerate(scratch: Path) -> dict:
@@ -113,10 +117,10 @@ def regenerate(scratch: Path) -> dict:
         workdir = scratch / f"readme{i}"
         workdir.mkdir()
         write_inputs(workdir)
-        calls[readme_name(argv)] = run_call(workdir, argv)[0]
+        calls[readme_name(argv)] = digests(run_call(workdir, argv))
     for i, name in enumerate(cli_reference_calls(scratch / "script")):
         workdir = scratch / f"cli_reference{i}"
-        calls[name] = run_call(workdir, cli_reference_calls(workdir)[name])[0]
+        calls[name] = digests(run_call(workdir, cli_reference_calls(workdir)[name]))
     return {"regenerate": "PYTHONPATH=src python tests/golden.py", "stamp": stamp(), "calls": calls}
 
 

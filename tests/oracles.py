@@ -144,8 +144,6 @@ def eigensystem_error(values, vectors):
         return "eigenvalues must be ascending"
     if not unitarity_gap(vecs) <= 1e-10:
         return "eigenvector set must be unitary within 1e-10"
-    if abs(low + mid + high) > 1e-9:
-        return "eigenvalue sum must vanish within 1e-9 MHz (traceless Hamiltonian)"
     return None
 
 

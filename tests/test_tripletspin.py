@@ -162,6 +162,35 @@ class TestEigensystem:
                 lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
                 assert abs(lead.imag) < 1e-12 and lead.real > 0.0
 
+    @pytest.mark.parametrize("b_tesla", [30.0, 45.0])
+    def test_chain_runs_at_high_fields(self, b_tesla):
+        """eigh rounds the eigenvalue sum to about 1e-15 of the largest
+        eigenvalue, past 1e-9 MHz at tens of tesla; the chain takes eigh's
+        output as it is."""
+        rng = np.random.default_rng(7)
+        theta = np.arccos(rng.uniform(-1.0, 1.0, 2000))
+        phi = rng.uniform(0.0, 2.0 * math.pi, 2000)
+        for t, p in zip(theta.tolist(), phi.tolist()):
+            field = MagneticFieldSetting(b_tesla, t, p)
+            h = build_hamiltonian(PENTACENE, field)
+            eig = eigensystem(h)
+            electron_polarization(eig, project_populations(eig, PENTACENE), field)
+            transition_frequencies(eig)
+            want = np.linalg.eigvalsh(h.matrix)
+            np.testing.assert_allclose(eig.eigenvalues, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_shifted_spectrum_is_accepted(self):
+        """A spectrum with a nonzero sum is an EigenSystem: the splittings
+        read differences, the projections read only the eigenvectors."""
+        field = MagneticFieldSetting(0.64, 1.0, 2.0)
+        eig = eigensystem(build_hamiltonian(PENTACENE, field))
+        shifted = EigenSystem(eig.eigenvalues + 100.0, eig.eigenvectors)
+        np.testing.assert_allclose(transition_frequencies(shifted), transition_frequencies(eig),
+                                   rtol=0.0, atol=1e-9)
+        pops = project_populations(eig, PENTACENE)
+        assert project_populations(shifted, PENTACENE) == pops
+        assert electron_polarization(shifted, pops, field) == electron_polarization(eig, pops, field)
+
     def test_arrays_are_read_only(self):
         eig = eigensystem(build_hamiltonian(PENTACENE, MagneticFieldSetting(0.64, 1.0, 2.0)))
         for a in (eig.eigenvalues, eig.eigenvectors):
@@ -457,7 +486,7 @@ class TestChainMatchesNumpyOracle:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
         inputs=CHAIN_INPUTS,
-        kind=st.sampled_from(["none", "non-finite value", "non-finite vector", "stretch", "mix", "sum"]),
+        kind=st.sampled_from(["none", "non-finite value", "non-finite vector", "stretch", "mix"]),
         entry=ENTRY,
         bad=NON_FINITE,
         factor=FACTOR,
@@ -466,9 +495,9 @@ class TestChainMatchesNumpyOracle:
     def test_eigensystem_verdicts(self, inputs, kind, entry, bad, factor, sign):
         """NaN or +-inf in any eigenvalue or any part of any eigenvector entry;
         a column stretched, or mixed with another, so that |V^H V - I| moves
-        by 0.5-2 times 1e-10; the eigenvalue sum moved by 0.5-2 times 1e-9.
-        numpy's matmul and the Python sums round differently, so draws whose
-        numpy |V^H V - I| lies within 1e-14 of 1e-10 are skipped."""
+        by 0.5-2 times 1e-10. numpy's matmul and the Python sums round
+        differently, so draws whose numpy |V^H V - I| lies within 1e-14 of
+        1e-10 are skipped."""
         _, vals, vecs, _, _ = oracles.spin_chain(*inputs)
         i, j, _ = entry
         if kind == "non-finite value":
@@ -479,8 +508,6 @@ class TestChainMatchesNumpyOracle:
             vecs[:, j] *= 1.0 + sign * factor * 0.5e-10  # |v_j|^2 - 1 = +-factor * 1e-10
         elif kind == "mix":
             vecs[:, (j + 1) % 3] += sign * factor * 1e-10 * vecs[:, j]
-        elif kind == "sum":
-            vals[1] += sign * factor * 1e-9
         assume(not abs(oracles.unitarity_gap(vecs) - 1e-10) <= 1e-14)
         want = oracles.eigensystem_error(vals, vecs)
         assert _error(EigenSystem, vals, vecs) == want
@@ -500,8 +527,6 @@ class TestChainMatchesNumpyOracle:
         vecs = eig.eigenvectors.copy()
         vecs[:, 1] += factor * 1e-10 * vecs[:, 0]
         assert (_error(EigenSystem, vals, vecs) is None) == passes
-        vals[1] += 1e-9 * factor
-        assert (_error(EigenSystem, vals, eig.eigenvectors) is None) == passes
 
     def test_callers_array_is_copied(self):
         m = build_hamiltonian(PENTACENE, FIELD_064).matrix.copy()
