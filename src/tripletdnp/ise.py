@@ -69,12 +69,13 @@ def iterate_shots(params: KineticsParams, shot_period_s: float, p0: float, n_sho
     shot_period_s), and relaxes (dt/tr)(p - pth), so it is the affine map
     p -> (1 - s) p + s f with s = epsilon + dt/tr and the fixed point
     f = (epsilon pe + (dt/tr) pth) / s, a convex combination of pe and pth.
-    s > 1 makes every shot overshoot f and is rejected, even for n_shots = 0.
-    For 0 < s <= 1 the n-fold composition is e^x p0 - expm1(x) f with
-    x = n log1p(-s), taken from s itself so that rounding 1 - s costs
-    nothing however large n is. s = 1 (one shot lands on f) and
-    n_shots = inf both give x = -inf, hence f. The result is clamped to
-    [-1, 1] against rounding.
+    s > 1 makes every shot overshoot f and is rejected, even for n_shots = 0,
+    as are s = inf (a tr so small that dt/tr overflows) and s = NaN (td and
+    shot period both infinite). For 0 < s <= 1 the n-fold composition is
+    e^x p0 - expm1(x) f with x = n log1p(-s), taken from s itself so that
+    rounding 1 - s costs nothing however large n is. s = 1 (one shot lands
+    on f) and n_shots = inf both give x = -inf, hence f. The result is
+    clamped to [-1, 1] against rounding.
     """
     if not n_shots >= 0:
         raise ValidationError(f"n_shots must be >= 0, got {n_shots}")
@@ -82,10 +83,8 @@ def iterate_shots(params: KineticsParams, shot_period_s: float, p0: float, n_sho
         raise ValidationError(f"|polarization| <= 1 required, got {p0}")
     epsilon = epsilon_for_buildup_time(params.td_minutes, shot_period_s)
     delta = shot_period_s / (SECONDS_PER_MINUTE * params.tr_minutes)
-    if not delta < math.inf:  # the overshoot check below would reject it too, without naming tr
-        raise ValidationError(f"shot period / tr overflows: tr_minutes {params.tr_minutes} is too small")
     s = epsilon + delta
-    if s > 1.0:
+    if not s <= 1.0:
         raise ValidationError(
             f"td {params.td_minutes:g} min and tr {params.tr_minutes:g} min at {1.0 / shot_period_s:g} Hz: "
             f"per-shot gain plus relaxation epsilon + dt/tr = {s:.3g} exceeds 1, "

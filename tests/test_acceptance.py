@@ -33,21 +33,7 @@ from tripletdnp.cli import main
 from tripletdnp.ise import IseSequenceParams, sweep_transfer_probability
 
 import oracles
-
-REFERENCE_KINETICS = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
-
-REFERENCE_CFG = """
-[field]
-field_tesla = 0.64
-
-[sequence]
-repetition_rate_hz = 1000.0
-
-[kinetics]
-pe = 0.826
-td_minutes = 20.2
-tr_minutes = 57.1
-"""
+from inputs import REFERENCE, random_inputs
 
 
 def criterion(num, label):
@@ -66,26 +52,8 @@ def criterion(num, label):
     return deco
 
 
-@pytest.fixture
-def reference_cfg(tmp_path):
-    p = tmp_path / "reference.cfg"
-    p.write_text(REFERENCE_CFG)
-    return p
-
-
-def random_spin_inputs(rng):
-    d = rng.uniform(100.0, 3000.0) * rng.choice([-1.0, 1.0])
-    e = rng.uniform(-1.0, 1.0) * abs(d) / 3.0
-    pops = rng.dirichlet([1.0, 1.0, 1.0])
-    params = TripletParameters(d, e, tuple(pops / pops.sum()))
-    field = MagneticFieldSetting(
-        rng.uniform(0.0, 2.0), rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi - 1e-9)
-    )
-    return params, field
-
-
 @criterion(1, "buildup reproduction: 0.610 at 150 min, three modes agree, < 1 s")
-def test_criterion_1_buildup_reproduction(reference_cfg, tmp_path, capsys):
+def test_criterion_1_buildup_reproduction(cfg, tmp_path, capsys):
     start = time.perf_counter()
     values = {}
     for mode in ("closed_form", "ode", "shots"):
@@ -93,7 +61,7 @@ def test_criterion_1_buildup_reproduction(reference_cfg, tmp_path, capsys):
         code = main(
             [
                 "simulate",
-                "--config", str(reference_cfg),
+                "--config", str(cfg),
                 "--duration-min", "150",
                 "--mode", mode,
                 "--out", str(out),
@@ -132,14 +100,14 @@ def test_criterion_2_te_decomposition(tmp_path, capsys):
 
 
 @criterion(3, "thermal baseline 2.2e-6 within 2% and enhancement ~2.8e5 printed")
-def test_criterion_3_thermal_baseline(reference_cfg, tmp_path, capsys):
+def test_criterion_3_thermal_baseline(cfg, tmp_path, capsys):
     pth = thermal_polarization(0.64, 295.0)
     assert pth == pytest.approx(2.2e-6, rel=0.02)
 
     code = main(
         [
             "calibrate",
-            "--config", str(reference_cfg),
+            "--config", str(cfg),
             "--enhanced", "2.77e5",
             "--reference", "1.0",
             "--reference-thermal-polarization", "2.2e-6",
@@ -160,7 +128,7 @@ def test_criterion_4_fit_recovery(capsys):
     start = time.perf_counter()
     t = np.linspace(0.0, 120.0, 20)
 
-    fit = fit_buildup(BuildupCurve(t, buildup_closed_form(REFERENCE_KINETICS, t)))
+    fit = fit_buildup(BuildupCurve(t, buildup_closed_form(REFERENCE, t)))
     assert fit.converged
     recovered = disentangle_buildup(fit, 57.1)
     assert recovered.td_minutes == pytest.approx(20.2, rel=1e-6)
@@ -171,7 +139,7 @@ def test_criterion_4_fit_recovery(capsys):
     hits = 0
     trials = 1000
     for _ in range(trials):
-        noisy = buildup_closed_form(REFERENCE_KINETICS, t) + rng.normal(0.0, 0.01 * amplitude, t.size)
+        noisy = buildup_closed_form(REFERENCE, t) + rng.normal(0.0, 0.01 * amplitude, t.size)
         noisy_fit = fit_buildup(BuildupCurve(t, noisy))
         if not noisy_fit.converged:
             continue
@@ -190,7 +158,7 @@ def test_criterion_4_fit_recovery(capsys):
 def test_criterion_5_spin_model_oracle(capsys):
     rng = np.random.default_rng(42)
     for _ in range(1000):
-        params, field = random_spin_inputs(rng)
+        params, field = random_inputs(rng)
         h = build_hamiltonian(params, field)
         eig = eigensystem(h)
         rebuilt = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.conj().T
@@ -198,7 +166,7 @@ def test_criterion_5_spin_model_oracle(capsys):
         assert rel <= 1e-10
 
     for _ in range(1000):
-        params, _ = random_spin_inputs(rng)
+        params, _ = random_inputs(rng)
         eig = eigensystem(build_hamiltonian(params, MagneticFieldSetting(0.0)))
         d, e = params.d_mhz, params.e_mhz
         analytic = np.sort([-2 * d / 3, d / 3 - e, d / 3 + e])
@@ -258,7 +226,7 @@ def test_criterion_8_property_suite(tmp_path, capsys):
 
     # population conservation and bounded polarization
     for _ in range(1000):
-        params, field = random_spin_inputs(rng)
+        params, field = random_inputs(rng)
         eig = eigensystem(build_hamiltonian(params, field))
         pops = project_populations(eig, params)
         assert abs(sum(pops.populations) - 1.0) < 1e-10

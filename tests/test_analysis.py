@@ -28,8 +28,8 @@ from tripletdnp.analysis import MAX_ITERATIONS, FitResult, RelaxationDecompositi
 
 import oracles
 from extremes import BINADES, FLOAT_EXTREMES
+from inputs import REFERENCE
 
-REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
 SIGNED_BINADES = st.builds(math.copysign, BINADES, st.sampled_from([1.0, -1.0]))
 
 

@@ -27,27 +27,8 @@ from tripletdnp import analysis, cli
 from tripletdnp.cli import SWEEP_PARAMETERS, main
 
 from extremes import FLOAT_EXTREMES
+from inputs import REFERENCE_CFG
 from oracles import shot_map, steady_state_exact
-
-REFERENCE_CFG = """
-[field]
-field_tesla = 0.64
-
-[sequence]
-repetition_rate_hz = 1000.0
-
-[kinetics]
-pe = 0.826
-td_minutes = 20.2
-tr_minutes = 57.1
-"""
-
-
-@pytest.fixture
-def cfg(tmp_path):
-    p = tmp_path / "reference.cfg"
-    p.write_text(REFERENCE_CFG)
-    return p
 
 
 def run(args, capsys):

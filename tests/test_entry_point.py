@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-import tripletdnp
 from tripletdnp import cli
+from test_lazy_exports import SRC
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = "[kinetics]\npe = 0.826\ntd_minutes = 20.2\ntr_minutes = 57.1\n"
@@ -45,8 +45,7 @@ CASES = {
 def _env(unbuffered=None) -> dict:
     """The child imports the package these tests import; PYTHONUNBUFFERED is set explicitly."""
     env = dict(os.environ)
-    package_root = str(Path(tripletdnp.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered is not None:
         env["PYTHONUNBUFFERED"] = unbuffered

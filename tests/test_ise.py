@@ -442,8 +442,11 @@ class TestShotMap:
         # dt/tr = inf, and at p = pth the update inf * 0 would be NaN, clamped to -1
         with pytest.raises(ValidationError, match="tr_minutes 5e-324"):
             shot_map(0.0, 0.5, 1e-3, 0.5, 5e-324, 0.0)
-        with pytest.raises(ValidationError, match="tr_minutes 5e-324 is too small"):
+        with pytest.raises(ValidationError, match=r"tr 4\.94066e-324 min .* dt/tr = inf exceeds 1"):
             iterate_shots(KineticsParams(0.5, 2.0, 5e-324), 1e-3, 0.0, 1)
+        # an infinite period also makes epsilon = inf/inf NaN at td = inf, so s is NaN, not > 1
+        with pytest.raises(ValidationError, match=r"td inf min and tr 1 min .* dt/tr = nan exceeds 1"):
+            iterate_shots(KineticsParams(0.5, math.inf, 1.0), math.inf, 0.0, 1)
 
     @settings(max_examples=100, deadline=timedelta(seconds=5), derandomize=True)
     @given(

@@ -21,11 +21,10 @@ from tripletdnp import (
 )
 
 import oracles
-from extremes import BINADES
+from extremes import BINADES, NON_FINITE
+from inputs import REFERENCE
 from tripletdnp.constants import BOLTZMANN_J_PER_K, GAMMA_H_MHZ_PER_T, PLANCK_J_S
 
-REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 UNIT = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]) | st.floats(-1.0, 1.0)
 TIME_CONSTANTS = st.sampled_from([5e-324, 1e-308, 1e-300, 57.1, 1e308, math.inf]) | st.floats(1e-3, 1e4)
 TIMES = st.sampled_from([0.0, 5e-324, 1.0, 150.0, 1e10, 1e308, 1.7976931348623157e308]) | st.floats(0.0, 1e4)

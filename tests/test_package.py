@@ -1,9 +1,9 @@
 import importlib
 import pkgutil
 import re
-from pathlib import Path
 
 import tripletdnp
+from test_readme import README
 
 # every module of the package that exports names: all but the CLI and the constants
 LAYERS = sorted({m.name for m in pkgutil.iter_modules(tripletdnp.__path__)} - {"cli", "constants"})
@@ -32,8 +32,7 @@ def test_readme_names_resolve():
     """Every `layer.NAME` or `tripletdnp.NAME` the README quotes exists, so a
     renamed or deleted constant fails here instead of going stale in the docs."""
     layers = {m.name for m in pkgutil.iter_modules(tripletdnp.__path__)}
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    quoted = re.findall(r"`(\w+)\.(\w+)`", readme)
+    quoted = re.findall(r"`(\w+)\.(\w+)`", README)
     names = [(module, name) for module, name in quoted if module in layers or module == "tripletdnp"]
     assert ("cli", "MAX_POINTS") in names
     for module, name in names:

@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tripletdnp import KineticsParams, final_polarization
+from tripletdnp import final_polarization
 from tripletdnp.config import CONFIG_REFERENCE
 from golden import check, readme_name
+from inputs import REFERENCE
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-REFERENCE = KineticsParams(pe=0.826, td_minutes=20.2, tr_minutes=57.1)
 
 
 def _block(heading: str, language: str) -> str:

@@ -24,22 +24,13 @@ from tripletdnp import (
 from tripletdnp.constants import GAMMA_E_MHZ_PER_T
 
 import oracles
+from extremes import NON_FINITE
+from inputs import random_inputs
 
 PENTACENE = TripletParameters(1395.0, -50.0, (0.76, 0.16, 0.08))
 EQUAL = TripletParameters(1395.0, -50.0, (1 / 3, 1 / 3, 1 / 3))
 FIELD_064 = MagneticFieldSetting(0.64)
 ZERO_FIELD = MagneticFieldSetting(0.0)
-
-
-def random_inputs(rng):
-    d = rng.uniform(100.0, 3000.0) * rng.choice([-1.0, 1.0])
-    e = rng.uniform(-1.0, 1.0) * abs(d) / 3.0
-    pops = rng.dirichlet([1.0, 1.0, 1.0])
-    params = TripletParameters(d, e, tuple(pops / pops.sum()))
-    field = MagneticFieldSetting(
-        rng.uniform(0.0, 2.0), rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi - 1e-9)
-    )
-    return params, field
 
 
 class TestTripletParameters:
@@ -423,7 +414,6 @@ CHAIN_INPUTS = st.builds(
 )
 # a multiple of a tolerance on either side of it, never within 1e-6 of it
 FACTOR = st.floats(0.5, 2.0).filter(lambda f: abs(f - 1.0) > 1e-6)
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 ENTRY = st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans())  # row, column, imaginary part
 
 
@@ -486,7 +476,7 @@ class TestChainMatchesNumpyOracle:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
         inputs=CHAIN_INPUTS,
-        kind=st.sampled_from(["none", "non-finite value", "non-finite vector", "stretch", "mix"]),
+        kind=st.sampled_from(["none", "non-finite value", "non-finite vector", "order", "stretch", "mix"]),
         entry=ENTRY,
         bad=NON_FINITE,
         factor=FACTOR,
@@ -494,16 +484,18 @@ class TestChainMatchesNumpyOracle:
     )
     def test_eigensystem_verdicts(self, inputs, kind, entry, bad, factor, sign):
         """NaN or +-inf in any eigenvalue or any part of any eigenvector entry;
-        a column stretched, or mixed with another, so that |V^H V - I| moves
-        by 0.5-2 times 1e-10. numpy's matmul and the Python sums round
-        differently, so draws whose numpy |V^H V - I| lies within 1e-14 of
-        1e-10 are skipped."""
+        two eigenvalues swapped out of ascending order; a column stretched, or
+        mixed with another, so that |V^H V - I| moves by 0.5-2 times 1e-10.
+        numpy's matmul and the Python sums round differently, so draws whose
+        numpy |V^H V - I| lies within 1e-14 of 1e-10 are skipped."""
         _, vals, vecs, _, _ = oracles.spin_chain(*inputs)
         i, j, _ = entry
         if kind == "non-finite value":
             vals[i] = bad
         elif kind == "non-finite vector":
             _set(vecs, entry, bad)
+        elif kind == "order":
+            vals[i], vals[(i + 1) % 3] = vals[(i + 1) % 3], vals[i]
         elif kind == "stretch":
             vecs[:, j] *= 1.0 + sign * factor * 0.5e-10  # |v_j|^2 - 1 = +-factor * 1e-10
         elif kind == "mix":
