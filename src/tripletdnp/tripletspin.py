@@ -17,9 +17,11 @@ any sum, which the splittings and projections never read. The
 inputs TripletParameters and MagneticFieldSetting and ByValue come from the
 numpy-free `params`, so `config` loads neither this module nor numpy, and
 this module loads no rate-equation layer. The per-orientation checks and
-projections run on Python numbers from one tolist() of each 3x3 array: at
-this size numpy's per-call dispatch costs more than the arithmetic. So an
-EigenSystem keeps the columns it checked.
+projections run on Python numbers from tolist(), since at this size
+numpy's per-call dispatch costs more than the arithmetic. The Hamiltonian
+is read once. The eigenvector array is read twice: once by the phase loop
+in eigensystem(), and once by EigenSystem's unitarity check on the phased
+array. So an EigenSystem keeps the columns it checked.
 """
 
 from __future__ import annotations
@@ -42,15 +44,6 @@ def _moduli(zs) -> list[float]:
         return list(map(abs, zs))
     except OverflowError:
         return [math.inf]
-
-
-def _spin_form(x: float, y: float, z: float, diagonal: tuple[float, float, float]) -> list[list[complex]]:
-    """diag(diagonal) + x Sx + y Sy + z Sz, with (S_a)_bc = -i eps_abc, as nested lists."""
-    return [
-        [diagonal[0], -1j * z, 1j * y],
-        [1j * z, diagonal[1], -1j * x],
-        [-1j * y, 1j * x, diagonal[2]],
-    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,18 +132,13 @@ def build_hamiltonian(params: TripletParameters, field: MagneticFieldSetting) ->
     """
     d, e = params.d_mhz, params.e_mhz
     gamma_b = GAMMA_E_MHZ_PER_T * field.magnitude_tesla
-    x, y, z = field.direction()
-    zfs = (d / 3.0 - e, d / 3.0 + e, -2.0 * d / 3.0)
-    return SpinHamiltonian(_spin_form(gamma_b * x, gamma_b * y, gamma_b * z, zfs))
-
-
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each eigenvector so its first nonzero component is real positive."""
-    phases = []
-    for x, y, z in vecs.T.tolist():
-        lead = x if abs(x) > 1e-12 else y if abs(y) > 1e-12 else z if abs(z) > 1e-12 else 1.0
-        phases.append(lead.conjugate() / abs(lead))
-    return vecs * phases
+    bx, by, bz = field.direction()
+    x, y, z = gamma_b * bx, gamma_b * by, gamma_b * bz
+    return SpinHamiltonian([
+        [d / 3.0 - e, -1j * z, 1j * y],
+        [1j * z, d / 3.0 + e, -1j * x],
+        [-1j * y, 1j * x, -2.0 * d / 3.0],
+    ])
 
 
 def eigensystem(h: SpinHamiltonian) -> EigenSystem:
@@ -161,7 +149,12 @@ def eigensystem(h: SpinHamiltonian) -> EigenSystem:
     output deterministic for golden tests.
     """
     vals, vecs = np.linalg.eigh(h.matrix)
-    return EigenSystem(vals, _fix_phases(vecs))
+    phases = []
+    for x, y, z in vecs.T.tolist():
+        lead = x if abs(x) > 1e-12 else y if abs(y) > 1e-12 else z if abs(z) > 1e-12 else 1.0
+        phases.append(lead.conjugate() / abs(lead))
+    vecs *= phases
+    return EigenSystem(vals, vecs)
 
 
 def project_populations(eig: EigenSystem, params: TripletParameters) -> FieldPopulations:

@@ -641,16 +641,6 @@ def test_config_values_at_float_extremes_end_in_a_documented_exit_code(tmp_path,
 
 
 class TestDecompose:
-    def test_reference_decomposition(self, tmp_path, capsys):
-        code, cap = run(
-            ["decompose", 132, 57.1, "--reference-te", 96.9, "--out", tmp_path / "d.txt"], capsys
-        )
-        assert code == 0
-        assert "te_minutes: 100.63" in cap.out
-        assert "reference_te_minutes: 96.9" in cap.out
-        assert "within_tolerance: true" in cap.out
-        assert "three significant figures" in cap.out
-
     def test_text_report_carries_seed_and_rationale_note(self, tmp_path, capsys):
         out = tmp_path / "d.txt"
         code, cap = run(
