@@ -43,7 +43,6 @@ from .params import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_IO = 5
@@ -72,14 +71,6 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)  # subparsers are built from type(self), so they inherit this
         # argparse's own pattern (3.11: ^-\d+$|^-\d*\.\d+$) takes -2.77e5 for an option name
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="path to a config file; defaults apply when omitted")
-    sub.add_argument("--out", help="primary output path")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed recorded as the report's last row; sweep's all-numeric CSV records none")
-    sub.add_argument("--verbose", action="store_true", help="echo defaults and extra diagnostics")
 
 
 def _out_path(args, cfg: ToolkitConfig, default_name: str) -> Path:
@@ -220,21 +211,16 @@ def cmd_decompose(args, cfg: ToolkitConfig) -> int:
     return EXIT_OK
 
 
-def _thermal_baseline(cfg: ToolkitConfig) -> float:
-    """The config's thermal polarization, rejected at 0: calibrate scales by it
-    or, with --verbose, divides by it."""
-    baseline = thermal_polarization(cfg.field.magnitude_tesla, cfg.temperature_kelvin)
-    if baseline == 0.0:
-        raise ValidationError(
-            f"the thermal polarization at [field] field_tesla = {cfg.field.magnitude_tesla!r} T and "
-            f"[general] temperature_kelvin = {cfg.temperature_kelvin!r} K underflows to 0"
-        )
-    return baseline
-
-
 def cmd_calibrate(args, cfg: ToolkitConfig) -> int:
     given = args.reference_thermal_polarization
-    baseline = _thermal_baseline(cfg) if given is None or args.verbose else None
+    baseline = None
+    if given is None or args.verbose:  # the baseline is the reference or, with --verbose, the divisor
+        baseline = thermal_polarization(cfg.field.magnitude_tesla, cfg.temperature_kelvin)
+        if baseline == 0.0:
+            raise ValidationError(
+                f"the thermal polarization at [field] field_tesla = {cfg.field.magnitude_tesla!r} T and "
+                f"[general] temperature_kelvin = {cfg.temperature_kelvin!r} K underflows to 0"
+            )
     ref_pol = baseline if given is None else given
     cal = NmrCalibration(
         enhanced_signal=args.enhanced,
@@ -325,17 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tripletdnp",
         description="Triplet-DNP buildup simulation and analysis toolkit",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to a config file; defaults apply when omitted")
+    common.add_argument("--out", help="primary output path")
+    common.add_argument("--seed", type=int, default=None,
+                        help="seed recorded as the report's last row; sweep's all-numeric CSV records none")
+    common.add_argument("--verbose", action="store_true", help="echo defaults and extra diagnostics")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sim = subs.add_parser("simulate", help="simulate a polarization buildup curve")
+    sim = subs.add_parser("simulate", help="simulate a polarization buildup curve", parents=[common])
     sim.add_argument("--duration-min", type=float, required=True, help="buildup duration, minutes")
     sim.add_argument("--mode", choices=("ode", "closed_form", "shots"), default="closed_form")
     sim.add_argument("--points", type=int, default=201, help="number of grid points incl. t=0")
     sim.add_argument("--include-pth", action="store_true", help="keep the thermal floor term")
-    _add_common(sim)
     sim.set_defaults(func=cmd_simulate)
 
-    fit = subs.add_parser("fit", help="fit a measured curve")
+    fit = subs.add_parser("fit", help="fit a measured curve", parents=[common])
     fit.add_argument("curve", help="curve CSV path")
     fit.add_argument("--model", choices=("buildup", "decay"), required=True)
     fit.add_argument(
@@ -344,19 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="independently measured relaxation constant (--model buildup only); also reports td and pe",
     )
-    _add_common(fit)
     fit.set_defaults(func=cmd_fit)
 
-    dec = subs.add_parser("decompose", help="split tr into lattice and paramagnetic channels")
+    dec = subs.add_parser("decompose", help="split tr into lattice and paramagnetic channels", parents=[common])
     dec.add_argument("t1_minutes", type=float)
     dec.add_argument("tr_minutes", type=float)
     dec.add_argument("--reference-te", type=float, default=None, help="reference value to compare against")
     dec.add_argument("--tolerance-pct", type=float, default=None,
                      help="comparison window, percent (--reference-te only; default 5)")
-    _add_common(dec)
     dec.set_defaults(func=cmd_decompose)
 
-    calib = subs.add_parser("calibrate", help="convert a signal ratio to absolute polarization")
+    calib = subs.add_parser("calibrate", help="convert a signal ratio to absolute polarization", parents=[common])
     calib.add_argument("--enhanced", type=float, required=True, help="integrated enhanced signal")
     calib.add_argument("--reference", type=float, required=True, help="integrated reference signal")
     calib.add_argument(
@@ -367,16 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calib.add_argument("--spin-count-ratio", type=float, default=1.0)
     calib.add_argument("--gain-ratio", type=float, default=1.0)
-    _add_common(calib)
     calib.set_defaults(func=cmd_calibrate)
 
-    sweep = subs.add_parser("sweep", help="tabulate final polarization against one parameter")
+    sweep = subs.add_parser("sweep", help="tabulate final polarization against one parameter", parents=[common])
     sweep.add_argument("parameter", choices=SWEEP_PARAMETERS)
     sweep.add_argument("--values", help="comma-separated list of parameter values")
     sweep.add_argument("--start", type=float, default=None)
     sweep.add_argument("--stop", type=float, default=None)
     sweep.add_argument("--num", type=int, default=None, help="number of range points (default 11)")
-    _add_common(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

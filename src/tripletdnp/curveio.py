@@ -98,7 +98,7 @@ def read_curve(path) -> BuildupCurve:
 def write_curve(path, curve: BuildupCurve) -> None:
     """Write a curve in the canonical form: value-kind comment, minutes header,
     repr cells. Its checks were made in BuildupCurve, which built the curve."""
-    out = [f"# value_kind: {curve.value_kind.value}", "time_min,value"]
+    out = [f"# {_VALUE_KIND_PREFIX} {curve.value_kind.value}", "time_min,value"]
     out += [f"{t!r},{v!r}" for t, v in zip(curve.times_min.tolist(), curve.values.tolist())]
     write_text(path, "\n".join(out) + "\n")
 

@@ -1177,6 +1177,22 @@ def test_usage_error_on_no_command(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit", "decompose", "calibrate", "sweep"])
+def test_help_lists_the_shared_flags(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "200")  # one help string per line
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag, text in [
+        ("--config CONFIG", "path to a config file; defaults apply when omitted"),
+        ("--out OUT", "primary output path"),
+        ("--seed SEED", "seed recorded as the report's last row; sweep's all-numeric CSV records none"),
+        ("--verbose", "echo defaults and extra diagnostics"),
+    ]:
+        assert re.search(rf"^  {re.escape(flag)} +{re.escape(text)}$", out, re.MULTILINE), (flag, out)
+
+
 @pytest.mark.parametrize(
     "argv, twin, code",
     [(["calibrate", "--enhanced", "-2.77e5", "--reference", "1"],
