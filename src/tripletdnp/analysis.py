@@ -320,5 +320,9 @@ def decompose_relaxation(t1_minutes: float, tr_minutes: float) -> RelaxationDeco
         )
     if not 1.0 / tr_minutes < math.inf:  # te would come out as 0
         raise ValidationError(f"1 / tr overflows: tr_minutes {tr_minutes} is too small")
-    te = 1.0 / (1.0 / tr_minutes - 1.0 / t1_minutes)
+    rate = 1.0 / tr_minutes - 1.0 / t1_minutes
+    if not rate > 0.0:  # t1 within rounding of tr: 1/t1 and 1/tr are the same double
+        raise InconsistencyError(f"t1 = {t1_minutes} min and tr = {tr_minutes} min give the same rate "
+                                 "1/t1 = 1/tr; no finite paramagnetic time constant exists")
+    te = 1.0 / rate
     return RelaxationDecomposition(t1_minutes=t1_minutes, tr_minutes=tr_minutes, te_minutes=te)

@@ -75,27 +75,23 @@ class _Parser(argparse.ArgumentParser):
 
 def _out_path(args, cfg: ToolkitConfig, default_name: str) -> Path:
     out = Path(args.out) if args.out is not None else cfg.output_dir / default_name
+    if out.suffix == ".csv" and not default_name.endswith(".csv"):  # a report, whose twin is .csv
+        raise ValidationError(f"--out {out} would be overwritten by the report's CSV twin; "
+                              "give the report another suffix, such as .txt")
     out.parent.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _report(args, out_path: Path, rows: list[tuple[str, str]], notes=()) -> None:
-    """Write rows (plus the seed) as `key: value` text and as a CSV twin; note lines
-    follow the text, which is also echoed."""
-    if out_path.suffix == ".csv":
-        raise ValidationError(f"--out {out_path} would be overwritten by the report's CSV twin; "
-                              "give the report another suffix, such as .txt")
+def _report(args, out_path: Path, rows: list[tuple[str, object]], notes=()) -> None:
+    """Write rows (plus the seed) as `key: value` text, a bool as true/false and any other value
+    as its str (a float's is its repr), and as a CSV twin; note lines follow the echoed text."""
     if args.seed is not None:
-        rows = rows + [("seed", str(args.seed))]
-    lines = [f"{k}: {v}" for k, v in rows] + [f"note: {note}" for note in notes]
+        rows = rows + [("seed", args.seed)]
+    cells = [(k, str(v).lower() if isinstance(v, bool) else str(v)) for k, v in rows]
+    lines = [f"{k}: {v}" for k, v in cells] + [f"note: {note}" for note in notes]
     write_text(out_path, "\n".join(lines) + "\n")
-    write_text(out_path.with_suffix(".csv"), "\n".join(f"{k},{v}" for k, v in rows) + "\n")
+    write_text(out_path.with_suffix(".csv"), "\n".join(f"{k},{v}" for k, v in cells) + "\n")
     print("\n".join(lines))
-
-
-def _field_rows(value) -> list[tuple[str, str]]:
-    """One (name, repr) report row per field of a dataclass value, in declaration order."""
-    return [(f.name, repr(getattr(value, f.name))) for f in dataclasses.fields(value)]
 
 
 def _simulate_grid(duration_min: float, points: int) -> np.ndarray:
@@ -139,16 +135,16 @@ def cmd_simulate(args, cfg: ToolkitConfig) -> int:
 
     rows = [
         ("mode", args.mode),
-        ("duration_min", repr(args.duration_min)),
-        ("points", str(len(curve))),
-        *_field_rows(params),
-        ("steady_state_polarization", repr(steady_state_with_pth(params))),
-        ("final_time_min", repr(float(curve.times_min[-1]))),
-        ("final_polarization", repr(float(curve.values[-1]))),
-        ("curve_file", str(out)),
+        ("duration_min", args.duration_min),
+        ("points", len(curve)),
+        *dataclasses.asdict(params).items(),
+        ("steady_state_polarization", steady_state_with_pth(params)),
+        ("final_time_min", float(curve.times_min[-1])),
+        ("final_polarization", float(curve.values[-1])),
+        ("curve_file", out),
     ]
     if args.mode == "shots":
-        rows.insert(3, ("repetition_rate_hz", repr(cfg.sequence.repetition_rate_hz)))
+        rows.insert(3, ("repetition_rate_hz", cfg.sequence.repetition_rate_hz))
     _report(args, out.with_suffix(".summary.txt"), rows)
     return EXIT_OK
 
@@ -167,20 +163,17 @@ def cmd_fit(args, cfg: ToolkitConfig) -> int:
         )
     fit = fit_buildup(curve) if args.model == "buildup" else fit_decay(curve)
 
-    rows: list[tuple[str, str]] = [
+    rows: list[tuple[str, object]] = [
         ("model", args.model),
-        ("converged", str(fit.converged).lower()),
-        ("iterations", str(fit.iterations)),
-        ("residual_rms", repr(fit.residual_norm)),
+        ("converged", fit.converged),
+        ("iterations", fit.iterations),
+        ("residual_rms", fit.residual_norm),
     ]
     for name, value in fit.parameters.items():
-        rows.append((name, repr(value)))
-        rows.append((f"{name}_sigma", repr(fit.uncertainties[name])))
+        rows += [(name, value), (f"{name}_sigma", fit.uncertainties[name])]
     if args.tr_minutes is not None and fit.converged:
         derived = disentangle_buildup(fit, args.tr_minutes)
-        rows.append(("tr_minutes_input", repr(args.tr_minutes)))
-        rows.append(("td_minutes", repr(derived.td_minutes)))
-        rows.append(("pe", repr(derived.pe)))
+        rows += [("tr_minutes_input", args.tr_minutes), ("td_minutes", derived.td_minutes), ("pe", derived.pe)]
     _report(args, _out_path(args, cfg, "fit_report.txt"), rows, notes=fit.notes)
     return EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
 
@@ -195,16 +188,16 @@ def cmd_decompose(args, cfg: ToolkitConfig) -> int:
         raise ValidationError(f"--tolerance-pct must be finite and >= 0, got {tolerance_pct}")
     result = decompose_relaxation(args.t1_minutes, args.tr_minutes)
     recomposed = 1.0 / (1.0 / result.t1_minutes + 1.0 / result.te_minutes)
-    rows = _field_rows(result) + [("recomposed_tr_minutes", repr(recomposed))]
+    rows = [*dataclasses.asdict(result).items(), ("recomposed_tr_minutes", recomposed)]
     notes = ()
     if args.reference_te is not None:
         rel = abs(result.te_minutes - args.reference_te) / args.reference_te
         within = rel <= tolerance_pct / 100.0
         rows += [
-            ("reference_te_minutes", repr(args.reference_te)),
-            ("relative_difference", repr(rel)),
-            ("tolerance_pct", repr(tolerance_pct)),
-            ("within_tolerance", str(within).lower()),
+            ("reference_te_minutes", args.reference_te),
+            ("relative_difference", rel),
+            ("tolerance_pct", tolerance_pct),
+            ("within_tolerance", within),
         ]
         notes = (_TOLERANCE_RATIONALE,)
     _report(args, _out_path(args, cfg, "decompose_report.txt"), rows, notes=notes)
@@ -233,10 +226,9 @@ def cmd_calibrate(args, cfg: ToolkitConfig) -> int:
         warnings.simplefilter("always")
         polarization = calibrate_polarization(cal)
 
-    rows = _field_rows(cal) + [("polarization", repr(polarization))]
+    rows = [*dataclasses.asdict(cal).items(), ("polarization", polarization)]
     if args.verbose:
-        rows.append(("thermal_polarization_baseline", repr(baseline)))
-        rows.append(("enhancement_factor", repr(polarization / baseline)))
+        rows += [("thermal_polarization_baseline", baseline), ("enhancement_factor", polarization / baseline)]
     notes = [str(w.message) for w in clamped]
     _report(args, _out_path(args, cfg, "calibrate_report.txt"), rows, notes=notes)
     return EXIT_OK

@@ -268,6 +268,8 @@ class TestDecomposeRelaxation:
             decompose_relaxation(57.1, 57.1)
         with pytest.raises(InconsistencyError):
             decompose_relaxation(40.0, 57.1)
+        with pytest.raises(InconsistencyError):  # t1 > tr, but 1/t1 and 1/tr round to one double
+            decompose_relaxation(1.9999999999999003, 1.9999999999999)
 
     def test_nan_inputs_rejected(self):
         with pytest.raises(ValidationError, match="t1_minutes") as rejected:

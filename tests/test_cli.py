@@ -600,6 +600,7 @@ def _assert_documented_exit(tmp_path, argv):
 @given(argv=CALLS)
 @example(argv=["calibrate", "--enhanced=1e+308", "--reference=5e-324", "--reference-thermal-polarization=0.0"])
 @example(argv=["sweep", "td", "--values=5e-324"])
+@example(argv=["decompose", "1.9999999999999003", "1.9999999999999"])
 def test_flags_at_float_extremes_end_in_a_documented_exit_code(tmp_path, argv):
     """simulate, decompose, calibrate and sweep with numeric flags from +-1e+-308,
     subnormals, 0, NaN and +-inf, and counts at and past their limits, end as
@@ -701,6 +702,16 @@ class TestDecompose:
         assert code == 3
         assert cap.err == "error: 1 / tr overflows: tr_minutes 5e-324 is too small\n"
         assert not out.exists()
+
+    def test_te_outside_the_reference_window_reads_false(self, tmp_path, capsys):
+        out = tmp_path / "d.txt"
+        code, cap = run(["decompose", 132, 57.1, "--reference-te", 50, "--out", out], capsys)
+        assert code == 0 and cap.err == ""
+        te = 1.0 / (1.0 / 57.1 - 1.0 / 132.0)
+        rows = ["within_tolerance: false", f"relative_difference: {abs(te - 50.0) / 50.0!r}"]
+        for lines in (cap.out.splitlines(), out.read_text().splitlines(),
+                      [line.replace(",", ": ", 1) for line in out.with_suffix(".csv").read_text().splitlines()]):
+            assert set(rows) <= set(lines)
 
     def test_t1_equal_tr_rejected(self, capsys):
         code, cap = run(["decompose", 100, 100], capsys)
@@ -1114,10 +1125,12 @@ class TestOutputFiles:
         t = np.linspace(0.0, 300.0, 15)
         Path("decay.csv").write_text("time_min,value\n" + "".join(
             f"{float(x)!r},{float(0.61 * np.exp(-x / 132.0))!r}\n" for x in t))
-        code, cap = run([*argv, "--out", "r.csv"], capsys)
-        assert code == 3 and not Path("r.csv").exists() and cap.out == ""
-        assert cap.err == ("error: --out r.csv would be overwritten by the report's CSV twin; "
-                           "give the report another suffix, such as .txt\n")
+        for out in ("r.csv", "new/sub/r.csv"):
+            code, cap = run([*argv, "--out", out], capsys)
+            assert code == 3 and not Path(out).exists() and cap.out == ""
+            assert cap.err == (f"error: --out {out} would be overwritten by the report's CSV twin; "
+                               "give the report another suffix, such as .txt\n")
+        assert not Path("new").exists()
 
     def test_out_to_dev_null(self, capsys):
         code, cap = run(["sweep", "tr", "--values", "57.1,96.9", "--out", os.devnull], capsys)
