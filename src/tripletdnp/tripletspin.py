@@ -22,6 +22,16 @@ numpy's per-call dispatch costs more than the arithmetic. The Hamiltonian
 is read once. The eigenvector array is read twice: once by the phase loop
 in eigensystem(), and once by EigenSystem's unitarity check on the phased
 array. So an EigenSystem keeps the columns it checked.
+
+eigensystem() calls numpy's private gufunc
+`numpy.linalg._umath_linalg.eigh_lo`, the one `np.linalg.eigh` wraps in numpy
+1.24-2.4, under eigh's own error handler (invalid="call" raising
+LinAlgError("Eigenvalues did not converge")), so it returns eigh's bytes and
+raises eigh's error. It skips only eigh's wrapper: the array conversion, the
+square check, the dtype casts and the result tuple do nothing for a
+SpinHamiltonian's read-only 3x3 complex128 matrix, yet cost about half of
+eigh's call. A numpy that moves the gufunc fails this module's import, and so
+the tests, on purpose: there is no fallback to eigh.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo  # the gufunc np.linalg.eigh wraps
 
 from .constants import GAMMA_E_MHZ_PER_T
 from .params import ByValue, MagneticFieldSetting, TripletParameters, ValidationError
@@ -37,6 +48,10 @@ from .params import ByValue, MagneticFieldSetting, TripletParameters, Validation
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _UNITARY_TOL = 1e-10
+
+def _not_converged(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
 
 def _moduli(zs) -> list[float]:
     """abs() of each entry; [inf] where one overflows (Python raises, numpy gives inf)."""
@@ -148,7 +163,8 @@ def eigensystem(h: SpinHamiltonian) -> EigenSystem:
     nonzero component of each column is real positive, which makes the
     output deterministic for golden tests.
     """
-    vals, vecs = np.linalg.eigh(h.matrix)
+    with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        vals, vecs = eigh_lo(h.matrix, signature="D->dD")
     phases = []
     for x, y, z in vecs.T.tolist():
         lead = x if abs(x) > 1e-12 else y if abs(y) > 1e-12 else z if abs(z) > 1e-12 else 1.0

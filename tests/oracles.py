@@ -155,6 +155,17 @@ def _spin_form(x, y, z, diagonal=(0.0, 0.0, 0.0)):
     ])
 
 
+def phased_eigh(h):
+    """np.linalg.eigh(h) with each eigenvector's phase fixed the package's way:
+    its first component above 1e-12 in modulus made real positive."""
+    vals, vecs = np.linalg.eigh(h)
+    phases = []
+    for col in vecs.T.tolist():
+        lead = next((c for c in col if abs(c) > 1e-12), 1.0)
+        phases.append(lead.conjugate() / abs(lead))
+    return vals, vecs * phases
+
+
 def spin_chain(d_mhz, e_mhz, zf_populations, b_tesla, theta, phi):
     """(H, eigenvalues, eigenvectors, populations, pe) for one field orientation.
 
@@ -167,12 +178,7 @@ def spin_chain(d_mhz, e_mhz, zf_populations, b_tesla, theta, phi):
     gamma_b = GAMMA_E_MHZ_PER_T * b_tesla
     zfs = (d_mhz / 3.0 - e_mhz, d_mhz / 3.0 + e_mhz, -2.0 * d_mhz / 3.0)
     h = _spin_form(gamma_b * axis[0], gamma_b * axis[1], gamma_b * axis[2], zfs)
-    vals, vecs = np.linalg.eigh(h)
-    phases = []
-    for col in vecs.T.tolist():
-        lead = next((c for c in col if abs(c) > 1e-12), 1.0)
-        phases.append(lead.conjugate() / abs(lead))
-    vecs = vecs * phases
+    vals, vecs = phased_eigh(h)
     p = np.dot(zf_populations, abs(vecs) ** 2).tolist()
     total = sum(p)
     pops = (p[0] / total, p[1] / total, p[2] / total)

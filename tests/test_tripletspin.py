@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from tripletdnp import (
     project_populations,
     transition_frequencies,
 )
+from tripletdnp import tripletspin
 from tripletdnp.constants import GAMMA_E_MHZ_PER_T
 
 import oracles
@@ -181,6 +183,28 @@ class TestEigensystem:
         pops = project_populations(eig, PENTACENE)
         assert project_populations(shifted, PENTACENE) == pops
         assert electron_polarization(shifted, pops, field) == electron_polarization(eig, pops, field)
+
+    @pytest.mark.parametrize("entry, bad", [((1, 0), math.nan), ((2, 1), math.inf), ((0, 0), math.inf)],
+                             ids=["nan-entry", "inf-off-diagonal", "inf-diagonal"])
+    def test_non_finite_matrix_solved_as_eigh_solves_it(self, monkeypatch, entry, bad):
+        """SpinHamiltonian passes on no such matrix, so this reaches the solver
+        directly: it raises eigh's LinAlgError with eigh's message, or returns
+        eigh's bytes (NaN included), and warns where eigh warns."""
+        m = build_hamiltonian(PENTACENE, MagneticFieldSetting(0.64, 1.0, 2.0)).matrix.copy()
+        m[entry] = bad
+        monkeypatch.setattr(tripletspin, "EigenSystem", lambda vals, vecs: (vals, vecs))
+
+        def outcome(solve, arg):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    vals, vecs = solve(arg)
+                    result = (vals.tobytes(), vecs.tobytes())
+                except np.linalg.LinAlgError as exc:
+                    result = (type(exc), str(exc))
+            return result, [(w.category, str(w.message)) for w in caught]
+
+        assert outcome(eigensystem, SimpleNamespace(matrix=m)) == outcome(oracles.phased_eigh, m)
 
     def test_arrays_are_read_only(self):
         eig = eigensystem(build_hamiltonian(PENTACENE, MagneticFieldSetting(0.64, 1.0, 2.0)))
